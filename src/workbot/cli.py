@@ -55,7 +55,10 @@ def _summary(obj) -> None:
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _load_planning_task(args) -> tuple[pddlmod.DomainDef, pddlmod.ProblemDef]:
@@ -95,21 +98,7 @@ def cmd_perceive(args) -> int:
     cloud, truth = simmod.gen_workstation(sc)
     if args.cloud_out:
         cloudmod.save_ply(cloud, args.cloud_out)
-
-    work = cloudmod.voxel_downsample(cloud, cfg.leaf)
-    work = cloudmod.estimate_normals(work, k=cfg.normals_k)
-    plane = cloudmod.segment_plane(work, dist_thresh=cfg.plane_dist_thresh,
-                                   ref_axis=cfg.plane_ref_axis,
-                                   angle_tol=cfg.plane_angle_tol,
-                                   max_iters=cfg.plane_max_iters,
-                                   rng_seed=cfg.seed)
-    polygon = cloudmod.convex_hull(plane, work)
-    prism = cloudmod.extract_prism(work, polygon, cfg.prism_h_min,
-                                   cfg.prism_h_max)
-    clusters = cloudmod.euclidean_cluster(work, prism, tol=cfg.cluster_tol,
-                                          min_size=cfg.cluster_min_size,
-                                          max_size=cfg.cluster_max_size)
-
+    work, plane, _, clusters = placemod.segment_workstation(cloud, cfg)
     normal_err = math.degrees(math.acos(min(1.0, abs(float(
         np.dot(plane.normal, truth.plane.normal))))))
     offset_err = abs(abs(plane.offset) - abs(truth.plane.offset))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import WorkbotError
 from .geometry import unit
@@ -68,9 +68,6 @@ class Point3:
     x: float
     y: float
     z: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
     @staticmethod
     def from_array(a) -> "Point3":
@@ -138,10 +135,6 @@ class Plane:
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "inliers", idx)
-
-    def signed_distance(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.normal + self.offset
 
 
 def _canonicalize_plane(n: np.ndarray, off: float) -> tuple[np.ndarray, float]:
@@ -425,31 +418,6 @@ def _plane_basis(plane: Plane, pts: np.ndarray) -> PlaneBasis:
     return PlaneBasis(origin=origin, u=u, v=v)
 
 
-def _monotone_chain(uv: np.ndarray) -> np.ndarray:
-    order = np.lexsort((uv[:, 1], uv[:, 0]))
-    pts = uv[order]
-
-    def build(seq):
-        out: list[int] = []
-        for i in range(len(seq)):
-            p = pts[seq[i]]
-            while len(out) >= 2:
-                a = pts[out[-2]]
-                b = pts[out[-1]]
-                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(seq[i])
-        return out
-
-    seq = list(range(len(pts)))
-    lower = build(seq)
-    upper = build(seq[::-1])
-    hull_local = lower[:-1] + upper[:-1]
-    return order[np.asarray(hull_local, dtype=np.intp)]
-
-
 def convex_hull(plane: Plane, cloud: PointCloud) -> Polygon2:
     """2D convex hull of the plane inliers, CCW with collinear points removed."""
     pts = cloud.points[plane.inliers]
@@ -457,10 +425,13 @@ def convex_hull(plane: Plane, cloud: PointCloud) -> Polygon2:
         raise DegenerateInliers(f"hull needs >= 3 inliers, got {pts.shape[0]}")
     basis = _plane_basis(plane, pts)
     uv = basis.project(pts)
-    hull_idx = _monotone_chain(uv)
-    if hull_idx.size < 3:
-        raise DegenerateInliers("plane inliers are collinear")
-    verts = uv[hull_idx]
+    try:
+        hull_idx = ConvexHull(uv).vertices
+    except QhullError as exc:
+        raise DegenerateInliers("plane inliers are collinear") from exc
+    # qhull lists 2D vertices CCW; start at the lexicographic minimum (u, v)
+    first = np.lexsort((uv[hull_idx, 1], uv[hull_idx, 0]))[0]
+    verts = uv[np.roll(hull_idx, -first)]
     if _signed_area(verts) <= 1e-12:
         raise DegenerateInliers("plane inliers span no area")
     return Polygon2(vertices=verts, basis=basis)
@@ -475,22 +446,6 @@ def extract_prism(cloud: PointCloud, polygon: Polygon2,
     uv = polygon.basis.project(cloud.points)
     keep = (h >= h_min) & (h <= h_max) & polygon.contains(uv)
     return np.nonzero(keep)[0].astype(np.intp)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def euclidean_cluster(cloud: PointCloud, subset,
@@ -509,20 +464,19 @@ def euclidean_cluster(cloud: PointCloud, subset,
     subset = np.asarray(subset, dtype=np.intp)
     if subset.size == 0:
         return []
-    pts = cloud.points[subset]
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(tol, output_type="ndarray")
-    uf = _UnionFind(len(pts))
-    for a, b in pairs:
-        uf.union(int(a), int(b))
-    members: dict[int, list[int]] = {}
-    for i in range(len(pts)):
-        members.setdefault(uf.find(i), []).append(i)
+    # csgraph adds ~25 ms to import time; only clustering should pay for it
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = subset.size
+    pairs = cKDTree(cloud.points[subset]).query_pairs(tol, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels)
     clusters = []
-    for group in members.values():
-        if not (min_size <= len(group) <= max_size):
-            continue
-        idx = np.sort(subset[np.asarray(group, dtype=np.intp)])
+    for label in np.nonzero((sizes >= min_size) & (sizes <= max_size))[0]:
+        idx = np.sort(subset[labels == label])
         centroid = cloud.points[idx].mean(axis=0)
         clusters.append(Cluster(indices=idx, centroid=Point3.from_array(centroid)))
     clusters.sort(key=lambda c: (c.centroid.x, c.centroid.y, c.centroid.z))

@@ -27,18 +27,6 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-def angle_between(a, b) -> float:
-    """Unsigned angle between two vectors, in [0, pi]."""
-    d = float(np.dot(unit(a), unit(b)))
-    return math.acos(min(1.0, max(-1.0, d)))
-
-
-def axis_angle_between(a, b) -> float:
-    """Angle between two axes, ignoring sign, in [0, pi/2]."""
-    d = abs(float(np.dot(unit(a), unit(b))))
-    return math.acos(min(1.0, d))
-
-
 def canonical_quat(q: np.ndarray) -> np.ndarray:
     """Resolve the quaternion double cover: w > 0, ties broken on x, y, z."""
     q = np.asarray(q, dtype=float)
@@ -90,20 +78,6 @@ class Pose:
         m[:3, 3] = self.position
         return m
 
-    def compose(self, other: "Pose") -> "Pose":
-        return Pose.from_matrix(self.matrix() @ other.matrix())
-
     def transform(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation().T + self.position
-
-    def to_json(self) -> dict:
-        return {
-            "position": [float(x) for x in self.position],
-            "quat_xyzw": [float(x) for x in self.quat_xyzw],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Pose":
-        return Pose(np.asarray(obj["position"], dtype=float),
-                    np.asarray(obj["quat_xyzw"], dtype=float))

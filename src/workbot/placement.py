@@ -7,15 +7,15 @@ by how easily the arm reaches them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kinematics
-from .cloud import (PerceptionConfig, Plane, PointCloud, Polygon2, convex_hull,
-                    estimate_normals, euclidean_cluster, extract_prism,
-                    passthrough, segment_plane, voxel_downsample)
+from .cloud import (Cluster, PerceptionConfig, Plane, PointCloud, Polygon2,
+                    convex_hull, estimate_normals, euclidean_cluster,
+                    extract_prism, passthrough, segment_plane,
+                    voxel_downsample)
 from .errors import WorkbotError
 from .geometry import Pose
 from .kinematics import KinematicChain, NoConvergence
@@ -70,13 +70,15 @@ class PlacementPose:
         object.__setattr__(self, "uv", uv)
 
 
-def workstation_model(cloud: PointCloud,
-                      cfg: PerceptionConfig | None = None
-                      ) -> tuple[Plane, Polygon2, list[Obstacle2]]:
-    """Full segmentation pass: support plane, hull polygon and disc obstacles.
+def segment_workstation(cloud: PointCloud,
+                        cfg: PerceptionConfig | None = None
+                        ) -> tuple[PointCloud, Plane, Polygon2, list[Cluster]]:
+    """The tabletop segmentation shared by perception and placement.
 
-    Each cluster above the plane becomes a disc centred on its projected
-    centroid with radius equal to the farthest projected member point.
+    Passthrough crop (when configured), voxel downsampling (skipped when
+    ``leaf`` is falsy), normals, plane, hull, prism and clusters.  Returns
+    the working cloud the clusters index into, with the plane, its hull
+    polygon and the clusters above it.
     """
     cfg = cfg or PerceptionConfig()
     work = cloud
@@ -96,6 +98,18 @@ def workstation_model(cloud: PointCloud,
     clusters = euclidean_cluster(work, prism, tol=cfg.cluster_tol,
                                  min_size=cfg.cluster_min_size,
                                  max_size=cfg.cluster_max_size)
+    return work, plane, polygon, clusters
+
+
+def workstation_model(cloud: PointCloud,
+                      cfg: PerceptionConfig | None = None
+                      ) -> tuple[Plane, Polygon2, list[Obstacle2]]:
+    """Support plane, hull polygon and disc obstacles of a workstation.
+
+    Each cluster above the plane becomes a disc centred on its projected
+    centroid with radius equal to the farthest projected member point.
+    """
+    work, plane, polygon, clusters = segment_workstation(cloud, cfg)
     obstacles = []
     for cl in clusters:
         uv = polygon.basis.project(work.points[cl.indices])

@@ -4,8 +4,6 @@ association, circular motion estimation and background change detection.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -415,10 +413,6 @@ class CircularMotion:
     def angle_at(self, t: float) -> float:
         return self.phase0 + self.omega * (t - self.t_ref)
 
-    def position_at(self, t: float) -> np.ndarray:
-        a = self.angle_at(t)
-        return self.center + self.radius * np.array([math.cos(a), math.sin(a)])
-
 
 def fit_circle(points) -> tuple[np.ndarray, float]:
     """Algebraic least-squares circle fit; exact on noiseless circular data."""
@@ -520,26 +514,3 @@ def change_trigger(reference, current, roi: RoiRect,
     c0, c1 = roi.col, roi.col + roi.width
     changed = np.abs(cur[r0:r1, c0:c1] - ref[r0:r1, c0:c1]) > delta
     return float(changed.mean()) > frac
-
-
-# --- stream I/O --------------------------------------------------------------
-
-def load_detections_jsonl(path) -> list[dict]:
-    """Detection stream records: t, cx, cy, w, h, score and optional gt_id."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
-
-
-def save_tracks_csv(path, rows: list[tuple[float, int, float, float, float, float]]) -> None:
-    """Tracker output rows (t, track_id, cx, cy, w, h)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "track_id", "cx", "cy", "w", "h"])
-        for t, tid, cx, cy, w, h in rows:
-            writer.writerow([repr(float(t)), tid, repr(float(cx)),
-                             repr(float(cy)), repr(float(w)), repr(float(h))])

@@ -490,6 +490,8 @@ def load_scenario(path) -> WorkstationScenario | RttScenario:
     """Dispatch on the JSON "kind" field ("workstation" or "rtt")."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     kind = obj.get("kind", "workstation")
     body = {k: v for k, v in obj.items() if k != "kind"}
     if kind == "workstation":

@@ -211,3 +211,55 @@ def test_bad_scenario_kind_is_a_pipeline_error(tmp_path):
                    "--out", str(tmp_path / "m.csv"))
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("config", [{"passthrough": ["z", 5.0, 6.0]},
+                                    {"leaf": 0}])
+def test_perceive_and_place_share_one_segmentation(tmp_path, capsys, config):
+    from workbot.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    outcomes = []
+    for command, key in (("perceive", "cluster_count"), ("place", "obstacles")):
+        code = main([command, "--scenario", str(DATA / "workstation.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / command)])
+        captured = capsys.readouterr()
+        if code == 0:
+            outcomes.append(("ok", int(json.loads(captured.out)[key])))
+        else:
+            outcomes.append(("error", json.loads(captured.err)["error"]))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("perceive", "--config"), ("place", "--config"), ("dwa", "--config"),
+    ("grasp", "--object"), ("exec", "--bindings"), ("exec", "--faults"),
+    ("perceive", "--scenario"), ("rtt", "--scenario"), ("gen", "--scenario"),
+])
+def test_non_object_json_is_a_pipeline_error(tmp_path, capsys, command, flag):
+    from workbot.cli import main
+
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]\n")
+    args = {
+        "perceive": ["--scenario", str(DATA / "workstation.json")],
+        "place": ["--scenario", str(DATA / "workstation.json")],
+        "dwa": ["--map", str(DATA / "cluttered.pgm"), "--start", "1,1,0",
+                "--goal", "5,5"],
+        "grasp": ["--object", str(DATA / "grasp_object.json")],
+        "exec": ["--domain", str(DATA / "transport.pddl"),
+                 "--problem", str(DATA / "transport_1.pddl"),
+                 "--bindings", str(DATA / "bindings.json")],
+        "rtt": ["--scenario", str(DATA / "rtt.json")],
+        "gen": ["--scenario", str(DATA / "rtt.json")],
+    }[command]
+    if flag in args:
+        args[args.index(flag) + 1] = str(listed)
+    else:
+        args += [flag, str(listed)]
+    code = main([command, *args, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": f"{listed}: expected a JSON object"}

@@ -188,6 +188,36 @@ def test_hull_of_square_with_interior_points():
     assert hull_contains_all(poly, poly.basis.project(pts))
 
 
+def test_hull_of_square_drops_edge_points_and_starts_at_lexmin():
+    from workbot.cloud import Plane
+    t = np.linspace(0.0, 1.0, 11)
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    # walked from the top-right corner, so input order does not start at the
+    # lexicographic minimum
+    edges = np.vstack([np.column_stack([t[::-1], one]),
+                       np.column_stack([zero, t[::-1]]),
+                       np.column_stack([t, zero]), np.column_stack([one, t])])
+    interior = np.random.default_rng(2).uniform(0.1, 0.9, (40, 2))
+    uv_in = np.vstack([interior, edges])
+    pts = np.column_stack([uv_in, np.zeros(len(uv_in))])
+    cloud = PointCloud(pts)
+    plane = Plane(normal=(0, 0, 1), offset=0.0,
+                  inliers=np.arange(len(pts), dtype=np.intp))
+    poly = convex_hull(plane, cloud)
+    verts = poly.vertices
+    assert len(verts) == 4
+    nxt = np.roll(verts, -1, axis=0)
+    nxt2 = np.roll(verts, -2, axis=0)
+    turns = ((nxt[:, 0] - verts[:, 0]) * (nxt2[:, 1] - verts[:, 1])
+             - (nxt[:, 1] - verts[:, 1]) * (nxt2[:, 0] - verts[:, 0]))
+    assert np.all(turns > 0.0)
+    uv = poly.basis.project(pts)
+    lexmin = uv[np.lexsort((uv[:, 1], uv[:, 0]))[0]]
+    np.testing.assert_array_equal(verts[0], lexmin)
+    np.testing.assert_allclose(poly.basis.to_world(verts)[:, :2],
+                               [[0, 0], [1, 0], [1, 1], [0, 1]], atol=1e-12)
+
+
 def test_hull_vertices_are_ccw_extreme_points():
     rng = np.random.default_rng(9)
     uv = rng.normal(size=(80, 2)) * 0.2
