@@ -66,8 +66,12 @@ class ActionBinding:
                 raise ValueError(f"script entries must be "
                                  f"{E_SUCCESS}/{E_FAILURE}, got {status}")
 
+    def status_at(self, run: int) -> str:
+        """Status of the binding's run-th run (0-based)."""
+        return self.script[min(run, len(self.script) - 1)]
+
     def next_status(self) -> str:
-        status = self.script[min(self._cursor, len(self.script) - 1)]
+        status = self.status_at(self._cursor)
         self._cursor += 1
         return status
 
@@ -88,12 +92,16 @@ def component_step(binding: ActionBinding, event: str,
     if event == E_STOP:
         return E_STOPPED, kb
     status = binding.next_status()
+    return status, _apply_status(binding, status, kb, ground_action)
+
+
+def _apply_status(binding: ActionBinding, status: str, kb: frozenset[Atom],
+                  ground_action: GroundAction | None) -> frozenset[Atom]:
+    """Knowledge base after a run: planner effects on success (when a ground
+    action is given), the binding's failure effects on failure."""
     if status == E_SUCCESS:
-        if ground_action is not None:
-            kb = ground_action.apply(kb)
-        return E_SUCCESS, kb
-    kb = (kb - binding.failure_delete) | binding.failure_add
-    return E_FAILURE, kb
+        return kb if ground_action is None else ground_action.apply(kb)
+    return (kb - binding.failure_delete) | binding.failure_add
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,9 @@ def execute(domain: DomainDef, problem: ProblemDef,
         if schema.name not in bindings:
             raise UnknownAction(f"no binding for action: {schema.name}")
     fault_script = fault_script or {}
-    for binding in bindings.values():
-        binding._cursor = 0         # a run always starts scripts fresh
+    # script positions live here, not on the caller's bindings: every run
+    # starts each script fresh and leaves the bindings as they were
+    runs = dict.fromkeys(bindings, 0)
 
     kb = problem.init
     records: list[TraceRecord] = []
@@ -175,18 +184,17 @@ def execute(domain: DomainDef, problem: ProblemDef,
                                   plans_attempted=plans_attempted)
         failed = False
         for act in the_plan.actions:
-            binding = bindings[_schema_name(act.name)]
+            name = _schema_name(act.name)
+            binding = bindings[name]
             if step in fault_script:
                 status = fault_script[step]
                 if status not in (E_SUCCESS, E_FAILURE):
                     raise ValueError(f"fault script status must be "
                                      f"{E_SUCCESS}/{E_FAILURE}: {status}")
-                if status == E_SUCCESS:
-                    kb = act.apply(kb)
-                else:
-                    kb = (kb - binding.failure_delete) | binding.failure_add
             else:
-                status, kb = component_step(binding, E_TRIGGER, kb, act)
+                status = binding.status_at(runs[name])
+                runs[name] += 1
+            kb = _apply_status(binding, status, kb, act)
             if status == E_FAILURE:
                 replans += 1
             records.append(TraceRecord(step=step, action=act.name,
@@ -214,18 +222,35 @@ def load_fault_script(obj: dict) -> dict[int, str]:
     return {int(k): str(v) for k, v in obj.items()}
 
 
+def _load_atoms(name: str, key: str, value) -> frozenset[Atom]:
+    if not isinstance(value, list) or not all(
+            isinstance(atom, list) and all(isinstance(t, str) for t in atom)
+            for atom in value):
+        raise ValueError(f"binding {name!r}: {key} must be a list of atoms "
+                         f"(lists of strings), got {value!r}")
+    return frozenset(tuple(atom) for atom in value)
+
+
 def load_bindings(obj: dict) -> dict[str, ActionBinding]:
     """Bindings from their JSON form.
 
-    Each key names an action schema; the value may give "script" (list of
-    statuses), "failure_add" and "failure_delete" (lists of atom lists).
+    Each key names an action schema; the value is an object that may give
+    "script" (list of statuses), "failure_add" and "failure_delete" (lists
+    of atom lists).  A malformed binding raises ValueError naming it.
     """
     out = {}
     for name, body in obj.items():
+        if not isinstance(body, dict):
+            raise ValueError(f"binding {name!r}: expected a JSON object, "
+                             f"got {body!r}")
+        script = body.get("script", [E_SUCCESS])
+        if not isinstance(script, list):
+            raise ValueError(f"binding {name!r}: script must be a list of "
+                             f"statuses, got {script!r}")
         out[name] = ActionBinding(
-            action=name,
-            script=tuple(body.get("script", [E_SUCCESS])),
-            failure_add=frozenset(tuple(a) for a in body.get("failure_add", [])),
-            failure_delete=frozenset(tuple(a)
-                                     for a in body.get("failure_delete", [])))
+            action=name, script=tuple(script),
+            failure_add=_load_atoms(name, "failure_add",
+                                    body.get("failure_add", [])),
+            failure_delete=_load_atoms(name, "failure_delete",
+                                       body.get("failure_delete", [])))
     return out

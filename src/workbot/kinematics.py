@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import WorkbotError
 from .geometry import Pose
@@ -22,6 +21,7 @@ N_JOINTS = 5
 
 DEFAULT_ROT_WEIGHTS = (1.0, 1.0, 0.2)
 FD_STEP = 1e-6
+_DH_FIELDS = ("a", "alpha", "d", "theta_offset", "lo", "hi")
 
 
 class KinematicsError(WorkbotError):
@@ -67,11 +67,14 @@ class KinematicChain:
             raise ValueError(f"chain must have {N_JOINTS} joints, "
                              f"got {len(self.joints)}")
 
+    def limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper joint limits as arrays."""
+        return (np.array([j.lo for j in self.joints]),
+                np.array([j.hi for j in self.joints]))
+
     def clamp(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float).reshape(N_JOINTS)
-        lo = np.array([j.lo for j in self.joints])
-        hi = np.array([j.hi for j in self.joints])
-        return np.clip(q, lo, hi)
+        return np.clip(q, *self.limits())
 
     def within_limits(self, q, tol: float = 0.0) -> bool:
         q = np.asarray(q, dtype=float).reshape(N_JOINTS)
@@ -83,32 +86,120 @@ class KinematicChain:
 
 
 def load_chain(path, base: Pose | None = None) -> KinematicChain:
-    """Chain from a JSON array of {a, alpha, d, theta_offset, lo, hi} rows."""
+    """Chain from a JSON array of {a, alpha, d, theta_offset, lo, hi} rows.
+
+    Malformed files raise ValueError naming the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         rows = json.load(fh)
-    joints = tuple(DhJoint(a=float(r["a"]), alpha=float(r["alpha"]),
-                           d=float(r["d"]), theta_offset=float(r["theta_offset"]),
-                           lo=float(r["lo"]), hi=float(r["hi"])) for r in rows)
-    return KinematicChain(joints=joints, base=base or Pose.identity())
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: expected a JSON array of joint rows")
+    joints = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: joint {i} is not a JSON object")
+        values = {}
+        for name in _DH_FIELDS:
+            v = row.get(name)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(v)):
+                raise ValueError(f"{path}: joint {i} field {name!r} must be "
+                                 f"a finite number, got {v!r}")
+            values[name] = float(v)
+        joints.append(DhJoint(**values))
+    return KinematicChain(joints=tuple(joints), base=base or Pose.identity())
 
 
-def _dh_matrix(a: float, alpha: float, d: float, theta: float) -> np.ndarray:
-    ct, st = math.cos(theta), math.sin(theta)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return np.array([
-        [ct, -st * ca, st * sa, a * ct],
-        [st, ct * ca, -ct * sa, a * st],
-        [0.0, sa, ca, d],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+def _dh_table(chain: KinematicChain) -> tuple[np.ndarray, ...]:
+    """Per-joint DH constants as arrays: (a, cos alpha, sin alpha, d, offset)."""
+    a, alpha, d, off = np.array([(j.a, j.alpha, j.d, j.theta_offset)
+                                 for j in chain.joints]).T
+    return a, np.cos(alpha), np.sin(alpha), d, off
+
+
+def _fk(base: np.ndarray, dh: tuple[np.ndarray, ...],
+        qs: np.ndarray) -> np.ndarray:
+    """End-effector matrices (n, 4, 4) for joint-angle rows qs (n, 5)."""
+    a, ca, sa, d, off = dh
+    theta = qs + off
+    ct, st = np.cos(theta), np.sin(theta)
+    m = np.zeros(theta.shape + (4, 4))
+    m[..., 0, 0] = ct
+    m[..., 0, 1] = -st * ca
+    m[..., 0, 2] = st * sa
+    m[..., 0, 3] = a * ct
+    m[..., 1, 0] = st
+    m[..., 1, 1] = ct * ca
+    m[..., 1, 2] = -ct * sa
+    m[..., 1, 3] = a * st
+    m[..., 2, 1] = sa
+    m[..., 2, 2] = ca
+    m[..., 2, 3] = d
+    m[..., 3, 3] = 1.0
+    t = base
+    for j in range(N_JOINTS):
+        t = t @ m[:, j]
+    return t
+
+
+def so3_log(rot) -> np.ndarray:
+    """Rotation vector (unit axis times angle in [0, pi]) of rotation matrices.
+
+    Closed form, batched over leading axes.  v, the axial vector of the
+    antisymmetric part, is sin(angle) * axis, and the angle is
+    atan2(|v|, (trace - 1) / 2), accurate over the whole range.  Up to pi/2
+    the axis is v / |v|; beyond it |v| shrinks towards 0, so the axis comes
+    from the symmetric part, (1 - cos) * axis axis^T, with v only choosing
+    its sign.  At exactly pi both signs are the same rotation.
+    """
+    r = np.asarray(rot, dtype=float)
+    flat = r.reshape(-1, 3, 3)
+    v = 0.5 * np.stack([flat[:, 2, 1] - flat[:, 1, 2],
+                        flat[:, 0, 2] - flat[:, 2, 0],
+                        flat[:, 1, 0] - flat[:, 0, 1]], axis=1)
+    c = 0.5 * (flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2] - 1.0)
+    s = np.linalg.norm(v, axis=1)
+    angle = np.arctan2(s, c)
+    # angle / sin(angle) tends to 1 as the angle vanishes
+    out = v * np.divide(angle, s, out=np.ones_like(s), where=s > 0.0)[:, None]
+    obtuse = np.flatnonzero(c < 0.0)
+    if obtuse.size:
+        ro, co = flat[obtuse], c[obtuse]
+        sym = 0.5 * (ro + ro.transpose(0, 2, 1)) - co[:, None, None] * np.eye(3)
+        k = np.argmax(np.diagonal(sym, axis1=1, axis2=2), axis=1)
+        rows = np.arange(obtuse.size)
+        axis = sym[rows, :, k] / np.sqrt(sym[rows, k, k] * (1.0 - co))[:, None]
+        sign = np.where(np.sum(axis * v[obtuse], axis=1) < 0.0, -1.0, 1.0)
+        out[obtuse] = (sign * angle[obtuse])[:, None] * axis
+    return out.reshape(r.shape[:-1])
+
+
+def _pose_errors(p_target: np.ndarray, r_target: np.ndarray,
+                 current: np.ndarray, rot_weights: np.ndarray) -> np.ndarray:
+    """Error rows (n, 6) from a target to current matrices (n, 4, 4)."""
+    e_pos = p_target - current[:, :3, 3]
+    r_err = current[:, :3, :3].transpose(0, 2, 1) @ r_target
+    return np.concatenate([e_pos, rot_weights * so3_log(r_err)], axis=1)
+
+
+# rows of joint offsets: q itself, then +step and -step along each joint
+_STENCIL = np.vstack([np.zeros(N_JOINTS), np.eye(N_JOINTS), -np.eye(N_JOINTS)])
+
+
+def _stencil_errors(base, dh, p_target, r_target, q, step,
+                    rot_weights) -> np.ndarray:
+    """Pose errors at q (row 0) and at q +/- step per joint (rows 1-10)."""
+    return _pose_errors(p_target, r_target, _fk(base, dh, q + step * _STENCIL),
+                        rot_weights)
+
+
+def _central_jacobian(errs: np.ndarray, step: float) -> np.ndarray:
+    return (errs[1:1 + N_JOINTS] - errs[1 + N_JOINTS:]).T / (2.0 * step)
 
 
 def fk_matrix(chain: KinematicChain, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(N_JOINTS)
-    t = chain.base.matrix()
-    for joint, qi in zip(chain.joints, q):
-        t = t @ _dh_matrix(joint.a, joint.alpha, joint.d, qi + joint.theta_offset)
-    return t
+    q = np.asarray(q, dtype=float).reshape(1, N_JOINTS)
+    return _fk(chain.base.matrix(), _dh_table(chain), q)[0]
 
 
 def fk(chain: KinematicChain, q) -> Pose:
@@ -120,11 +211,9 @@ def pose_error(target: Pose, current: Pose,
                rot_weights=DEFAULT_ROT_WEIGHTS) -> np.ndarray:
     """6-vector error: world position delta, then the weighted rotation log
     (current -> target) expressed in the current end-effector frame."""
-    e_pos = target.position - current.position
-    r_cur = current.rotation()
-    r_err = r_cur.T @ target.rotation()
-    e_rot = Rotation.from_matrix(r_err).as_rotvec()
-    return np.concatenate([e_pos, np.asarray(rot_weights, dtype=float) * e_rot])
+    return _pose_errors(target.position, target.rotation(),
+                        current.matrix()[None],
+                        np.asarray(rot_weights, dtype=float))[0]
 
 
 def error_jacobian(chain: KinematicChain, target: Pose, q,
@@ -132,16 +221,10 @@ def error_jacobian(chain: KinematicChain, target: Pose, q,
                    rot_weights=DEFAULT_ROT_WEIGHTS) -> np.ndarray:
     """Central finite-difference Jacobian of the pose error wrt joint angles."""
     q = np.asarray(q, dtype=float).reshape(N_JOINTS)
-    jac = np.zeros((6, N_JOINTS))
-    for j in range(N_JOINTS):
-        qp = q.copy()
-        qm = q.copy()
-        qp[j] += step
-        qm[j] -= step
-        ep = pose_error(target, fk(chain, qp), rot_weights)
-        em = pose_error(target, fk(chain, qm), rot_weights)
-        jac[:, j] = (ep - em) / (2.0 * step)
-    return jac
+    errs = _stencil_errors(chain.base.matrix(), _dh_table(chain),
+                           target.position, target.rotation(), q, step,
+                           np.asarray(rot_weights, dtype=float))
+    return _central_jacobian(errs, step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +248,17 @@ def ik_dls(chain: KinematicChain, target: Pose, q0,
     orientation error norm within tol_ang; otherwise raises NoConvergence
     carrying the best error seen.
     """
-    q = chain.clamp(np.asarray(q0, dtype=float))
+    base, dh = chain.base.matrix(), _dh_table(chain)
+    p_target, r_target = target.position, target.rotation()
+    weights = np.asarray(rot_weights, dtype=float)
+    lo, hi = chain.limits()
+    damping = (lam * lam) * np.eye(N_JOINTS)
+    q = np.clip(np.asarray(q0, dtype=float).reshape(N_JOINTS), lo, hi)
     best = (math.inf, math.inf, q)
     for it in range(max_iters + 1):
-        err = pose_error(target, fk(chain, q), rot_weights)
+        errs = _stencil_errors(base, dh, p_target, r_target, q, fd_step,
+                               weights)
+        err = errs[0]
         pos_err = float(np.linalg.norm(err[:3]))
         ang_err = float(np.linalg.norm(err[3:]))
         if pos_err + ang_err < best[0] + best[1]:
@@ -177,12 +267,10 @@ def ik_dls(chain: KinematicChain, target: Pose, q0,
             return IkResult(q=q, iterations=it, pos_err=pos_err, ang_err=ang_err)
         if it == max_iters:
             break
-        jac = error_jacobian(chain, target, q, step=fd_step,
-                             rot_weights=rot_weights)
+        jac = _central_jacobian(errs, fd_step)
         # e(q + dq) ~ e(q) + J dq = 0  =>  (J^T J + lam^2 I) dq = -J^T e
-        lhs = jac.T @ jac + (lam * lam) * np.eye(N_JOINTS)
-        dq = np.linalg.solve(lhs, -jac.T @ err)
-        q = chain.clamp(q + dq)
+        dq = np.linalg.solve(jac.T @ jac + damping, -jac.T @ err)
+        q = np.clip(q + dq, lo, hi)
     raise NoConvergence(
         f"no convergence in {max_iters} iterations "
         f"(best position error {best[0]:.3e} m, orientation {best[1]:.3e} rad)",

@@ -69,6 +69,8 @@ def test_place_with_chain_ranks_by_reachability(tmp_path):
     scores = [p["reach_score"] for p in body["placements"]]
     assert scores[0] > 0.0
     assert scores == sorted(scores, reverse=True)
+    # recorded with the Pose/scipy-Rotation IK: 20, 20, 21 and 54 iterations
+    assert scores == [1 / 21, 1 / 21, 1 / 22, 1 / 55] + [0.0] * 16
 
 
 def test_grasp_samples_candidates(tmp_path):
@@ -263,3 +265,47 @@ def test_non_object_json_is_a_pipeline_error(tmp_path, capsys, command, flag):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError",
                    "message": f"{listed}: expected a JSON object"}
+
+
+@pytest.mark.parametrize("command", ["grasp", "place"])
+@pytest.mark.parametrize("content, message", [
+    ({"joints": []}, "expected a JSON array of joint rows"),
+    ([1, 2, 3, 4, 5], "joint 0 is not a JSON object"),
+    ([{"a": "wide", "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1,
+       "hi": 1}] * 5, "joint 0 field 'a' must be a finite number, got 'wide'"),
+])
+def test_malformed_chain_is_a_pipeline_error(tmp_path, capsys, command,
+                                             content, message):
+    from workbot.cli import main
+
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(content))
+    inputs = {"grasp": ["--object", str(DATA / "grasp_object.json")],
+              "place": ["--scenario", str(DATA / "workstation.json")]}
+    code = main([command, *inputs[command], "--chain", str(chain),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{chain}: {message}"}
+
+
+@pytest.mark.parametrize("bindings, message", [
+    ({"move": [1]}, "binding 'move': expected a JSON object, got [1]"),
+    ({"move": {"script": "e_success"}},
+     "binding 'move': script must be a list of statuses, got 'e_success'"),
+    ({"grasp": {"failure_add": [1]}},
+     "binding 'grasp': failure_add must be a list of atoms "
+     "(lists of strings), got [1]"),
+])
+def test_malformed_binding_is_a_pipeline_error(tmp_path, capsys, bindings,
+                                               message):
+    from workbot.cli import main
+
+    path = tmp_path / "bindings.json"
+    path.write_text(json.dumps(bindings))
+    code = main(["exec", "--domain", str(DATA / "transport.pddl"),
+                 "--problem", str(DATA / "transport_1.pddl"),
+                 "--bindings", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}

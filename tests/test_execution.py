@@ -167,11 +167,36 @@ def test_fault_script_forces_step_without_consuming_cursor():
     assert trace.replans == 1
     assert trace.records[0].status == E_FAILURE
     # every binding script is all-success, so the failure did not come from
-    # (nor advance) any component script
+    # any component script; nor did it advance one: a script that fails its
+    # own first run still fails the first run after the forced failure
     first_schema = trace.records[0].action.strip("()").split()[0]
-    runs = sum(1 for r in trace.records[1:]
-               if r.action.startswith(f"({first_schema}"))
-    assert bindings[first_schema]._cursor == runs
+    bindings[first_schema] = ActionBinding(action=first_schema,
+                                           script=(E_FAILURE, E_SUCCESS))
+    trace = execute(domain, problem, bindings,
+                    fault_script=load_fault_script({"0": E_FAILURE}))
+    runs = [r.status for r in trace.records[1:]
+            if r.action.startswith(f"({first_schema}")]
+    assert runs[:2] == [E_FAILURE, E_SUCCESS]
+    assert trace.outcome == "Success"
+
+
+def test_execute_leaves_the_callers_bindings_untouched():
+    domain, problem = transport_problem()
+    bindings = all_success_bindings(domain)
+    bindings["grasp"] = ActionBinding(action="grasp",
+                                      script=(E_FAILURE, E_SUCCESS))
+    component_step(bindings["grasp"], E_TRIGGER, frozenset())
+    before = {name: replace(b) for name, b in bindings.items()}
+    first = execute(domain, problem, bindings)
+    second = execute(domain, problem, bindings)
+    assert first.records == second.records
+    assert first.to_jsonl() == second.to_jsonl()
+    # the component's own cursor stays where the caller left it, and the run
+    # still started the script fresh: the first grasp fails
+    assert bindings == before
+    assert bindings["grasp"]._cursor == 1
+    grasps = [r.status for r in first.records if r.action.startswith("(grasp")]
+    assert grasps == [E_FAILURE, E_SUCCESS]
 
 
 def test_fault_script_rejects_bad_status():

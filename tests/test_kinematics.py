@@ -2,16 +2,18 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from workbot.geometry import Pose
 from workbot.kinematics import (DEFAULT_ROT_WEIGHTS, DhJoint, KinematicChain,
                                 NoConvergence, error_jacobian, fk, fk_matrix,
-                                ik_dls, load_chain, pose_error)
+                                ik_dls, load_chain, pose_error, so3_log)
 
 CHAIN_PATH = "src/workbot/data/chain_5dof.json"
 
@@ -122,6 +124,23 @@ def test_load_chain_round_trip(tmp_path):
     assert chain.base.position == pytest.approx([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("content, message", [
+    ({"joints": []}, "expected a JSON array"),
+    ([[0.0] * 6] * 5, "joint 0 is not a JSON object"),
+    ([{"a": "x", "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1, "hi": 1}],
+     "joint 0 field 'a' must be a finite number"),
+    ([{"a": 0, "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1}],
+     "joint 0 field 'hi' must be a finite number"),
+    ([{"a": True, "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1, "hi": 1}],
+     "joint 0 field 'a' must be a finite number"),
+])
+def test_load_chain_rejects_malformed_json(tmp_path, content, message):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+        load_chain(path)
+
+
 def test_chain_rejects_wrong_joint_count():
     row = dict(a=0.0, alpha=0.0, d=0.0, theta_offset=0.0, lo=-1.0, hi=1.0)
     with pytest.raises(ValueError, match="5 joints"):
@@ -143,7 +162,69 @@ def test_clamp_and_within_limits():
 
 
 # ---------------------------------------------------------------------------
+# rotation log, against scipy's quaternion route
+
+
+def random_axes(rng, n):
+    axes = rng.normal(size=(n, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+def test_so3_log_of_identity_is_zero():
+    assert np.array_equal(so3_log(np.eye(3)), np.zeros(3))
+
+
+@pytest.mark.parametrize("angle", [1.0, 1e-1, 1e-3, 1e-6, 1e-9,
+                                   math.pi / 2, math.pi - 1e-3,
+                                   math.pi - 1e-6])
+def test_so3_log_matches_scipy_rotvec(angle):
+    rng = np.random.default_rng(17)
+    mats = Rotation.from_rotvec(angle * random_axes(rng, 50)).as_matrix()
+    ref = Rotation.from_matrix(mats).as_rotvec()
+    got = so3_log(mats)
+    assert got.shape == (50, 3)
+    assert np.max(np.linalg.norm(got - ref, axis=1)) <= 1e-12 * angle
+
+
+def test_so3_log_of_random_rotations_matches_scipy():
+    mats = Rotation.random(500, rng=23).as_matrix()
+    np.testing.assert_allclose(so3_log(mats),
+                               Rotation.from_matrix(mats).as_rotvec(),
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(so3_log(mats[7]),
+                               Rotation.from_matrix(mats[7]).as_rotvec(),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                  (0.0, 0.0, 1.0), (1.0, -2.0, 3.0)])
+def test_so3_log_at_exactly_pi(axis):
+    a = np.asarray(axis) / np.linalg.norm(axis)
+    mat = 2.0 * np.outer(a, a) - np.eye(3)      # half turn about a
+    got = so3_log(mat)
+    ref = Rotation.from_matrix(mat).as_rotvec()
+    # +pi a and -pi a are the same rotation; either answer is right
+    assert min(np.linalg.norm(got - ref), np.linalg.norm(got + ref)) <= 1e-12
+    assert abs(np.linalg.norm(got) - math.pi) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # pose error and its Jacobian
+
+
+def test_pose_error_matches_scipy_reference():
+    rng = np.random.default_rng(29)
+    quats = Rotation.random(40, rng=31).as_quat()
+    weights = np.array(DEFAULT_ROT_WEIGHTS)
+    for i in range(0, 40, 2):
+        cur = Pose(rng.uniform(-1.0, 1.0, 3), quats[i])
+        tgt = Pose(rng.uniform(-1.0, 1.0, 3), quats[i + 1])
+        r_err = (Rotation.from_quat(cur.quat_xyzw).inv()
+                 * Rotation.from_quat(tgt.quat_xyzw))
+        ref = np.concatenate([tgt.position - cur.position,
+                              weights * r_err.as_rotvec()])
+        np.testing.assert_allclose(pose_error(tgt, cur), ref,
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_pose_error_zero_for_identical_poses():
@@ -237,3 +318,25 @@ def test_ik_result_is_best_not_last_on_failure():
         start = pose_error(target, fk(chain, np.zeros(5)))
         assert err.pos_err <= np.linalg.norm(start[:3]) + 1e-12
     # convergence in two iterations is equally acceptable here
+
+
+# iteration counts (None: NoConvergence) of ik_dls from q0 = 0 on targets
+# fk(q), q uniform in the joint limits from default_rng(5), recorded with
+# the Pose/scipy-Rotation solver this matrix-space solver replaced
+PINNED_ITERATIONS = [None, None, 25, None, 14, None, 100, 17, 14, 12,
+                     None, 14, None, 29, 26, 11, 39, 31, None, None]
+
+
+def test_ik_iteration_counts_are_pinned():
+    chain = bundled_chain()
+    lo, hi = chain.limits()
+    rng = np.random.default_rng(5)
+    counts = []
+    for _ in range(len(PINNED_ITERATIONS)):
+        target = fk(chain, rng.uniform(lo, hi))
+        try:
+            counts.append(ik_dls(chain, target, q0=np.zeros(5)).iterations)
+        except NoConvergence as err:
+            assert err.iterations == 100
+            counts.append(None)
+    assert counts == PINNED_ITERATIONS
