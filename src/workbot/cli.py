@@ -15,27 +15,16 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-from scipy.spatial import cKDTree
-
-from . import cloud as cloudmod
-from . import dwa as dwamod
-from . import execution as execmod
-from . import grasping as graspmod
-from . import kinematics as kinmod
-from . import pddl as pddlmod
-from . import placement as placemod
-from . import rtt as rttmod
-from . import sim as simmod
 from .errors import WorkbotError
-from .geometry import Pose
+
+# Each subcommand imports the pipelines it runs, and numpy or scipy only
+# through them: `plan` and `exec` load neither, `rtt` loads no scipy.
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
+    # numpy arrays and scalars both convert through tolist()
+    if hasattr(obj, "tolist"):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -61,7 +50,8 @@ def _load_json(path) -> dict:
     return obj
 
 
-def _load_planning_task(args) -> tuple[pddlmod.DomainDef, pddlmod.ProblemDef]:
+def _load_planning_task(args):
+    from . import pddl as pddlmod
     with open(args.domain, "r", encoding="utf-8") as fh:
         domain = pddlmod.parse_domain(fh.read(), path=args.domain)
     with open(args.problem, "r", encoding="utf-8") as fh:
@@ -69,17 +59,19 @@ def _load_planning_task(args) -> tuple[pddlmod.DomainDef, pddlmod.ProblemDef]:
     return domain, problem
 
 
-def _workstation_scenario(path, seed) -> simmod.WorkstationScenario:
+def _workstation_scenario(path, seed):
+    from . import sim as simmod
     sc = simmod.load_scenario(path)
     if not isinstance(sc, simmod.WorkstationScenario):
         raise ValueError(f"scenario {path} is not a workstation scenario")
     return sc if seed is None else replace(sc, seed=seed)
 
 
-def _perception_config(path) -> cloudmod.PerceptionConfig:
+def _perception_config(path):
+    from .cloud import PerceptionConfig
     if path is None:
-        return cloudmod.PerceptionConfig()
-    return cloudmod.PerceptionConfig.from_json(_load_json(path))
+        return PerceptionConfig()
+    return PerceptionConfig.from_json(_load_json(path))
 
 
 def _parse_floats(text: str, n: int, flag: str) -> tuple[float, ...]:
@@ -93,6 +85,13 @@ def _parse_floats(text: str, n: int, flag: str) -> tuple[float, ...]:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_perceive(args) -> int:
+    import numpy as np
+    from scipy.spatial import cKDTree
+
+    from . import cloud as cloudmod
+    from . import placement as placemod
+    from . import sim as simmod
+
     sc = _workstation_scenario(args.scenario, args.seed)
     cfg = _perception_config(args.config)
     cloud, truth = simmod.gen_workstation(sc)
@@ -125,6 +124,13 @@ def cmd_perceive(args) -> int:
 
 
 def cmd_place(args) -> int:
+    import numpy as np
+
+    from . import kinematics as kinmod
+    from . import placement as placemod
+    from . import sim as simmod
+    from .geometry import Pose
+
     sc = _workstation_scenario(args.scenario, args.seed)
     cfg = _perception_config(args.config)
     cloud, _ = simmod.gen_workstation(sc)
@@ -151,19 +157,46 @@ def cmd_place(args) -> int:
     return 0
 
 
+def _finite(value, key: str, path) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{path}: {key!r} must be a finite number, "
+                         f"got {value!r}")
+    return float(value)
+
+
+def _vector3(value, key: str, path) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"{path}: {key!r} must be a list of 3 numbers, "
+                         f"got {value!r}")
+    return tuple(_finite(v, key, path) for v in value)
+
+
 def cmd_grasp(args) -> int:
-    desc = _load_json(args.object)
-    position = np.asarray(desc["position"], dtype=float)
-    height = float(desc["height"])
-    base = tuple(desc.get("base_position", (0.0, 0.0, 0.0)))
-    approach = graspmod.decide_approach(height)
-    object_pose = Pose(position, np.array([0.0, 0.0, 0.0, 1.0]))
+    import numpy as np
+
+    from . import grasping as graspmod
+    from . import kinematics as kinmod
+    from .geometry import Pose
+
+    path = args.object
+    desc = _load_json(path)
+    n = _finite(desc.get("n", 9), "n", path)
+    if not n.is_integer():
+        raise ValueError(f"{path}: 'n' must be a whole number, got {n!r}")
+    approach = graspmod.decide_approach(
+        _finite(desc.get("height"), "height", path))
+    object_pose = Pose(np.array(_vector3(desc.get("position"), "position",
+                                         path)),
+                       np.array([0.0, 0.0, 0.0, 1.0]))
     cands = graspmod.sample_pregrasp(
         object_pose, approach,
-        offset=float(desc.get("offset", 0.05)),
-        n=int(desc.get("n", 9)),
-        yaw_spread=float(desc.get("yaw_spread", math.pi / 2)),
-        base_position=base)
+        offset=_finite(desc.get("offset", 0.05), "offset", path),
+        n=int(n),
+        yaw_spread=_finite(desc.get("yaw_spread", math.pi / 2),
+                           "yaw_spread", path),
+        base_position=_vector3(desc.get("base_position", [0.0, 0.0, 0.0]),
+                               "base_position", path))
     selected = None
     if args.chain:
         chain = kinmod.load_chain(args.chain)
@@ -183,6 +216,7 @@ def cmd_grasp(args) -> int:
 
 
 def cmd_rtt(args) -> int:
+    from . import sim as simmod
     sc = simmod.load_scenario(args.scenario)
     if not isinstance(sc, simmod.RttScenario):
         raise ValueError(f"scenario {args.scenario} is not an rtt scenario")
@@ -199,6 +233,7 @@ def cmd_rtt(args) -> int:
 
 
 def cmd_dwa(args) -> int:
+    from . import dwa as dwamod
     grid = dwamod.load_pgm(args.map)
     cfg = (dwamod.DWAConfig.from_json(_load_json(args.config))
            if args.config else dwamod.DWAConfig())
@@ -217,6 +252,7 @@ def cmd_dwa(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from . import pddl as pddlmod
     domain, problem = _load_planning_task(args)
     result = pddlmod.plan(domain, problem, mode=args.mode)
     text = pddlmod.format_plan(result)
@@ -227,6 +263,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_exec(args) -> int:
+    from . import execution as execmod
     domain, problem = _load_planning_task(args)
     bindings = execmod.load_bindings(_load_json(args.bindings))
     faults = (execmod.load_fault_script(_load_json(args.faults))
@@ -242,12 +279,14 @@ def cmd_exec(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import sim as simmod
     sc = simmod.load_scenario(args.scenario)
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
     if isinstance(sc, simmod.WorkstationScenario):
+        from .cloud import save_ply
         cloud, truth = simmod.gen_workstation(sc)
-        cloudmod.save_ply(cloud, args.out)
+        save_ply(cloud, args.out)
         _dump_json(args.out + ".truth.json",
                    {"plane": {"normal": truth.plane.normal,
                               "offset": truth.plane.offset},

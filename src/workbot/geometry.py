@@ -1,4 +1,8 @@
-"""Shared 3D geometry helpers: angles, quaternions and rigid poses."""
+"""Shared 3D geometry helpers: angles, quaternions and rigid poses.
+
+scipy's ``Rotation`` is imported inside the ``Pose`` methods that use it, so
+a module that needs only ``wrap_angle`` (the trackers) does not load scipy.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,16 +63,19 @@ class Pose:
 
     @staticmethod
     def from_matrix(mat: np.ndarray) -> "Pose":
+        from scipy.spatial.transform import Rotation
         mat = np.asarray(mat, dtype=float)
         q = Rotation.from_matrix(mat[:3, :3]).as_quat()
         return Pose(mat[:3, 3], q)
 
     @staticmethod
     def from_rotation(rot: np.ndarray, position) -> "Pose":
+        from scipy.spatial.transform import Rotation
         q = Rotation.from_matrix(np.asarray(rot, dtype=float)).as_quat()
         return Pose(np.asarray(position, dtype=float), q)
 
     def rotation(self) -> np.ndarray:
+        from scipy.spatial.transform import Rotation
         return Rotation.from_quat(self.quat_xyzw).as_matrix()
 
     def matrix(self) -> np.ndarray:

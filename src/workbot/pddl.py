@@ -155,6 +155,14 @@ def _items(node, path: str) -> list:
     return node[1:]
 
 
+def _call(node, path: str) -> list:
+    """Items of a `(name arg ...)` form: a declaration or a function term."""
+    parts = _items(node, path)
+    if not parts:
+        _fail(node, path, "expected (name ...), found ()")
+    return parts
+
+
 # --- domain model ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -285,7 +293,7 @@ def _is_number(text: str) -> bool:
 def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
     tree = _parse_tree(_tokenize(text), path)
     items = _items(tree, path)
-    if not items or _sym(items[0], path) != "define":
+    if len(items) < 2 or _sym(items[0], path) != "define":
         _fail(tree, path, "expected (define (domain ...) ...)")
     head = _items(items[1], path)
     if len(head) != 2 or _sym(head[0], path) != "domain":
@@ -333,7 +341,7 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
                 constants.append((obj, ty))
         elif key == ":predicates":
             for decl in body[1:]:
-                parts = _items(decl, path)
+                parts = _call(decl, path)
                 pname = _sym(parts[0], path)
                 params = _typed_list(parts[1:], path)
                 for _, ty in params:
@@ -344,7 +352,7 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
                 predicates.append((pname, tuple(ty for _, ty in params)))
         elif key == ":functions":
             for decl in body[1:]:
-                parts = _items(decl, path)
+                parts = _call(decl, path)
                 fname = _sym(parts[0], path)
                 params = _typed_list(parts[1:], path)
                 for _, ty in params:
@@ -481,7 +489,7 @@ def _parse_increase(node, path: str, fn_arity: dict[str, int],
             _fail(expr, path, f"action cost must be non-negative: {text}",
                   NegativeCost)
         return value, []
-    call = _items(expr, path)
+    call = _call(expr, path)
     fname = _sym(call[0], path)
     if fname not in fn_arity:
         _fail(expr, path, f"unknown function: {fname}", UnknownPredicate)
@@ -502,7 +510,7 @@ def parse_problem(text: str, domain: DomainDef,
                   path: str = "<problem>") -> ProblemDef:
     tree = _parse_tree(_tokenize(text), path)
     items = _items(tree, path)
-    if not items or _sym(items[0], path) != "define":
+    if len(items) < 2 or _sym(items[0], path) != "define":
         _fail(tree, path, "expected (define (problem ...) ...)")
     head = _items(items[1], path)
     if len(head) != 2 or _sym(head[0], path) != "problem":
@@ -517,6 +525,7 @@ def parse_problem(text: str, domain: DomainDef,
     init: set[Atom] = set()
     fn_values: dict[tuple[str, tuple[str, ...]], float] = {}
     goal: list[Atom] = []
+    has_goal = False
     metric = False
 
     def known_objects() -> set[str]:
@@ -555,7 +564,7 @@ def parse_problem(text: str, domain: DomainDef,
                 if parts and _sym(parts[0], path) == "=":
                     if len(parts) != 3:
                         _fail(node, path, "(= (fn args) value) expected")
-                    call = _items(parts[1], path)
+                    call = _call(parts[1], path)
                     fname = _sym(call[0], path)
                     if fname not in fn_arity:
                         _fail(node, path, f"unknown function: {fname}",
@@ -583,6 +592,7 @@ def parse_problem(text: str, domain: DomainDef,
         elif key == ":goal":
             if len(body) != 2:
                 _fail(section, path, "(:goal <conjunction>) expected")
+            has_goal = True
             for lit in _conjunction(body[1], path, pred_arity, None):
                 if not lit.positive:
                     _fail(body[1], path,
@@ -602,6 +612,8 @@ def parse_problem(text: str, domain: DomainDef,
         else:
             _fail(section, path, f"unknown problem section: {key}")
 
+    if not has_goal:
+        _fail(tree, path, "problem has no (:goal ...) section")
     fn_values.pop((TOTAL_COST, ()), None)
     return ProblemDef(name=name, domain_name=domain_name,
                       objects=tuple(objects), init=frozenset(init),

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import Plane, PointCloud
 from .rtt import (Detection2D, SortConfig, SortTracker, Track3D,
                   TrackingError, associate_nn_3d, estimate_motion)
 
@@ -163,6 +162,8 @@ def gen_workstation(sc: WorkstationScenario
     Point order is table block, one block per object, then outliers, so the
     label array lines up with the cloud rows.
     """
+    # cloud pulls in scipy.spatial, which the rtt stream does not need
+    from .cloud import Plane, PointCloud
     rng = np.random.default_rng(sc.seed)
     n_table = max(1, int(round(sc.width * sc.depth * sc.density)))
     table = np.column_stack([

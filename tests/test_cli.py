@@ -309,3 +309,64 @@ def test_malformed_binding_is_a_pipeline_error(tmp_path, capsys, bindings,
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "message": message}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", [1], "'n' must be a finite number, got [1]"),
+    ("n", True, "'n' must be a finite number, got True"),
+    ("n", 2.5, "'n' must be a whole number, got 2.5"),
+    ("offset", "far", "'offset' must be a finite number, got 'far'"),
+    ("offset", float("nan"), "'offset' must be a finite number, got nan"),
+    ("yaw_spread", [0.5], "'yaw_spread' must be a finite number, got [0.5]"),
+    ("yaw_spread", float("inf"),
+     "'yaw_spread' must be a finite number, got inf"),
+    ("height", False, "'height' must be a finite number, got False"),
+    ("position", [0.35, 0.0],
+     "'position' must be a list of 3 numbers, got [0.35, 0.0]"),
+    ("base_position", [0.0, "x", 0.0],
+     "'base_position' must be a finite number, got 'x'"),
+])
+def test_malformed_grasp_object_is_a_pipeline_error(tmp_path, capsys, key,
+                                                    value, message):
+    from workbot.cli import main
+
+    desc = json.loads((DATA / "grasp_object.json").read_text())
+    desc[key] = value
+    path = tmp_path / "object.json"
+    path.write_text(json.dumps(desc))
+    code = main(["grasp", "--object", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"{path}: {message}"}
+
+
+@pytest.mark.parametrize("file, old, new", [
+    ("transport.pddl", None, "(define)"),
+    ("transport.pddl", "(:predicates", "(:predicates ()"),
+    ("transport.pddl", "(increase (total-cost) 1)",
+     "(increase (total-cost) ())"),
+    ("transport_1.pddl", "(:init", "(:init (= () 1)"),
+    ("transport_1.pddl", "(:goal (and (item-at bolt ws)))", ""),
+])
+@pytest.mark.parametrize("command", ["plan", "exec"])
+def test_malformed_pddl_is_a_pipeline_error(tmp_path, capsys, command, file,
+                                            old, new):
+    from workbot.cli import main
+
+    text = (DATA / file).read_text()
+    assert old is None or old in text
+    path = tmp_path / file
+    path.write_text(new if old is None else text.replace(old, new, 1))
+    paths = {name: str(DATA / name)
+             for name in ("transport.pddl", "transport_1.pddl")}
+    paths[file] = str(path)
+    args = ["--domain", paths["transport.pddl"],
+            "--problem", paths["transport_1.pddl"]]
+    if command == "exec":
+        args += ["--bindings", str(DATA / "bindings.json")]
+    code = main([command, *args, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PddlSyntaxError"
+    assert err["message"].startswith(f"{path}:")

@@ -1,0 +1,62 @@
+"""Each CLI subcommand loads only the libraries its pipeline needs.
+
+A fresh interpreter runs ``workbot.cli.main`` and reports which of numpy
+and scipy ended up in ``sys.modules``: `plan` and `exec` must load
+neither, `rtt` and `gen` on a detection stream no scipy.  A stray
+top-level import in the CLI or in a module these pipelines share would
+put back the import time the split saves.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DATA = Path("src/workbot/data").resolve()
+
+CHILD = """
+import json, sys
+import workbot.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    try:
+        code = workbot.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+loaded = sorted({name.split(".")[0] for name in sys.modules}
+                & {"numpy", "scipy"})
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+PLAN = ["--domain", str(DATA / "transport.pddl"),
+        "--problem", str(DATA / "transport_1.pddl")]
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    pytest.param(None, None, {"numpy", "scipy"}, id="import"),
+    pytest.param([], 2, {"numpy", "scipy"}, id="usage-error"),
+    pytest.param(["plan", *PLAN, "--mode", "optimal"], 0, {"numpy", "scipy"},
+                 id="plan-optimal"),
+    pytest.param(["plan", *PLAN, "--mode", "greedy"], 0, {"numpy", "scipy"},
+                 id="plan-greedy"),
+    pytest.param(["exec", *PLAN, "--bindings", str(DATA / "bindings.json")],
+                 0, {"numpy", "scipy"}, id="exec"),
+    pytest.param(["rtt", "--scenario", str(DATA / "rtt.json"),
+                  "--tracker", "sort"], 0, {"scipy"}, id="rtt-sort"),
+    pytest.param(["rtt", "--scenario", str(DATA / "rtt.json"),
+                  "--tracker", "nn3d"], 0, {"scipy"}, id="rtt-nn3d"),
+    pytest.param(["gen", "--scenario", str(DATA / "rtt.json")], 0, {"scipy"},
+                 id="gen-rtt"),
+])
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, code, absent):
+    if argv:
+        argv = argv + ["--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == code, proc.stderr
+    assert not absent & set(report["loaded"])

@@ -123,6 +123,50 @@ def test_unknown_predicate():
         parse_domain(text)
 
 
+TOY_COST_DOMAIN = TOY_DOMAIN.replace(
+    ":requirements :strips :typing",
+    ":requirements :strips :typing :action-costs").replace(
+    "(:action", "(:functions (total-cost))\n  (:action").replace(
+    "(not (clear ?b))", "(not (clear ?b)) (increase (total-cost) 1)")
+
+
+@pytest.mark.parametrize("text", [
+    "(define)",
+    "(define (domain d) (:predicates ()))",
+    "(define (domain d) (:requirements :action-costs) (:functions ()))",
+    TOY_COST_DOMAIN.replace("(increase (total-cost) 1)",
+                            "(increase (total-cost) ())"),
+], ids=["bare-define", "empty-predicate", "empty-function",
+        "empty-cost-term"])
+def test_malformed_domain_is_a_located_syntax_error(text):
+    parse_domain(TOY_COST_DOMAIN)   # the unbroken domain parses
+    with pytest.raises(PddlSyntaxError) as exc:
+        parse_domain(text, path="bad.pddl")
+    assert str(exc.value).startswith("bad.pddl:")
+
+
+@pytest.mark.parametrize("text", [
+    "(define)",
+    TOY_PROBLEM.replace("(:init", "(:init (= () 1)"),
+], ids=["bare-define", "empty-function-value"])
+def test_malformed_problem_is_a_located_syntax_error(text):
+    domain = parse_domain(TOY_DOMAIN)
+    with pytest.raises(PddlSyntaxError) as exc:
+        parse_problem(text, domain, path="bad.pddl")
+    assert str(exc.value).startswith("bad.pddl:")
+
+
+def test_missing_goal_is_not_an_empty_goal():
+    domain = parse_domain(TOY_DOMAIN)
+    with pytest.raises(PddlSyntaxError,
+                       match=r"^bad.pddl:2:1: problem has no \(:goal"):
+        parse_problem(TOY_PROBLEM.replace("(:goal (and (stacked a b)))", ""),
+                      domain, path="bad.pddl")
+    empty = parse_problem(TOY_PROBLEM.replace("(stacked a b)", ""), domain)
+    assert empty.goal == ()
+    assert plan(domain, empty).actions == ()
+
+
 def test_undeclared_object_in_problem():
     domain = parse_domain(TOY_DOMAIN)
     bad = TOY_PROBLEM.replace("(clear a)", "(clear ghost)")
