@@ -13,9 +13,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from .errors import WorkbotError
+from .jsonio import decode, load_json
 
 # Each subcommand imports the pipelines it runs, and numpy or scipy only
 # through them: `plan` and `exec` load neither, `rtt` loads no scipy.
@@ -42,14 +43,6 @@ def _summary(obj) -> None:
     print(json.dumps(_jsonable(obj), sort_keys=True))
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return obj
-
-
 def _load_planning_task(args):
     from . import pddl as pddlmod
     with open(args.domain, "r", encoding="utf-8") as fh:
@@ -71,7 +64,7 @@ def _perception_config(path):
     from .cloud import PerceptionConfig
     if path is None:
         return PerceptionConfig()
-    return PerceptionConfig.from_json(_load_json(path))
+    return decode(PerceptionConfig, load_json(path), path)
 
 
 def _parse_floats(text: str, n: int, flag: str) -> tuple[float, ...]:
@@ -157,19 +150,16 @@ def cmd_place(args) -> int:
     return 0
 
 
-def _finite(value, key: str, path) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"{path}: {key!r} must be a finite number, "
-                         f"got {value!r}")
-    return float(value)
+@dataclass(frozen=True)
+class _GraspObject:
+    """The `grasp --object` file: the object and how to sample around it."""
 
-
-def _vector3(value, key: str, path) -> tuple[float, ...]:
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValueError(f"{path}: {key!r} must be a list of 3 numbers, "
-                         f"got {value!r}")
-    return tuple(_finite(v, key, path) for v in value)
+    height: float
+    position: tuple[float, float, float]
+    n: int = 9
+    offset: float = 0.05
+    yaw_spread: float = math.pi / 2
+    base_position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 def cmd_grasp(args) -> int:
@@ -179,24 +169,13 @@ def cmd_grasp(args) -> int:
     from . import kinematics as kinmod
     from .geometry import Pose
 
-    path = args.object
-    desc = _load_json(path)
-    n = _finite(desc.get("n", 9), "n", path)
-    if not n.is_integer():
-        raise ValueError(f"{path}: 'n' must be a whole number, got {n!r}")
-    approach = graspmod.decide_approach(
-        _finite(desc.get("height"), "height", path))
-    object_pose = Pose(np.array(_vector3(desc.get("position"), "position",
-                                         path)),
+    obj = decode(_GraspObject, load_json(args.object), args.object)
+    approach = graspmod.decide_approach(obj.height)
+    object_pose = Pose(np.array(obj.position),
                        np.array([0.0, 0.0, 0.0, 1.0]))
     cands = graspmod.sample_pregrasp(
-        object_pose, approach,
-        offset=_finite(desc.get("offset", 0.05), "offset", path),
-        n=int(n),
-        yaw_spread=_finite(desc.get("yaw_spread", math.pi / 2),
-                           "yaw_spread", path),
-        base_position=_vector3(desc.get("base_position", [0.0, 0.0, 0.0]),
-                               "base_position", path))
+        object_pose, approach, offset=obj.offset, n=obj.n,
+        yaw_spread=obj.yaw_spread, base_position=obj.base_position)
     selected = None
     if args.chain:
         chain = kinmod.load_chain(args.chain)
@@ -235,7 +214,7 @@ def cmd_rtt(args) -> int:
 def cmd_dwa(args) -> int:
     from . import dwa as dwamod
     grid = dwamod.load_pgm(args.map)
-    cfg = (dwamod.DWAConfig.from_json(_load_json(args.config))
+    cfg = (decode(dwamod.DWAConfig, load_json(args.config), args.config)
            if args.config else dwamod.DWAConfig())
     x, y, theta = _parse_floats(args.start, 3, "--start")
     goal = _parse_floats(args.goal, 2, "--goal")
@@ -265,8 +244,8 @@ def cmd_plan(args) -> int:
 def cmd_exec(args) -> int:
     from . import execution as execmod
     domain, problem = _load_planning_task(args)
-    bindings = execmod.load_bindings(_load_json(args.bindings))
-    faults = (execmod.load_fault_script(_load_json(args.faults))
+    bindings = execmod.load_bindings(load_json(args.bindings))
+    faults = (execmod.load_fault_script(load_json(args.faults))
               if args.faults else None)
     trace = execmod.execute(domain, problem, bindings, fault_script=faults,
                             max_replans=args.max_replans, mode=args.mode)

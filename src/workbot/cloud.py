@@ -10,7 +10,7 @@ explicit seed so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -281,15 +281,6 @@ class PerceptionConfig:
     cluster_min_size: int = 25
     cluster_max_size: int = 20000
     seed: int = 0
-
-    @staticmethod
-    def from_json(obj: dict) -> "PerceptionConfig":
-        known = {f: obj[f] for f in obj if f in PerceptionConfig.__dataclass_fields__}
-        cfg = PerceptionConfig(**known)
-        if cfg.passthrough is not None:
-            axis, lo, hi = cfg.passthrough
-            cfg = replace(cfg, passthrough=(str(axis), float(lo), float(hi)))
-        return cfg
 
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:

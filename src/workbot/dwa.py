@@ -12,12 +12,13 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import WorkbotError
+from .jsonio import decode, load_json
 
 FREE = 0
 OCCUPIED = 1
@@ -133,11 +134,6 @@ class DWAConfig:
             raise ValueError("need horizon >= dt > 0")
         if self.v_min > self.v_max:
             raise ValueError("v_min must not exceed v_max")
-
-    @staticmethod
-    def from_json(obj: dict) -> "DWAConfig":
-        known = {f: obj[f] for f in obj if f in DWAConfig.__dataclass_fields__}
-        return DWAConfig(**known)
 
 
 @dataclass(frozen=True)
@@ -317,6 +313,14 @@ def save_pose_log(path, poses) -> None:
 
 # --- PGM I/O -----------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Sidecar:
+    """The JSON file next to a PGM map: cell size and lower-left corner."""
+
+    resolution: float
+    origin: tuple[float, float]
+
+
 def _sidecar_path(pgm_path) -> str:
     root, _ = os.path.splitext(str(pgm_path))
     return root + ".json"
@@ -343,6 +347,9 @@ def load_pgm(pgm_path, sidecar_path=None) -> OccupancyGrid:
         raise GridParseError(f"{name}: non-integer header fields") from None
     if maxval != 255:
         raise GridParseError(f"{name}: maxval must be 255, got {maxval}")
+    if width <= 0 or height <= 0:
+        raise GridParseError(f"{name}: map must be at least 1x1, "
+                             f"got {width}x{height}")
     data = tokens[4:]
     if len(data) != width * height:
         raise GridParseError(f"{name}: expected {width * height} samples, "
@@ -358,11 +365,10 @@ def load_pgm(pgm_path, sidecar_path=None) -> OccupancyGrid:
                 f"{name}: sample {value} is not one of 0/128/255")
         cells[i] = _PGM_VALUES[value]
     sidecar = sidecar_path or _sidecar_path(pgm_path)
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = decode(_Sidecar, load_json(sidecar), sidecar)
     return OccupancyGrid(cells=cells.reshape(height, width),
-                         resolution=float(meta["resolution"]),
-                         origin=np.asarray(meta["origin"], dtype=float))
+                         resolution=meta.resolution,
+                         origin=np.array(meta.origin))
 
 
 def save_pgm(grid: OccupancyGrid, pgm_path, sidecar_path=None) -> None:

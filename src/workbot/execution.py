@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import WorkbotError
+from .jsonio import decode
 from .pddl import (Atom, DomainDef, GroundAction, Plan, ProblemDef,
                    Unsolvable, plan as make_plan)
 
@@ -158,6 +159,10 @@ def execute(domain: DomainDef, problem: ProblemDef,
         if schema.name not in bindings:
             raise UnknownAction(f"no binding for action: {schema.name}")
     fault_script = fault_script or {}
+    for step, status in fault_script.items():
+        if status not in (E_SUCCESS, E_FAILURE):
+            raise ValueError(f"fault script step {step}: status must be "
+                             f"{E_SUCCESS}/{E_FAILURE}, got {status!r}")
     # script positions live here, not on the caller's bindings: every run
     # starts each script fresh and leaves the bindings as they were
     runs = dict.fromkeys(bindings, 0)
@@ -188,9 +193,6 @@ def execute(domain: DomainDef, problem: ProblemDef,
             binding = bindings[name]
             if step in fault_script:
                 status = fault_script[step]
-                if status not in (E_SUCCESS, E_FAILURE):
-                    raise ValueError(f"fault script status must be "
-                                     f"{E_SUCCESS}/{E_FAILURE}: {status}")
             else:
                 status = binding.status_at(runs[name])
                 runs[name] += 1
@@ -218,17 +220,16 @@ def execute(domain: DomainDef, problem: ProblemDef,
 
 
 def load_fault_script(obj: dict) -> dict[int, str]:
-    """{"3": "e_failure"} JSON form to {3: "e_failure"}."""
-    return {int(k): str(v) for k, v in obj.items()}
-
-
-def _load_atoms(name: str, key: str, value) -> frozenset[Atom]:
-    if not isinstance(value, list) or not all(
-            isinstance(atom, list) and all(isinstance(t, str) for t in atom)
-            for atom in value):
-        raise ValueError(f"binding {name!r}: {key} must be a list of atoms "
-                         f"(lists of strings), got {value!r}")
-    return frozenset(tuple(atom) for atom in value)
+    """{"3": "e_failure"} JSON form to {3: "e_failure"}; a step key that is
+    not a whole number raises ValueError naming it."""
+    script = {}
+    for key, status in obj.items():
+        try:
+            script[int(key)] = status
+        except ValueError:
+            raise ValueError(f"fault script: step {key!r} must be a whole "
+                             f"number") from None
+    return script
 
 
 def load_bindings(obj: dict) -> dict[str, ActionBinding]:
@@ -238,19 +239,7 @@ def load_bindings(obj: dict) -> dict[str, ActionBinding]:
     "script" (list of statuses), "failure_add" and "failure_delete" (lists
     of atom lists).  A malformed binding raises ValueError naming it.
     """
-    out = {}
-    for name, body in obj.items():
-        if not isinstance(body, dict):
-            raise ValueError(f"binding {name!r}: expected a JSON object, "
-                             f"got {body!r}")
-        script = body.get("script", [E_SUCCESS])
-        if not isinstance(script, list):
-            raise ValueError(f"binding {name!r}: script must be a list of "
-                             f"statuses, got {script!r}")
-        out[name] = ActionBinding(
-            action=name, script=tuple(script),
-            failure_add=_load_atoms(name, "failure_add",
-                                    body.get("failure_add", [])),
-            failure_delete=_load_atoms(name, "failure_delete",
-                                       body.get("failure_delete", [])))
-    return out
+    return {name: decode(ActionBinding,
+                         dict(body, action=name) if isinstance(body, dict)
+                         else body, f"binding {name!r}")
+            for name, body in obj.items()}

@@ -8,7 +8,6 @@ rotation log expressed in the end-effector frame; the wrist-roll component a
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -16,12 +15,12 @@ import numpy as np
 
 from .errors import WorkbotError
 from .geometry import Pose
+from .jsonio import decode, load_json
 
 N_JOINTS = 5
 
 DEFAULT_ROT_WEIGHTS = (1.0, 1.0, 0.2)
 FD_STEP = 1e-6
-_DH_FIELDS = ("a", "alpha", "d", "theta_offset", "lo", "hi")
 
 
 class KinematicsError(WorkbotError):
@@ -90,24 +89,9 @@ def load_chain(path, base: Pose | None = None) -> KinematicChain:
 
     Malformed files raise ValueError naming the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = json.load(fh)
-    if not isinstance(rows, list):
-        raise ValueError(f"{path}: expected a JSON array of joint rows")
-    joints = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"{path}: joint {i} is not a JSON object")
-        values = {}
-        for name in _DH_FIELDS:
-            v = row.get(name)
-            if (isinstance(v, bool) or not isinstance(v, (int, float))
-                    or not math.isfinite(v)):
-                raise ValueError(f"{path}: joint {i} field {name!r} must be "
-                                 f"a finite number, got {v!r}")
-            values[name] = float(v)
-        joints.append(DhJoint(**values))
-    return KinematicChain(joints=tuple(joints), base=base or Pose.identity())
+    joints = tuple(decode(DhJoint, row, f"{path}: joint {i}")
+                   for i, row in enumerate(load_json(path, list)))
+    return KinematicChain(joints=joints, base=base or Pose.identity())
 
 
 def _dh_table(chain: KinematicChain) -> tuple[np.ndarray, ...]:

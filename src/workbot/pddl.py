@@ -35,8 +35,8 @@ class PddlSyntaxError(PddlError):
 
 
 class UnsupportedRequirement(PddlError):
-    def __init__(self, requirement: str):
-        super().__init__(f"unsupported requirement: {requirement}")
+    def __init__(self, where: str, requirement: str):
+        super().__init__(f"{where}: unsupported requirement: {requirement}")
         self.requirement = requirement
 
 
@@ -324,7 +324,8 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
             for node in body[1:]:
                 req = _sym(node, path)
                 if req not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedRequirement(req.lstrip(":"))
+                    raise UnsupportedRequirement(_where(node, path),
+                                                 req.lstrip(":"))
                 requirements.add(req)
         elif key == ":types":
             for ty, parent in _typed_list(body[1:], path):

@@ -9,12 +9,12 @@ metrics.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import decode, load_json
 from .rtt import (Detection2D, SortConfig, SortTracker, Track3D,
                   TrackingError, associate_nn_3d, estimate_motion)
 
@@ -54,16 +54,6 @@ class SceneObject:
     def top_height(self) -> float:
         return self.size[2] if self.shape == "box" else self.height
 
-    @staticmethod
-    def from_json(obj: dict) -> "SceneObject":
-        return SceneObject(
-            shape=str(obj["shape"]), label=str(obj["label"]),
-            position=(float(obj["position"][0]), float(obj["position"][1])),
-            size=tuple(float(v) for v in obj.get("size", (0.0, 0.0, 0.0))),
-            radius=float(obj.get("radius", 0.0)),
-            height=float(obj.get("height", 0.0)),
-            yaw=float(obj.get("yaw", 0.0)))
-
 
 @dataclass(frozen=True)
 class WorkstationScenario:
@@ -81,15 +71,6 @@ class WorkstationScenario:
             raise ValueError("table extent and density must be positive")
         if self.noise_sigma < 0.0 or self.outlier_count < 0:
             raise ValueError("noise_sigma and outlier_count cannot be negative")
-
-    @staticmethod
-    def from_json(obj: dict) -> "WorkstationScenario":
-        objects = tuple(SceneObject.from_json(o)
-                        for o in obj.get("objects", []))
-        known = {f: obj[f] for f in obj
-                 if f in WorkstationScenario.__dataclass_fields__
-                 and f != "objects"}
-        return WorkstationScenario(objects=objects, **known)
 
 
 @dataclass(frozen=True)
@@ -205,10 +186,6 @@ class RttObject:
     label: str
     angle0: float
 
-    @staticmethod
-    def from_json(obj: dict) -> "RttObject":
-        return RttObject(label=str(obj["label"]), angle0=float(obj["angle0"]))
-
 
 @dataclass(frozen=True)
 class RttScenario:
@@ -231,16 +208,6 @@ class RttScenario:
             raise ValueError("radius, frame_rate and duration must be positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must lie in [0, 1): {self.dropout}")
-
-    @staticmethod
-    def from_json(obj: dict) -> "RttScenario":
-        objects = tuple(RttObject.from_json(o) for o in obj.get("objects", []))
-        known = {f: obj[f] for f in obj
-                 if f in RttScenario.__dataclass_fields__ and f != "objects"}
-        if "center" in known:
-            known["center"] = (float(known["center"][0]),
-                               float(known["center"][1]))
-        return RttScenario(objects=objects, **known)
 
 
 @dataclass(frozen=True)
@@ -351,15 +318,11 @@ def _claims_to_metrics(claims: list[list[int | None]],
     return switches, accuracy
 
 
-def _omega_error(history: list[tuple[float, float, float]],
-                 truth: RttTruth) -> float:
-    """Relative angular-velocity error from a claimed track's trace;
-    -1.0 when the trace is too short or degenerate to fit."""
-    if len(history) < 10 or truth.omega == 0.0:
+def _omega_error(track: Track3D | None, truth: RttTruth) -> float:
+    """Relative angular-velocity error of a track's fitted motion;
+    -1.0 without a track or when it is too short or degenerate to fit."""
+    if track is None or len(track.history) < 10 or truth.omega == 0.0:
         return -1.0
-    track = Track3D(id=-1)
-    for t, x, y in history:
-        track.append(t, np.array([x, y, 0.0]))
     try:
         motion = estimate_motion(track)
     except TrackingError:
@@ -409,11 +372,15 @@ def evaluate_sort(frames2: list[RttFrame2], truth: RttTruth,
                      truth.center[0] + cx / scale,
                      truth.center[1] + cy / scale))
     switches, accuracy = _claims_to_metrics(claims, truth.present)
-    longest = max(traces.values(), key=len) if traces else []
+    longest = None
+    if traces:
+        longest = Track3D(id=-1)
+        for t, x, y in max(traces.values(), key=len):
+            longest.append(t, np.array([x, y, 0.0]))
     return {"id_switches": float(switches),
             "assoc_accuracy": accuracy,
             "track_count": float(len(all_ids)),
-            "omega_rel_err": _omega_error(list(longest), truth),
+            "omega_rel_err": _omega_error(longest, truth),
             "frames": float(len(frames2))}
 
 
@@ -444,17 +411,10 @@ def evaluate_nn3d(frames3: list[RttFrame3], truth: RttTruth,
             claims[k].append(frame_claim.get(k))
     switches, accuracy = _claims_to_metrics(claims, truth.present)
     longest = max(tracks, key=lambda tr: len(tr.history), default=None)
-    omega_err = -1.0
-    if longest is not None and len(longest.history) >= 10 and truth.omega:
-        try:
-            motion = estimate_motion(longest)
-            omega_err = abs(motion.omega - truth.omega) / abs(truth.omega)
-        except TrackingError:
-            omega_err = -1.0
     return {"id_switches": float(switches),
             "assoc_accuracy": accuracy,
             "track_count": float(next_id),
-            "omega_rel_err": omega_err,
+            "omega_rel_err": _omega_error(longest, truth),
             "frames": float(len(frames3))}
 
 
@@ -489,17 +449,14 @@ def gen_obstacle_grid(rows: int, cols: int, resolution: float,
 
 def load_scenario(path) -> WorkstationScenario | RttScenario:
     """Dispatch on the JSON "kind" field ("workstation" or "rtt")."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+    obj = load_json(path)
     kind = obj.get("kind", "workstation")
-    body = {k: v for k, v in obj.items() if k != "kind"}
     if kind == "workstation":
-        return WorkstationScenario.from_json(body)
+        return decode(WorkstationScenario, obj, path)
     if kind == "rtt":
-        return RttScenario.from_json(body)
-    raise ValueError(f"unknown scenario kind: {kind}")
+        return decode(RttScenario, obj, path)
+    raise ValueError(f"{path}: 'kind' must be 'workstation' or 'rtt', "
+                     f"got {kind!r}")
 
 
 def save_metrics_csv(path, metrics: dict[str, float]) -> None:

@@ -267,12 +267,19 @@ def test_non_object_json_is_a_pipeline_error(tmp_path, capsys, command, flag):
                    "message": f"{listed}: expected a JSON object"}
 
 
+# explicit ids here and below keep the test names these cases had before
+# the messages took the shared decoder wording
 @pytest.mark.parametrize("command", ["grasp", "place"])
 @pytest.mark.parametrize("content, message", [
-    ({"joints": []}, "expected a JSON array of joint rows"),
-    ([1, 2, 3, 4, 5], "joint 0 is not a JSON object"),
-    ([{"a": "wide", "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1,
-       "hi": 1}] * 5, "joint 0 field 'a' must be a finite number, got 'wide'"),
+    pytest.param({"joints": []}, "expected a JSON array",
+                 id="content0-expected a JSON array of joint rows"),
+    pytest.param([1, 2, 3, 4, 5], "joint 0: expected a JSON object, got 1",
+                 id="content1-joint 0 is not a JSON object"),
+    pytest.param([{"a": "wide", "alpha": 0, "d": 0, "theta_offset": 0,
+                   "lo": -1, "hi": 1}] * 5,
+                 "joint 0: 'a' must be a finite number, got 'wide'",
+                 id="content2-joint 0 field 'a' must be a finite number, "
+                    "got 'wide'"),
 ])
 def test_malformed_chain_is_a_pipeline_error(tmp_path, capsys, command,
                                              content, message):
@@ -291,11 +298,14 @@ def test_malformed_chain_is_a_pipeline_error(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("bindings, message", [
     ({"move": [1]}, "binding 'move': expected a JSON object, got [1]"),
-    ({"move": {"script": "e_success"}},
-     "binding 'move': script must be a list of statuses, got 'e_success'"),
-    ({"grasp": {"failure_add": [1]}},
-     "binding 'grasp': failure_add must be a list of atoms "
-     "(lists of strings), got [1]"),
+    pytest.param({"move": {"script": "e_success"}},
+                 "binding 'move': 'script' must be a list, got 'e_success'",
+                 id="bindings1-binding 'move': script must be a list of "
+                    "statuses, got 'e_success'"),
+    pytest.param({"grasp": {"failure_add": [1]}},
+                 "binding 'grasp': 'failure_add[0]' must be a list, got 1",
+                 id="bindings2-binding 'grasp': failure_add must be a list "
+                    "of atoms (lists of strings), got [1]"),
 ])
 def test_malformed_binding_is_a_pipeline_error(tmp_path, capsys, bindings,
                                                message):
@@ -312,8 +322,10 @@ def test_malformed_binding_is_a_pipeline_error(tmp_path, capsys, bindings,
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("n", [1], "'n' must be a finite number, got [1]"),
-    ("n", True, "'n' must be a finite number, got True"),
+    pytest.param("n", [1], "'n' must be a whole number, got [1]",
+                 id="n-value0-'n' must be a finite number, got [1]"),
+    pytest.param("n", True, "'n' must be a whole number, got True",
+                 id="n-True-'n' must be a finite number, got True"),
     ("n", 2.5, "'n' must be a whole number, got 2.5"),
     ("offset", "far", "'offset' must be a finite number, got 'far'"),
     ("offset", float("nan"), "'offset' must be a finite number, got nan"),
@@ -321,10 +333,14 @@ def test_malformed_binding_is_a_pipeline_error(tmp_path, capsys, bindings,
     ("yaw_spread", float("inf"),
      "'yaw_spread' must be a finite number, got inf"),
     ("height", False, "'height' must be a finite number, got False"),
-    ("position", [0.35, 0.0],
-     "'position' must be a list of 3 numbers, got [0.35, 0.0]"),
-    ("base_position", [0.0, "x", 0.0],
-     "'base_position' must be a finite number, got 'x'"),
+    pytest.param("position", [0.35, 0.0],
+                 "'position' must be a list of 3 values, got [0.35, 0.0]",
+                 id="position-value8-'position' must be a list of 3 numbers, "
+                    "got [0.35, 0.0]"),
+    pytest.param("base_position", [0.0, "x", 0.0],
+                 "'base_position[1]' must be a finite number, got 'x'",
+                 id="base_position-value9-'base_position' must be a finite "
+                    "number, got 'x'"),
 ])
 def test_malformed_grasp_object_is_a_pipeline_error(tmp_path, capsys, key,
                                                     value, message):
@@ -370,3 +386,91 @@ def test_malformed_pddl_is_a_pipeline_error(tmp_path, capsys, command, file,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "PddlSyntaxError"
     assert err["message"].startswith(f"{path}:")
+
+
+WORKSTATION = json.loads((DATA / "workstation.json").read_text())
+RTT = json.loads((DATA / "rtt.json").read_text())
+MAP = {"map.pgm": (DATA / "cluttered.pgm").read_text(),
+       "map.json": json.loads((DATA / "cluttered.json").read_text())}
+DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
+
+
+@pytest.mark.parametrize("files, argv, bad, error, message", [
+    pytest.param({**MAP, "cfg.json": {"dt": "0.1"}}, [*DWA, "--config",
+                                                     "cfg.json"],
+                 "cfg.json", "ValueError",
+                 "'dt' must be a finite number, got '0.1'", id="dwa-config"),
+    pytest.param({"cfg.json": {"leaf": "x"}},
+                 ["perceive", "--scenario", str(DATA / "workstation.json"),
+                  "--config", "cfg.json"], "cfg.json", "ValueError",
+                 "'leaf' must be a finite number, got 'x'",
+                 id="perceive-config"),
+    pytest.param({"sc.json": {**RTT, "center": [0]}},
+                 ["rtt", "--scenario", "sc.json"], "sc.json", "ValueError",
+                 "'center' must be a list of 2 values, got [0]",
+                 id="rtt-center"),
+    pytest.param({"sc.json": {**WORKSTATION, "width": "1"}},
+                 ["perceive", "--scenario", "sc.json"], "sc.json",
+                 "ValueError", "'width' must be a finite number, got '1'",
+                 id="workstation-width"),
+    pytest.param({"sc.json": {**WORKSTATION, "objects": 5}},
+                 ["gen", "--scenario", "sc.json"], "sc.json", "ValueError",
+                 "'objects' must be a list, got 5", id="workstation-objects"),
+    pytest.param({**MAP, "map.json": [0.1]}, DWA, "map.json", "ValueError",
+                 "expected a JSON object", id="sidecar-list"),
+    pytest.param({**MAP, "map.json": {"resolution": 0.1}}, DWA, "map.json",
+                 "ValueError",
+                 "'origin' must be a list of 2 values, got None",
+                 id="sidecar-no-origin"),
+    pytest.param({**MAP, "map.pgm": "P2 0 0 255\n"}, DWA, "map.pgm",
+                 "GridParseError", "map must be at least 1x1, got 0x0",
+                 id="empty-map"),
+])
+def test_malformed_input_file_is_a_pipeline_error(tmp_path, capsys, files,
+                                                  argv, bad, error, message):
+    from workbot.cli import main
+
+    for name, content in files.items():
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": error, "message": f"{tmp_path / bad}: {message}"}
+
+
+def test_unsupported_requirement_names_the_domain(tmp_path, capsys):
+    from workbot.cli import main
+
+    domain = tmp_path / "adl.pddl"
+    domain.write_text("(define (domain d) (:requirements :adl))\n")
+    code = main(["plan", "--domain", str(domain),
+                 "--problem", str(DATA / "transport_1.pddl"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "UnsupportedRequirement",
+                   "message": f"{domain}:1:35: unsupported requirement: adl"}
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({"99": "bogus"}, "fault script step 99: status must be "
+                      "e_success/e_failure, got 'bogus'"),
+    ({"x": "e_failure"}, "fault script: step 'x' must be a whole number"),
+])
+def test_malformed_fault_script_is_a_pipeline_error(tmp_path, capsys, faults,
+                                                    message):
+    from workbot.cli import main
+
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps(faults))
+    out = tmp_path / "trace.jsonl"
+    code = main(["exec", "--domain", str(DATA / "transport.pddl"),
+                 "--problem", str(DATA / "transport_1.pddl"),
+                 "--bindings", str(DATA / "bindings.json"),
+                 "--faults", str(path), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}

@@ -13,6 +13,7 @@ from workbot.cloud import (
     PlyParseError, PointCloud, TooFewPoints, convex_hull, estimate_normals,
     euclidean_cluster, extract_prism, load_ply, passthrough, save_ply,
     segment_plane, voxel_downsample)
+from workbot.jsonio import decode
 
 
 def grid_cloud(n=5, spacing=0.01, z=0.0):
@@ -391,6 +392,7 @@ def test_ply_rejects_non_numeric_row(tmp_path):
 # --- config ------------------------------------------------------------------
 
 def test_perception_config_from_json_partial():
-    cfg = PerceptionConfig.from_json({"leaf": 0.01, "cluster_tol": 0.05})
+    cfg = decode(PerceptionConfig, {"leaf": 0.01, "cluster_tol": 0.05},
+                 "cfg.json")
     assert cfg.leaf == 0.01 and cfg.cluster_tol == 0.05
     assert cfg.normals_k == 10

@@ -10,6 +10,7 @@ from workbot.dwa import (FREE, OCCUPIED, UNKNOWN, DWAConfig, GridParseError,
                          TrajectoryLeavesMap, VelocityCommand, clearance,
                          dwa_step, dynamic_window, load_pgm, rollout,
                          run_episode, save_pgm, step_state)
+from workbot.jsonio import decode
 
 
 def empty_grid(n=30, resolution=0.1):
@@ -294,6 +295,33 @@ def test_pgm_rejects_unknown_gray_level(tmp_path):
         load_pgm(path)
 
 
+@pytest.mark.parametrize("width, height", [(0, 0), (0, 3), (3, 0)])
+def test_pgm_rejects_an_empty_map(tmp_path, width, height):
+    path = tmp_path / "empty.pgm"
+    path.write_text(f"P2\n{width} {height}\n255\n")
+    (tmp_path / "empty.json").write_text(
+        '{"origin": [0.0, 0.0], "resolution": 0.5}\n')
+    with pytest.raises(GridParseError) as exc:
+        load_pgm(path)
+    assert str(exc.value) == (f"{path}: map must be at least 1x1, "
+                              f"got {width}x{height}")
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ("[0.5]", "expected a JSON object"),
+    ('{"resolution": 0.5}', "'origin' must be a list of 2 values, got None"),
+    ('{"origin": [0, 0], "resolution": "fine"}',
+     "'resolution' must be a finite number, got 'fine'"),
+])
+def test_pgm_sidecar_errors_name_the_sidecar(tmp_path, sidecar, message):
+    path = tmp_path / "map.pgm"
+    path.write_text("P2\n1 1\n255\n255\n")
+    (tmp_path / "map.json").write_text(sidecar)
+    with pytest.raises(ValueError) as exc:
+        load_pgm(path)
+    assert str(exc.value) == f"{tmp_path / 'map.json'}: {message}"
+
+
 def test_pgm_rejects_wrong_maxval(tmp_path):
     path = tmp_path / "max.pgm"
     path.write_text("P2\n1 1\n100\n0\n")
@@ -312,7 +340,7 @@ def test_pgm_comments_are_ignored(tmp_path):
 
 
 def test_config_from_json_ignores_unknown_keys():
-    cfg = DWAConfig.from_json({"v_max": 0.5, "nonsense": 1})
+    cfg = decode(DWAConfig, {"v_max": 0.5, "nonsense": 1}, "cfg.json")
     assert cfg.v_max == 0.5
     assert cfg.dt == 0.1
 

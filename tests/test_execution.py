@@ -206,6 +206,21 @@ def test_fault_script_rejects_bad_status():
                 fault_script={0: "e_stopped"})
 
 
+def test_fault_script_statuses_are_checked_before_planning():
+    domain, problem = transport_problem()
+    with pytest.raises(ValueError, match="^fault script step 99: status "
+                                         "must be e_success/e_failure, "
+                                         "got 'bogus'$"):
+        execute(domain, problem, all_success_bindings(domain),
+                fault_script={0: E_FAILURE, 99: "bogus"})
+
+
+def test_load_fault_script_names_a_bad_step_key():
+    with pytest.raises(ValueError, match="^fault script: step 'x' must be "
+                                         "a whole number$"):
+        load_fault_script({"0": E_FAILURE, "x": E_FAILURE})
+
+
 def test_missing_binding_raises():
     domain, problem = transport_problem()
     bindings = all_success_bindings(domain)

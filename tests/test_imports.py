@@ -54,9 +54,24 @@ PLAN = ["--domain", str(DATA / "transport.pddl"),
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, code, absent):
     if argv:
         argv = argv + ["--out", str(tmp_path / "out")]
+    report, stderr = _run_child(argv)
+    assert report["code"] == code, stderr
+    assert not absent & set(report["loaded"])
+
+
+def test_exec_with_a_fault_script_loads_no_numpy(tmp_path):
+    faults = tmp_path / "faults.json"
+    faults.write_text('{"1": "e_failure"}\n')
+    report, stderr = _run_child(["exec", *PLAN,
+                                 "--bindings", str(DATA / "bindings.json"),
+                                 "--faults", str(faults),
+                                 "--out", str(tmp_path / "out")])
+    assert report == {"code": 0, "loaded": []}, stderr
+
+
+def _run_child(argv) -> tuple[dict, str]:
+    """The child's report on ``workbot.cli.main(argv)`` and its stderr."""
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["code"] == code, proc.stderr
-    assert not absent & set(report["loaded"])
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr

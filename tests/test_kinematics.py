@@ -124,15 +124,24 @@ def test_load_chain_round_trip(tmp_path):
     assert chain.base.position == pytest.approx([0.0, 0.0, 0.0])
 
 
+# explicit ids keep the test names these cases had before the messages
+# took the shared decoder wording
 @pytest.mark.parametrize("content, message", [
     ({"joints": []}, "expected a JSON array"),
-    ([[0.0] * 6] * 5, "joint 0 is not a JSON object"),
-    ([{"a": "x", "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1, "hi": 1}],
-     "joint 0 field 'a' must be a finite number"),
-    ([{"a": 0, "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1}],
-     "joint 0 field 'hi' must be a finite number"),
-    ([{"a": True, "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1, "hi": 1}],
-     "joint 0 field 'a' must be a finite number"),
+    pytest.param([[0.0] * 6] * 5,
+                 "joint 0: expected a JSON object, got [0.0, 0.0, 0.0, 0.0, "
+                 "0.0, 0.0]", id="content1-joint 0 is not a JSON object"),
+    pytest.param([{"a": "x", "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1,
+                   "hi": 1}],
+                 "joint 0: 'a' must be a finite number, got 'x'",
+                 id="content2-joint 0 field 'a' must be a finite number"),
+    pytest.param([{"a": 0, "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1}],
+                 "joint 0: 'hi' must be a finite number, got None",
+                 id="content3-joint 0 field 'hi' must be a finite number"),
+    pytest.param([{"a": True, "alpha": 0, "d": 0, "theta_offset": 0,
+                   "lo": -1, "hi": 1}],
+                 "joint 0: 'a' must be a finite number, got True",
+                 id="content4-joint 0 field 'a' must be a finite number"),
 ])
 def test_load_chain_rejects_malformed_json(tmp_path, content, message):
     path = tmp_path / "chain.json"

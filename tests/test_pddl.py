@@ -73,9 +73,11 @@ def test_unbalanced_close_rejected():
 
 
 def test_unsupported_requirement():
-    text = "(define (domain d) (:requirements :adl))"
-    with pytest.raises(UnsupportedRequirement, match="adl"):
-        parse_domain(text)
+    text = "(define (domain d)\n  (:requirements :strips :adl))"
+    with pytest.raises(UnsupportedRequirement) as exc:
+        parse_domain(text, path="d.pddl")
+    assert str(exc.value) == "d.pddl:2:26: unsupported requirement: adl"
+    assert exc.value.requirement == "adl"
 
 
 def test_arity_mismatch():
