@@ -244,8 +244,8 @@ def cmd_plan(args) -> int:
 def cmd_exec(args) -> int:
     from . import execution as execmod
     domain, problem = _load_planning_task(args)
-    bindings = execmod.load_bindings(load_json(args.bindings))
-    faults = (execmod.load_fault_script(load_json(args.faults))
+    bindings = execmod.load_bindings(load_json(args.bindings), args.bindings)
+    faults = (execmod.load_fault_script(load_json(args.faults), args.faults)
               if args.faults else None)
     trace = execmod.execute(domain, problem, bindings, fault_script=faults,
                             max_replans=args.max_replans, mode=args.mode)

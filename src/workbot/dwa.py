@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import WorkbotError
-from .jsonio import decode, load_json
+from .jsonio import construct, decode, load_json
 
 FREE = 0
 OCCUPIED = 1
@@ -366,9 +366,9 @@ def load_pgm(pgm_path, sidecar_path=None) -> OccupancyGrid:
         cells[i] = _PGM_VALUES[value]
     sidecar = sidecar_path or _sidecar_path(pgm_path)
     meta = decode(_Sidecar, load_json(sidecar), sidecar)
-    return OccupancyGrid(cells=cells.reshape(height, width),
-                         resolution=meta.resolution,
-                         origin=np.array(meta.origin))
+    return construct(OccupancyGrid, sidecar,
+                     cells=cells.reshape(height, width),
+                     resolution=meta.resolution, origin=np.array(meta.origin))
 
 
 def save_pgm(grid: OccupancyGrid, pgm_path, sidecar_path=None) -> None:

@@ -9,7 +9,7 @@ that can be dumped as JSON Lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import WorkbotError
 from .jsonio import decode
@@ -158,11 +158,7 @@ def execute(domain: DomainDef, problem: ProblemDef,
     for schema in domain.actions:
         if schema.name not in bindings:
             raise UnknownAction(f"no binding for action: {schema.name}")
-    fault_script = fault_script or {}
-    for step, status in fault_script.items():
-        if status not in (E_SUCCESS, E_FAILURE):
-            raise ValueError(f"fault script step {step}: status must be "
-                             f"{E_SUCCESS}/{E_FAILURE}, got {status!r}")
+    fault_script = load_fault_script(fault_script or {})
     # script positions live here, not on the caller's bindings: every run
     # starts each script fresh and leaves the bindings as they were
     runs = dict.fromkeys(bindings, 0)
@@ -174,14 +170,9 @@ def execute(domain: DomainDef, problem: ProblemDef,
     step = 0
 
     while True:
-        current = ProblemDef(
-            name=problem.name, domain_name=problem.domain_name,
-            objects=problem.objects, init=kb,
-            function_values=problem.function_values,
-            goal=problem.goal, metric=problem.metric)
         plans_attempted += 1
         try:
-            the_plan = make_plan(domain, current, mode)
+            the_plan = make_plan(domain, replace(problem, init=kb), mode)
         except Unsolvable:
             return ExecutionTrace(records=tuple(records),
                                   outcome=OUTCOME_UNSOLVABLE, final_kb=kb,
@@ -219,27 +210,33 @@ def execute(domain: DomainDef, problem: ProblemDef,
                               plans_attempted=plans_attempted)
 
 
-def load_fault_script(obj: dict) -> dict[int, str]:
-    """{"3": "e_failure"} JSON form to {3: "e_failure"}; a step key that is
-    not a whole number raises ValueError naming it."""
+def load_fault_script(obj: dict, where: str = "") -> dict[int, str]:
+    """{"3": "e_failure"} form to {3: "e_failure"}; a step that is not a
+    whole number, or a status other than e_success/e_failure, raises
+    ValueError naming the step, after ``where`` (the file) when given."""
+    prefix = f"{where}: " if where else ""
     script = {}
     for key, status in obj.items():
         try:
             script[int(key)] = status
         except ValueError:
-            raise ValueError(f"fault script: step {key!r} must be a whole "
-                             f"number") from None
+            raise ValueError(f"{prefix}fault script: step {key!r} must be a "
+                             f"whole number") from None
+        if status not in (E_SUCCESS, E_FAILURE):
+            raise ValueError(f"{prefix}fault script step {key}: status must "
+                             f"be {E_SUCCESS}/{E_FAILURE}, got {status!r}")
     return script
 
 
-def load_bindings(obj: dict) -> dict[str, ActionBinding]:
+def load_bindings(obj: dict, where: str = "") -> dict[str, ActionBinding]:
     """Bindings from their JSON form.
 
     Each key names an action schema; the value is an object that may give
     "script" (list of statuses), "failure_add" and "failure_delete" (lists
-    of atom lists).  A malformed binding raises ValueError naming it.
+    of atom lists).  A ValueError names ``where`` (the file) and the binding.
     """
+    prefix = f"{where}: " if where else ""
     return {name: decode(ActionBinding,
                          dict(body, action=name) if isinstance(body, dict)
-                         else body, f"binding {name!r}")
+                         else body, f"{prefix}binding {name!r}")
             for name, body in obj.items()}

@@ -49,6 +49,11 @@ def decode(cls, obj, where: str):
         if not f.name.startswith("_") and (f.name in obj or missing):
             kwargs[f.name] = _value(hints[f.name], obj.get(f.name), where,
                                     f.name)
+    return construct(cls, where, **kwargs)
+
+
+def construct(cls, where: str, **kwargs):
+    """``cls(**kwargs)``, a ValueError from its own checks prefixed by where."""
     try:
         return cls(**kwargs)
     except ValueError as exc:

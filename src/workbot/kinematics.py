@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import WorkbotError
 from .geometry import Pose
-from .jsonio import decode, load_json
+from .jsonio import construct, decode, load_json
 
 N_JOINTS = 5
 
@@ -91,7 +91,7 @@ def load_chain(path, base: Pose | None = None) -> KinematicChain:
     """
     joints = tuple(decode(DhJoint, row, f"{path}: joint {i}")
                    for i, row in enumerate(load_json(path, list)))
-    return KinematicChain(joints=joints, base=base or Pose.identity())
+    return construct(KinematicChain, path, joints=joints, base=base)
 
 
 def _dh_table(chain: KinematicChain) -> tuple[np.ndarray, ...]:

@@ -203,12 +203,6 @@ class DomainDef:
     def predicate_arity(self) -> dict[str, tuple[str, ...]]:
         return dict(self.predicates)
 
-    def action(self, name: str) -> ActionSchema:
-        for schema in self.actions:
-            if schema.name == name:
-                return schema
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class ProblemDef:

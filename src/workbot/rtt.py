@@ -82,11 +82,11 @@ def iou(a, b) -> float:
 
 # --- Hungarian assignment ---------------------------------------------------
 
-def _solve_square(cost: np.ndarray) -> float:
-    """Optimal total of a square min-cost perfect assignment (potentials method)."""
-    n = cost.shape[0]
-    if n == 0:
-        return 0.0
+def _solve_square(cost: list[list[float]]) -> tuple[list, list, list]:
+    """Square min-cost perfect assignment by the potentials method: the row
+    matched to each column, and optimal duals u, v whose reduced costs
+    ``cost[i][j] - u[i] - v[j]`` are >= 0, and 0 on the matching."""
+    n = len(cost)
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
     match = [0] * (n + 1)      # match[j] = row assigned to column j (1-based)
@@ -124,10 +124,19 @@ def _solve_square(cost: np.ndarray) -> float:
             j1 = links[j0]
             match[j0] = match[j1]
             j0 = j1
-    total = 0.0
-    for j in range(1, n + 1):
-        total += cost[match[j] - 1][j - 1]
-    return total
+    return [i - 1 for i in match[1:]], u[1:], v[1:]
+
+
+def _augment(i: int, tight: list, col_row: list, seen: set) -> bool:
+    """Kuhn's step: match row i along an alternating path of tight edges,
+    trying columns in ascending order and skipping those in ``seen``."""
+    for j in tight[i]:
+        if j not in seen:
+            seen.add(j)
+            if col_row[j] < 0 or _augment(col_row[j], tight, col_row, seen):
+                col_row[j] = i
+                return True
+    return False
 
 
 def hungarian(cost) -> dict[int, int]:
@@ -149,24 +158,22 @@ def hungarian(cost) -> dict[int, int]:
     n = max(rows, cols)
     square = np.zeros((n, n))
     square[:rows, :cols] = cost
-    total = _solve_square(square)
+    square = square.tolist()
+    col_row, u, v = _solve_square(square)
+    total = sum(square[i][j] for j, i in enumerate(col_row))
     tol = 1e-9 * (1.0 + abs(total))
-    free_cols = list(range(n))
-    fixed = 0.0
-    out: dict[int, int] = {}
+    # By complementary slackness the optimal assignments are exactly the
+    # perfect matchings on tight edges, the solver's own kept despite rounding.
+    tight = [[j for j in range(n) if row[j] - u[i] - v[j] <= tol
+              or col_row[j] == i] for i, row in enumerate(square)]
+    # Each row in turn gives up its column for the smallest one from which
+    # the later rows can be rematched; padding columns sort last by index.
     for r in range(rows):
-        rest_rows = [i for i in range(r + 1, n)]
-        # real columns first, then padding columns
-        for c in sorted(free_cols, key=lambda j: (j >= cols, j)):
-            rest_cols = [j for j in free_cols if j != c]
-            sub = square[np.ix_(rest_rows, rest_cols)]
-            if fixed + square[r, c] + _solve_square(sub) <= total + tol:
-                fixed += square[r, c]
-                free_cols.remove(c)
-                if c < cols:
-                    out[r] = c
-                break
-    return out
+        fixed = {j for j, i in enumerate(col_row) if i < r}
+        col_row[col_row.index(r)] = -1
+        _augment(r, tight, col_row, fixed)
+    row_col = {r: c for c, r in enumerate(col_row)}
+    return {r: row_col[r] for r in range(rows) if row_col[r] < cols}
 
 
 # --- SORT-style Kalman tracking ---------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import decode, load_json
-from .rtt import (Detection2D, SortConfig, SortTracker, Track3D,
-                  TrackingError, associate_nn_3d, estimate_motion)
+from .rtt import (Detection2D, SortConfig, SortTracker, Track3D, TrackingError,
+                  associate_nn_3d, estimate_motion, hungarian)
 
 DEFAULT_DENSITY = 10000.0          # surface samples per square meter
 DEFAULT_PPM = 500.0                # pixels per meter, orthographic top view
@@ -335,8 +335,9 @@ def evaluate_sort(frames2: list[RttFrame2], truth: RttTruth,
                   gate_px: float | None = None) -> dict[str, float]:
     """Run SORT over a detection stream and score it against truth.
 
-    A confirmed track claims the ground-truth object whose true pixel
-    position is nearest its reported box center (within the gate).  Metrics:
+    Each frame, objects claim confirmed tracks one to one: the assignment
+    of least total pixel distance between true positions and reported box
+    centres, pairs farther apart than the gate excluded.  Metrics:
     id_switches, assoc_accuracy, track_count, omega_rel_err.
     """
     cfg = cfg or SortConfig()
@@ -354,23 +355,19 @@ def evaluate_sort(frames2: list[RttFrame2], truth: RttTruth,
             x1, y1, x2, y2 = rep.box
             centers.append((rep.track_id, (x1 + x2) / 2.0, (y1 + y2) / 2.0))
             all_ids.add(rep.track_id)
+        truth_px = (truth.positions[i, :, :2] - truth.center) * scale
+        dist = np.array([[math.hypot(cx - gx, cy - gy) for _, cx, cy in centers]
+                         for gx, gy in truth_px]).reshape(n_obj, len(centers))
+        assigned = hungarian(np.where(dist <= gate, dist, 1e6))
+        claimed = {k: centers[j] for k, j in assigned.items()
+                   if dist[k, j] <= gate}
         for k in range(n_obj):
-            gx = (truth.positions[i, k, 0] - truth.center[0]) * scale
-            gy = (truth.positions[i, k, 1] - truth.center[1]) * scale
-            best = None
-            best_d = gate
-            for tid, cx, cy in centers:
-                d = math.hypot(cx - gx, cy - gy)
-                if d <= best_d:
-                    best_d = d
-                    best = (tid, cx, cy)
-            claims[k].append(best[0] if best else None)
-            if best is not None:
-                tid, cx, cy = best
-                traces.setdefault(tid, []).append(
-                    (float(truth.times[i]),
-                     truth.center[0] + cx / scale,
-                     truth.center[1] + cy / scale))
+            claims[k].append(claimed[k][0] if k in claimed else None)
+        for tid, cx, cy in claimed.values():
+            traces.setdefault(tid, []).append(
+                (float(truth.times[i]),
+                 truth.center[0] + cx / scale,
+                 truth.center[1] + cy / scale))
     switches, accuracy = _claims_to_metrics(claims, truth.present)
     longest = None
     if traces:

@@ -280,6 +280,8 @@ def test_non_object_json_is_a_pipeline_error(tmp_path, capsys, command, flag):
                  "joint 0: 'a' must be a finite number, got 'wide'",
                  id="content2-joint 0 field 'a' must be a finite number, "
                     "got 'wide'"),
+    ([{"a": 0, "alpha": 0, "d": 0, "theta_offset": 0, "lo": -1, "hi": 1}] * 4,
+     "chain must have 5 joints, got 4"),
 ])
 def test_malformed_chain_is_a_pipeline_error(tmp_path, capsys, command,
                                              content, message):
@@ -318,7 +320,7 @@ def test_malformed_binding_is_a_pipeline_error(tmp_path, capsys, bindings,
                  "--bindings", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError", "message": message}
+    assert err == {"error": "ValueError", "message": f"{path}: {message}"}
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -422,6 +424,10 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
                  "ValueError",
                  "'origin' must be a list of 2 values, got None",
                  id="sidecar-no-origin"),
+    pytest.param({**MAP, "map.json": {**MAP["map.json"], "resolution": 0}},
+                 DWA, "map.json", "ValueError",
+                 "resolution must be positive, got 0.0",
+                 id="sidecar-zero-resolution"),
     pytest.param({**MAP, "map.pgm": "P2 0 0 255\n"}, DWA, "map.pgm",
                  "GridParseError", "map must be at least 1x1, got 0x0",
                  id="empty-map"),
@@ -473,4 +479,24 @@ def test_malformed_fault_script_is_a_pipeline_error(tmp_path, capsys, faults,
     assert code == 1
     assert not out.exists()
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ValueError", "message": message}
+    assert err == {"error": "ValueError", "message": f"{path}: {message}"}
+
+
+def test_two_objects_in_one_gate_report_metrics(tmp_path, capsys):
+    # with one object inside the other's gate, scoring must still claim each
+    # confirmed track for at most one object per frame
+    from workbot.cli import main
+
+    scenario = tmp_path / "rtt.json"
+    scenario.write_text(json.dumps({**RTT, "objects": [
+        {"label": "cup", "angle0": 0.0}, {"label": "bolt", "angle0": 0.05}]}))
+    out = tmp_path / "metrics.csv"
+    code = main(["rtt", "--scenario", str(scenario), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    summary = json.loads(captured.out)
+    assert set(summary) == {"assoc_accuracy", "frames", "id_switches",
+                            "omega_rel_err", "track_count"}
+    assert summary["frames"] == 900.0
+    assert 0.0 <= summary["assoc_accuracy"] <= 1.0
+    assert out.read_text().startswith("metric,value\n")

@@ -89,6 +89,50 @@ def test_hungarian_six_by_six_equals_permutation_minimum():
     assert got == pytest.approx(want, abs=1e-9)
 
 
+def lexicographic_assignment(cost):
+    """The documented tie-break by enumeration: among minimum-cost
+    assignments of min(rows, cols) pairs, the one whose per-row columns,
+    read in row order, are lexicographically smallest, an unassigned row
+    counting as a column after every real one."""
+    rows, cols = len(cost), len(cost[0])
+    k = min(rows, cols)
+    best = None
+    for chosen_rows in itertools.combinations(range(rows), k):
+        for chosen_cols in itertools.permutations(range(cols), k):
+            per_row = [cols] * rows
+            for r, c in zip(chosen_rows, chosen_cols):
+                per_row[r] = c
+            key = (sum(cost[r][c] for r, c in zip(chosen_rows, chosen_cols)),
+                   per_row)
+            if best is None or key < best:
+                best = key
+    return {r: c for r, c in enumerate(best[1]) if c < cols}
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 2), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_matrices())
+def test_hungarian_tie_break_equals_lexicographic_enumeration(cost):
+    assert hungarian(cost) == lexicographic_assignment(cost)
+
+
+def test_hungarian_tie_break_prefers_real_columns_and_low_indices():
+    # every assignment of the all-zero 3 x 2 matrix is optimal: rows 0 and 1
+    # take columns 0 and 1, and row 2 is the one left without a column
+    assert hungarian(np.zeros((3, 2))) == {0: 0, 1: 1}
+    # row 0 could take column 0 or 1 at equal total; it takes 0
+    assert hungarian([[1, 1, 5], [1, 1, 5]]) == {0: 0, 1: 1}
+    # row 0's cheapest column 0 is needed by row 1, so the optimum gives
+    # row 0 column 1 although column 0 is smaller
+    assert hungarian([[0, 1], [0, 9]]) == {0: 1, 1: 0}
+
+
 # --- SORT --------------------------------------------------------------------
 
 def test_sort_two_detections_spawn_ids_zero_one():
