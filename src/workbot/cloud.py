@@ -565,11 +565,9 @@ def save_ply(cloud: PointCloud, path) -> None:
     if with_normals:
         header += ["property float nx", "property float ny", "property float nz"]
     header.append("end_header")
-    rows = []
-    for i in range(len(cloud)):
-        vals = list(cloud.points[i])
-        if with_normals:
-            vals += list(cloud.normals[i])
-        rows.append(" ".join(repr(float(v)) for v in vals))
+    values = cloud.points
+    if with_normals:
+        values = np.hstack([values, cloud.normals])
+    rows = [" ".join(map(repr, row)) for row in values.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(header + rows) + "\n")

@@ -200,11 +200,18 @@ def clearance(trajectory, grid: OccupancyGrid, robot_radius: float) -> float:
     lo, hi = grid.extent()
     if (xy < lo).any() or (xy > hi).any():
         raise TrajectoryLeavesMap("trajectory pose outside the grid")
+    return float(_clearances(xy[None], grid, robot_radius)[0])
+
+
+def _clearances(pos: np.ndarray, grid: OccupancyGrid,
+                robot_radius: float) -> np.ndarray:
+    """`clearance` of each of s trajectories given as (s, k, 2) positions."""
     blocked = grid.blocked_centers()
     if not len(blocked):
-        return grid.diagonal()
-    d, _ = cKDTree(blocked).query(xy)
-    return max(float(d.min()) - robot_radius, 0.0)
+        return np.full(len(pos), grid.diagonal())
+    d, _ = cKDTree(blocked).query(pos.reshape(-1, 2))
+    return np.maximum(d.reshape(pos.shape[:2]).min(axis=1) - robot_radius,
+                      0.0)
 
 
 def _sample_commands(win: Window, cfg: DWAConfig) -> np.ndarray:
@@ -234,13 +241,7 @@ def dwa_step(state: RobotState, goal, grid: OccupancyGrid,
     inside = ((flat >= lo) & (flat <= hi)).all(axis=1).reshape(pos.shape[:2])
     admissible = inside.all(axis=1)
 
-    blocked = grid.blocked_centers()
-    if len(blocked):
-        dmin, _ = cKDTree(blocked).query(flat)
-        dmin = dmin.reshape(pos.shape[:2]).min(axis=1)
-        clear = np.maximum(dmin - cfg.robot_radius, 0.0)
-    else:
-        clear = np.full(len(cmds), grid.diagonal())
+    clear = _clearances(pos, grid, cfg.robot_radius)
     admissible &= clear > 0.0
     if not admissible.any():
         raise NoAdmissibleVelocity(

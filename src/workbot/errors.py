@@ -2,7 +2,8 @@
 
 Each stage module defines its own error subclasses; they all derive from
 :class:`WorkbotError` so callers (and the CLI) can catch pipeline failures
-in one place and report them with a stable machine-readable code.
+in one place.  The CLI reports one on stderr as ``{"error": <class name>,
+"message": <text>}``.
 """
 
 from __future__ import annotations
@@ -10,10 +11,3 @@ from __future__ import annotations
 
 class WorkbotError(Exception):
     """Base class for all recoverable pipeline errors."""
-
-    @property
-    def code(self) -> str:
-        return type(self).__name__
-
-    def payload(self) -> dict:
-        return {"error": self.code, "message": str(self)}

@@ -39,10 +39,6 @@ class UnknownAction(ExecutionError):
     pass
 
 
-class ReplanBudgetExhausted(ExecutionError):
-    pass
-
-
 @dataclass
 class ActionBinding:
     """Deterministic component behavior for one planner action.

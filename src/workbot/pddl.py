@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import WorkbotError
@@ -77,61 +78,39 @@ class _Token:
     col: int
 
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split(";", 1)[0]
-        col = 0
-        i = 0
-        while i < len(body):
-            ch = body[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "()":
-                tokens.append(_Token(ch, lineno, i + 1))
-                i += 1
-                continue
-            j = i
-            while j < len(body) and not body[j].isspace() and body[j] not in "()":
-                j += 1
-            tokens.append(_Token(body[i:j].lower(), lineno, i + 1))
-            i = j
-    return tokens
+    """Parentheses and symbols (lower-cased); `;` comments run to the end of
+    the line.  Lines and columns count from 1."""
+    return [_Token(m[0].lower(), lineno, m.start() + 1)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            for m in _TOKEN.finditer(line.split(";", 1)[0])]
 
 
 def _parse_tree(tokens: list[_Token], path: str):
     """Nested lists with _Token leaves; the list carries its '(' token first."""
-    pos = 0
-
-    def read():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise PddlSyntaxError(f"{path}: unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    if not tokens:
+        raise PddlSyntaxError(f"{path}: unexpected end of input")
+    open_lists: list[list] = []
+    for i, tok in enumerate(tokens):
         if tok.text == "(":
-            items: list = [tok]
-            while True:
-                if pos >= len(tokens):
-                    raise PddlSyntaxError(
-                        f"{path}:{tok.line}:{tok.col}: unclosed parenthesis")
-                if tokens[pos].text == ")":
-                    pos += 1
-                    return items
-                items.append(read())
-        if tok.text == ")":
-            raise PddlSyntaxError(
-                f"{path}:{tok.line}:{tok.col}: unmatched ')'")
-        return tok
-
-    tree = read()
-    if pos != len(tokens):
-        trailing = tokens[pos]
-        raise PddlSyntaxError(
-            f"{path}:{trailing.line}:{trailing.col}: trailing input "
-            f"after top-level form")
-    return tree
+            open_lists.append([tok])
+            continue
+        if tok.text != ")":
+            node = tok
+        elif open_lists:
+            node = open_lists.pop()
+        else:
+            _fail(tok, path, "unmatched ')'")
+        if open_lists:
+            open_lists[-1].append(node)
+        elif i + 1 < len(tokens):
+            _fail(tokens[i + 1], path, "trailing input after top-level form")
+        else:
+            return node
+    _fail(open_lists[-1], path, "unclosed parenthesis")
 
 
 def _where(node, path: str) -> str:
@@ -155,8 +134,14 @@ def _items(node, path: str) -> list:
     return node[1:]
 
 
+def _head(node, path: str) -> str | None:
+    """The leading symbol of a list, or None for ()."""
+    parts = _items(node, path)
+    return _sym(parts[0], path) if parts else None
+
+
 def _call(node, path: str) -> list:
-    """Items of a `(name arg ...)` form: a declaration or a function term."""
+    """Items of a `(name arg ...)` form: a declaration or a term."""
     parts = _items(node, path)
     if not parts:
         _fail(node, path, "expected (name ...), found ()")
@@ -249,7 +234,33 @@ class ValidationResult:
     failed_at: int | str | None = None           # step index or "goal"
 
 
-# --- typed-list helper -------------------------------------------------------
+# --- shared readers ----------------------------------------------------------
+
+_Scope = tuple[set[str], set[str] | None]   # (objects, variables)
+
+
+def _define(text: str, path: str, kind: str):
+    """Read `(define (<kind> <name>) (<key> ...) ...)` into the root node,
+    the name and the sections, each as (key, node, rest of the section)."""
+    tree = _parse_tree(_tokenize(text), path)
+    items = _items(tree, path)
+    if len(items) < 2 or _sym(items[0], path) != "define":
+        _fail(tree, path, f"expected (define ({kind} ...) ...)")
+    head = _items(items[1], path)
+    if len(head) != 2 or _sym(head[0], path) != kind:
+        _fail(items[1], path, f"expected ({kind} <name>)")
+    return tree, _sym(head[1], path), _sections(items[2:], path, kind)
+
+
+def _sections(nodes: list, path: str, kind: str):
+    """Sections are checked as the caller reaches them, so that errors come
+    in file order."""
+    for node in nodes:
+        body = _items(node, path)
+        if not body:
+            _fail(node, path, f"empty {kind} section")
+        yield _sym(body[0], path), node, body[1:]
+
 
 def _typed_list(nodes: list, path: str) -> list[tuple[str, str]]:
     """Parse `a b - t c - u d` into [(a,t),(b,t),(c,u),(d,object)]."""
@@ -274,145 +285,147 @@ def _typed_list(nodes: list, path: str) -> list[tuple[str, str]]:
     return out
 
 
-def _is_number(text: str) -> bool:
+def _typed(nodes: list, node, path: str,
+           known_types: set[str]) -> list[tuple[str, str]]:
+    """A typed list whose every type is declared; errors point at `node`."""
+    pairs = _typed_list(nodes, path)
+    for _, ty in pairs:
+        if ty not in known_types:
+            _fail(node, path, f"unknown type: {ty}", UnknownType)
+    return pairs
+
+
+def _declarations(nodes: list, path: str, known_types: set[str],
+                  table: dict[str, tuple[str, ...]], what: str) -> None:
+    """Add each `(name ?a - t ...)` to `table` as name -> parameter types;
+    a name already in `table` is an error."""
+    for decl in nodes:
+        parts = _call(decl, path)
+        name = _sym(parts[0], path)
+        params = _typed(parts[1:], decl, path, known_types)
+        if name in table:
+            _fail(decl, path, f"{what} declared twice: {name}")
+        table[name] = tuple(ty for _, ty in params)
+
+
+def _term(node, path: str, arity: dict[str, tuple[str, ...]], what: str,
+          scope: _Scope) -> tuple[str, tuple[str, ...]]:
+    """Name and arguments of a `(name arg ...)` term.  The name must be a
+    declared `what` ("predicate" or "function") with that many arguments.
+    `scope` is (objects, variables): a variable must be one of `variables`,
+    which is None in a problem, where no variable is allowed; any other
+    argument must be a declared constant or object."""
+    parts = _call(node, path)
+    name = _sym(parts[0], path)
+    if name not in arity:
+        _fail(node, path, f"unknown {what}: {name}", UnknownPredicate)
+    args = tuple(_sym(p, path) for p in parts[1:])
+    if len(args) != len(arity[name]):
+        _fail(node, path, f"{name} expects {len(arity[name])} arguments, "
+                          f"got {len(args)}", ArityMismatch)
+    objects, variables = scope
+    for arg in args:
+        if not arg.startswith("?"):
+            if arg not in objects:
+                _fail(node, path, f"undeclared object: {arg}",
+                      UndeclaredObject)
+        elif variables is None:
+            _fail(node, path, f"variables not allowed here: {arg}")
+        elif arg not in variables:
+            _fail(node, path, f"unbound variable: {arg}")
+    return name, args
+
+
+def _literal(node, path: str, predicates: dict[str, tuple[str, ...]],
+             scope: _Scope) -> Literal:
+    """`(p arg ...)` or `(not (p arg ...))`."""
+    if _head(node, path) != "not":
+        return Literal(*_term(node, path, predicates, "predicate", scope))
+    parts = _items(node, path)
+    if len(parts) != 2:
+        _fail(node, path, "(not ...) takes exactly one literal")
+    if _head(parts[1], path) == "not":
+        _fail(node, path, "double negation is not supported")
+    return Literal(*_term(parts[1], path, predicates, "predicate", scope),
+                   positive=False)
+
+
+def _conjuncts(node, path: str) -> list:
+    """The parts of `(and ...)`, or the one node itself."""
+    return _items(node, path)[1:] if _head(node, path) == "and" else [node]
+
+
+def _number(node, path: str) -> float:
+    """A finite number: NaN and infinities have no meaning as a cost."""
+    text = _sym(node, path)
     try:
-        float(text)
+        value = float(text)
     except ValueError:
-        return False
-    return True
+        value = math.nan
+    if not math.isfinite(value):
+        _fail(node, path, f"expected a finite number: {text}")
+    return value
 
 
 # --- domain parsing ----------------------------------------------------------
 
 def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
-    tree = _parse_tree(_tokenize(text), path)
-    items = _items(tree, path)
-    if len(items) < 2 or _sym(items[0], path) != "define":
-        _fail(tree, path, "expected (define (domain ...) ...)")
-    head = _items(items[1], path)
-    if len(head) != 2 or _sym(head[0], path) != "domain":
-        _fail(items[1], path, "expected (domain <name>)")
-    name = _sym(head[1], path)
-
+    tree, name, sections = _define(text, path, "domain")
     requirements: set[str] = set()
     types: list[tuple[str, str]] = []
-    predicates: list[tuple[str, tuple[str, ...]]] = []
-    functions: list[tuple[str, tuple[str, ...]]] = []
+    known_types = {ROOT_TYPE}
     constants: list[tuple[str, str]] = []
+    predicates: dict[str, tuple[str, ...]] = {}
+    functions: dict[str, tuple[str, ...]] = {}
     actions: list[ActionSchema] = []
 
-    known_types = {ROOT_TYPE}
-    pred_arity: dict[str, int] = {}
-    fn_arity: dict[str, int] = {}
-
-    def check_type(ty: str, node):
-        if ty not in known_types:
-            _fail(node, path, f"unknown type: {ty}", UnknownType)
-
-    for section in items[2:]:
-        body = _items(section, path)
-        if not body:
-            _fail(section, path, "empty domain section")
-        key = _sym(body[0], path)
+    for key, node, rest in sections:
         if key == ":requirements":
-            for node in body[1:]:
-                req = _sym(node, path)
+            for req_node in rest:
+                req = _sym(req_node, path)
                 if req not in SUPPORTED_REQUIREMENTS:
-                    raise UnsupportedRequirement(_where(node, path),
+                    raise UnsupportedRequirement(_where(req_node, path),
                                                  req.lstrip(":"))
                 requirements.add(req)
         elif key == ":types":
-            for ty, parent in _typed_list(body[1:], path):
-                if parent != ROOT_TYPE and parent not in known_types:
-                    _fail(section, path, f"unknown parent type: {parent}",
+            for ty, parent in _typed_list(rest, path):
+                if parent not in known_types:
+                    _fail(node, path, f"unknown parent type: {parent}",
                           UnknownType)
                 if ty in known_types:
-                    _fail(section, path, f"type declared twice: {ty}")
+                    _fail(node, path, f"type declared twice: {ty}")
                 known_types.add(ty)
                 types.append((ty, parent))
         elif key == ":constants":
-            for obj, ty in _typed_list(body[1:], path):
-                check_type(ty, section)
-                constants.append((obj, ty))
+            constants += _typed(rest, node, path, known_types)
         elif key == ":predicates":
-            for decl in body[1:]:
-                parts = _call(decl, path)
-                pname = _sym(parts[0], path)
-                params = _typed_list(parts[1:], path)
-                for _, ty in params:
-                    check_type(ty, decl)
-                if pname in pred_arity:
-                    _fail(decl, path, f"predicate declared twice: {pname}")
-                pred_arity[pname] = len(params)
-                predicates.append((pname, tuple(ty for _, ty in params)))
+            _declarations(rest, path, known_types, predicates, "predicate")
         elif key == ":functions":
-            for decl in body[1:]:
-                parts = _call(decl, path)
-                fname = _sym(parts[0], path)
-                params = _typed_list(parts[1:], path)
-                for _, ty in params:
-                    check_type(ty, decl)
-                fn_arity[fname] = len(params)
-                functions.append((fname, tuple(ty for _, ty in params)))
+            _declarations(rest, path, known_types, functions, "function")
         elif key == ":action":
-            actions.append(_parse_action(body, path, known_types,
-                                         pred_arity, fn_arity))
+            actions.append(_action(node, rest, path, known_types, predicates,
+                                   functions, {obj for obj, _ in constants}))
         else:
-            _fail(section, path, f"unknown domain section: {key}")
+            _fail(node, path, f"unknown domain section: {key}")
 
-    if TOTAL_COST in fn_arity and fn_arity[TOTAL_COST] != 0:
+    if functions.get(TOTAL_COST, ()) != ():
         _fail(tree, path, f"{TOTAL_COST} must take no arguments",
               ArityMismatch)
     return DomainDef(name=name, requirements=frozenset(requirements),
-                     types=tuple(types), predicates=tuple(predicates),
-                     functions=tuple(functions), constants=tuple(constants),
-                     actions=tuple(actions))
+                     types=tuple(types), predicates=tuple(predicates.items()),
+                     functions=tuple(functions.items()),
+                     constants=tuple(constants), actions=tuple(actions))
 
 
-def _parse_literal(node, path: str, pred_arity: dict[str, int],
-                   scope: set[str] | None) -> Literal:
-    parts = _items(node, path)
-    if parts and _sym(parts[0], path) == "not":
-        if len(parts) != 2:
-            _fail(node, path, "(not ...) takes exactly one literal")
-        inner = _parse_literal(parts[1], path, pred_arity, scope)
-        if not inner.positive:
-            _fail(node, path, "double negation is not supported")
-        return Literal(inner.name, inner.args, positive=False)
-    if not parts:
-        _fail(node, path, "empty literal")
-    name = _sym(parts[0], path)
-    if name not in pred_arity:
-        _fail(node, path, f"unknown predicate: {name}", UnknownPredicate)
-    args = tuple(_sym(p, path) for p in parts[1:])
-    if len(args) != pred_arity[name]:
-        _fail(node, path,
-              f"{name} expects {pred_arity[name]} arguments, got {len(args)}",
-              ArityMismatch)
-    if scope is not None:
-        for arg in args:
-            if arg.startswith("?") and arg not in scope:
-                _fail(node, path, f"unbound variable: {arg}")
-    return Literal(name, args)
-
-
-def _conjunction(node, path: str, pred_arity, scope) -> list[Literal]:
-    parts = _items(node, path)
-    if parts and _sym(parts[0], path) == "and":
-        out = []
-        for sub in parts[1:]:
-            out.append(_parse_literal(sub, path, pred_arity, scope))
-        return out
-    return [_parse_literal(node, path, pred_arity, scope)]
-
-
-def _parse_action(body: list, path: str, known_types: set[str],
-                  pred_arity: dict[str, int],
-                  fn_arity: dict[str, int]) -> ActionSchema:
-    if len(body) < 2:
-        _fail(body[0], path, ":action needs a name")
-    name = _sym(body[1], path)
+def _action(node, rest: list, path: str, known_types: set[str],
+            predicates: dict[str, tuple[str, ...]],
+            functions: dict[str, tuple[str, ...]],
+            constant_names: set[str]) -> ActionSchema:
+    if not rest:
+        _fail(node, path, ":action needs a name")
+    name = _sym(rest[0], path)
     params: tuple[tuple[str, str], ...] = ()
+    scope: _Scope = (constant_names, set())
     precondition: list[Literal] = []
     adds: list[Literal] = []
     deletes: list[Literal] = []
@@ -420,43 +433,34 @@ def _parse_action(body: list, path: str, known_types: set[str],
     cost_terms: list[tuple[str, tuple[str, ...]]] = []
     has_cost = False
 
-    i = 2
-    while i < len(body):
-        key = _sym(body[i], path)
-        if i + 1 >= len(body):
-            _fail(body[i], path, f"{key} needs a value")
-        value = body[i + 1]
+    for i in range(1, len(rest), 2):
+        key = _sym(rest[i], path)
+        if i + 1 >= len(rest):
+            _fail(rest[i], path, f"{key} needs a value")
+        value = rest[i + 1]
         if key == ":parameters":
-            decls = _typed_list(_items(value, path), path)
-            for var, ty in decls:
+            params = tuple(_typed(_items(value, path), value, path,
+                                  known_types))
+            for var, _ in params:
                 if not var.startswith("?"):
                     _fail(value, path, f"parameter must start with '?': {var}")
-                if ty not in known_types:
-                    _fail(value, path, f"unknown type: {ty}", UnknownType)
-            params = tuple(decls)
+            scope = (constant_names, {var for var, _ in params})
         elif key == ":precondition":
-            scope = {var for var, _ in params}
-            precondition = _conjunction(value, path, pred_arity, scope)
+            precondition = [_literal(part, path, predicates, scope)
+                            for part in _conjuncts(value, path)]
         elif key == ":effect":
-            scope = {var for var, _ in params}
-            parts = _items(value, path)
-            effects = parts[1:] if parts and _sym(parts[0], path) == "and" \
-                else [value]
-            for eff in effects:
-                eparts = _items(eff, path)
-                if eparts and _sym(eparts[0], path) == "increase":
-                    c, terms = _parse_increase(eff, path, fn_arity,
-                                               {var for var, _ in params})
-                    cost_constant += c
-                    cost_terms.extend(terms)
+            for eff in _conjuncts(value, path):
+                if _head(eff, path) == "increase":
+                    constant, terms = _increase(eff, path, functions, scope)
+                    cost_constant += constant
+                    cost_terms += terms
                     has_cost = True
                     continue
-                lit = _parse_literal(eff, path, pred_arity, scope)
+                lit = _literal(eff, path, predicates, scope)
                 (adds if lit.positive else deletes).append(
                     Literal(lit.name, lit.args))
         else:
-            _fail(body[i], path, f"unknown action section: {key}")
-        i += 2
+            _fail(rest[i], path, f"unknown action section: {key}")
 
     return ActionSchema(name=name, params=params,
                         precondition=tuple(precondition),
@@ -466,146 +470,86 @@ def _parse_action(body: list, path: str, known_types: set[str],
                         has_cost_effect=has_cost)
 
 
-def _parse_increase(node, path: str, fn_arity: dict[str, int],
-                    scope: set[str]):
+def _increase(node, path: str, functions: dict[str, tuple[str, ...]],
+              scope: _Scope):
+    """What `(increase (total-cost) <expr>)` adds: a non-negative constant
+    and a list of function terms, one of which is empty."""
     parts = _items(node, path)
     if len(parts) != 3:
         _fail(node, path, "(increase (total-cost) <expr>) expected")
     target = _items(parts[1], path)
     if len(target) != 1 or _sym(target[0], path) != TOTAL_COST:
         _fail(parts[1], path, f"only ({TOTAL_COST}) may be increased")
-    expr = parts[2]
-    if not isinstance(expr, list):
-        text = _sym(expr, path)
-        if not _is_number(text):
-            _fail(expr, path, f"expected a number or function call: {text}")
-        value = float(text)
-        if value < 0:
-            _fail(expr, path, f"action cost must be non-negative: {text}",
-                  NegativeCost)
-        return value, []
-    call = _call(expr, path)
-    fname = _sym(call[0], path)
-    if fname not in fn_arity:
-        _fail(expr, path, f"unknown function: {fname}", UnknownPredicate)
-    args = tuple(_sym(a, path) for a in call[1:])
-    if len(args) != fn_arity[fname]:
-        _fail(expr, path,
-              f"{fname} expects {fn_arity[fname]} arguments, got {len(args)}",
-              ArityMismatch)
-    for arg in args:
-        if arg.startswith("?") and arg not in scope:
-            _fail(expr, path, f"unbound variable: {arg}")
-    return 0.0, [(fname, args)]
+    if isinstance(parts[2], list):
+        return 0.0, [_term(parts[2], path, functions, "function", scope)]
+    value = _number(parts[2], path)
+    if value < 0:
+        _fail(parts[2], path, f"action cost must be non-negative: "
+                              f"{_sym(parts[2], path)}", NegativeCost)
+    return value, []
 
 
 # --- problem parsing ---------------------------------------------------------
 
 def parse_problem(text: str, domain: DomainDef,
                   path: str = "<problem>") -> ProblemDef:
-    tree = _parse_tree(_tokenize(text), path)
-    items = _items(tree, path)
-    if len(items) < 2 or _sym(items[0], path) != "define":
-        _fail(tree, path, "expected (define (problem ...) ...)")
-    head = _items(items[1], path)
-    if len(head) != 2 or _sym(head[0], path) != "problem":
-        _fail(items[1], path, "expected (problem <name>)")
-    name = _sym(head[1], path)
-
-    pred_arity = {p: len(tys) for p, tys in domain.predicates}
-    fn_arity = {f: len(tys) for f, tys in domain.functions}
+    tree, name, sections = _define(text, path, "problem")
+    predicates = dict(domain.predicates)
+    functions = dict(domain.functions)
     known_types = {ROOT_TYPE} | {ty for ty, _ in domain.types}
     domain_name = ""
     objects: list[tuple[str, str]] = []
+    names = {obj for obj, _ in domain.constants}
+    scope: _Scope = (names, None)
     init: set[Atom] = set()
     fn_values: dict[tuple[str, tuple[str, ...]], float] = {}
     goal: list[Atom] = []
     has_goal = False
     metric = False
 
-    def known_objects() -> set[str]:
-        return ({obj for obj, _ in domain.constants}
-                | {obj for obj, _ in objects})
-
-    def check_ground(lit: Literal, node):
-        for arg in lit.args:
-            if arg.startswith("?"):
-                _fail(node, path, f"variables not allowed here: {arg}")
-            if arg not in known_objects():
-                _fail(node, path, f"undeclared object: {arg}",
-                      UndeclaredObject)
-
-    for section in items[2:]:
-        body = _items(section, path)
-        if not body:
-            _fail(section, path, "empty problem section")
-        key = _sym(body[0], path)
+    for key, node, rest in sections:
         if key == ":domain":
-            if len(body) != 2:
-                _fail(section, path, "(:domain <name>) expected")
-            domain_name = _sym(body[1], path)
+            if len(rest) != 1:
+                _fail(node, path, "(:domain <name>) expected")
+            domain_name = _sym(rest[0], path)
             if domain_name != domain.name:
-                _fail(section, path,
-                      f"problem is for domain {domain_name!r}, "
-                      f"expected {domain.name!r}")
+                _fail(node, path, f"problem is for domain {domain_name!r}, "
+                                  f"expected {domain.name!r}")
         elif key == ":objects":
-            for obj, ty in _typed_list(body[1:], path):
-                if ty not in known_types:
-                    _fail(section, path, f"unknown type: {ty}", UnknownType)
-                objects.append((obj, ty))
+            declared = _typed(rest, node, path, known_types)
+            objects += declared
+            names.update(obj for obj, _ in declared)
         elif key == ":init":
-            for node in body[1:]:
-                parts = _items(node, path)
-                if parts and _sym(parts[0], path) == "=":
+            for fact in rest:
+                if _head(fact, path) == "=":
+                    parts = _items(fact, path)
                     if len(parts) != 3:
-                        _fail(node, path, "(= (fn args) value) expected")
-                    call = _call(parts[1], path)
-                    fname = _sym(call[0], path)
-                    if fname not in fn_arity:
-                        _fail(node, path, f"unknown function: {fname}",
-                              UnknownPredicate)
-                    args = tuple(_sym(a, path) for a in call[1:])
-                    if len(args) != fn_arity[fname]:
-                        _fail(node, path,
-                              f"{fname} expects {fn_arity[fname]} "
-                              f"arguments, got {len(args)}", ArityMismatch)
-                    for arg in args:
-                        if arg not in known_objects():
-                            _fail(node, path, f"undeclared object: {arg}",
-                                  UndeclaredObject)
-                    text_value = _sym(parts[2], path)
-                    if not _is_number(text_value):
-                        _fail(parts[2], path,
-                              f"expected a number: {text_value}")
-                    fn_values[(fname, args)] = float(text_value)
+                        _fail(fact, path, "(= (fn args) value) expected")
+                    term = _term(parts[1], path, functions, "function", scope)
+                    fn_values[term] = _number(parts[2], path)
                     continue
-                lit = _parse_literal(node, path, pred_arity, None)
+                lit = _literal(fact, path, predicates, scope)
                 if not lit.positive:
-                    _fail(node, path, "negative literals not allowed in init")
-                check_ground(lit, node)
+                    _fail(fact, path, "negative literals not allowed in init")
                 init.add(lit.atom())
         elif key == ":goal":
-            if len(body) != 2:
-                _fail(section, path, "(:goal <conjunction>) expected")
+            if len(rest) != 1:
+                _fail(node, path, "(:goal <conjunction>) expected")
             has_goal = True
-            for lit in _conjunction(body[1], path, pred_arity, None):
+            for part in _conjuncts(rest[0], path):
+                lit = _literal(part, path, predicates, scope)
                 if not lit.positive:
-                    _fail(body[1], path,
-                          "goals must be positive literals")
-                check_ground(lit, body[1])
+                    _fail(part, path, "goals must be positive literals")
                 goal.append(lit.atom())
         elif key == ":metric":
-            if len(body) != 3:
-                _fail(section, path,
-                      f"only (:metric minimize ({TOTAL_COST})) is supported")
-            target = _items(body[2], path)
-            if _sym(body[1], path) != "minimize" or len(target) != 1 \
-                    or _sym(target[0], path) != TOTAL_COST:
-                _fail(section, path,
+            if (len(rest) != 2 or _sym(rest[0], path) != "minimize"
+                    or len(_items(rest[1], path)) != 1
+                    or _head(rest[1], path) != TOTAL_COST):
+                _fail(node, path,
                       f"only (:metric minimize ({TOTAL_COST})) is supported")
             metric = True
         else:
-            _fail(section, path, f"unknown problem section: {key}")
+            _fail(node, path, f"unknown problem section: {key}")
 
     if not has_goal:
         _fail(tree, path, "problem has no (:goal ...) section")
@@ -806,6 +750,11 @@ def _fmt_typed(pairs) -> str:
     return " ".join(f"{name} - {ty}" for name, ty in pairs)
 
 
+def _fmt_declaration(name: str, tys) -> str:
+    params = [f"?a{i} - {ty}" for i, ty in enumerate(tys)]
+    return "(" + " ".join([name] + params) + ")"
+
+
 def _fmt_literal(lit: Literal) -> str:
     inner = " ".join((lit.name,) + lit.args)
     return f"({inner})" if lit.positive else f"(not ({inner}))"
@@ -826,18 +775,11 @@ def print_domain(domain: DomainDef) -> str:
         lines.append("  (:types " + _fmt_typed(domain.types) + ")")
     if domain.constants:
         lines.append("  (:constants " + _fmt_typed(domain.constants) + ")")
-    if domain.predicates:
-        decls = []
-        for pname, tys in domain.predicates:
-            params = " ".join(f"?a{i} - {ty}" for i, ty in enumerate(tys))
-            decls.append(f"({pname} {params})" if params else f"({pname})")
-        lines.append("  (:predicates " + " ".join(decls) + ")")
-    if domain.functions:
-        decls = []
-        for fname, tys in domain.functions:
-            params = " ".join(f"?a{i} - {ty}" for i, ty in enumerate(tys))
-            decls.append(f"({fname} {params})" if params else f"({fname})")
-        lines.append("  (:functions " + " ".join(decls) + ")")
+    for key, decls in ((":predicates", domain.predicates),
+                       (":functions", domain.functions)):
+        if decls:
+            lines.append(f"  ({key} " + " ".join(
+                _fmt_declaration(name, tys) for name, tys in decls) + ")")
     for schema in domain.actions:
         lines.append(f"  (:action {schema.name}")
         lines.append("    :parameters (" + _fmt_typed(schema.params) + ")")

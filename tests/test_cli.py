@@ -390,6 +390,53 @@ def test_malformed_pddl_is_a_pipeline_error(tmp_path, capsys, command, file,
     assert err["message"].startswith(f"{path}:")
 
 
+DISTANCE_DECL = "(distance ?a - location ?b - location)"
+SHELF_WS = "(= (distance shelf ws) 1)"
+
+
+@pytest.mark.parametrize("file, old, new, error, message", [
+    ("transport_1.pddl", SHELF_WS, "(= (distance shelf ws) nan)",
+     "PddlSyntaxError", "14:28: expected a finite number: nan"),
+    ("transport_1.pddl", SHELF_WS, "(= (distance shelf ws) inf)",
+     "PddlSyntaxError", "14:28: expected a finite number: inf"),
+    ("transport_1.pddl", SHELF_WS, "(= (distance shelf ws) 1e400)",
+     "PddlSyntaxError", "14:28: expected a finite number: 1e400"),
+    ("transport.pddl", "(increase (total-cost) 1)",
+     "(increase (total-cost) nan)",
+     "PddlSyntaxError", "27:56: expected a finite number: nan"),
+    ("transport.pddl", DISTANCE_DECL, f"{DISTANCE_DECL} (distance)",
+     "PddlSyntaxError", "15:44: function declared twice: distance"),
+    ("transport.pddl", ":effect (and (at ?r ?to)",
+     ":effect (and (at ?r kitchen)",
+     "UndeclaredObject", "21:18: undeclared object: kitchen"),
+    ("transport_1.pddl", SHELF_WS, "(= (distance ?x ws) 1)",
+     "PddlSyntaxError", "14:8: variables not allowed here: ?x"),
+    ("transport.pddl", "(:predicates",
+     "(:predicates " + "(" * 3000 + ")" * 3000,
+     "PddlSyntaxError", "8:17: expected a symbol, found a list"),
+], ids=["init-nan", "init-inf", "init-overflow", "increase-nan",
+        "duplicate-function", "undeclared-constant", "init-variable",
+        "deep-nesting"])
+def test_pddl_error_is_located_json(tmp_path, capsys, file, old, new, error,
+                                    message):
+    from workbot.cli import main
+
+    text = (DATA / file).read_text()
+    assert old in text
+    path = tmp_path / file
+    path.write_text(text.replace(old, new, 1))
+    paths = {name: str(DATA / name)
+             for name in ("transport.pddl", "transport_1.pddl")}
+    paths[file] = str(path)
+    out = tmp_path / "plan.txt"
+    code = main(["plan", "--domain", paths["transport.pddl"],
+                 "--problem", paths["transport_1.pddl"], "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": error, "message": f"{path}:{message}"}
+
+
 WORKSTATION = json.loads((DATA / "workstation.json").read_text())
 RTT = json.loads((DATA / "rtt.json").read_text())
 MAP = {"map.pgm": (DATA / "cluttered.pgm").read_text(),

@@ -3,11 +3,15 @@
 import heapq
 import itertools
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from workbot.pddl import (ArityMismatch, NegativeCost, PddlSyntaxError, Plan,
+from workbot.pddl import (ArityMismatch, NegativeCost, PddlError,
+                          PddlSyntaxError, Plan,
                           UndeclaredObject, UndefinedFunctionValue,
                           UnknownPredicate, UnknownType, Unsolvable,
                           UnsupportedRequirement, format_plan, ground,
@@ -193,6 +197,49 @@ def test_negative_cost_rejected():
     problem = parse_problem(text, domain)
     with pytest.raises(NegativeCost):
         ground(domain, problem)
+
+
+def pddl_tokens(text):
+    """Parentheses and symbols of a PDDL text, comments dropped."""
+    body = "\n".join(line.split(";", 1)[0] for line in text.splitlines())
+    return re.findall(r"[()]|[^\s()]+", body)
+
+
+BUNDLED = {kind: pddl_tokens(DATA.joinpath(name).read_text())
+           for kind, name in (("domain", "transport.pddl"),
+                              ("problem", "transport_1.pddl"))}
+EDIT_TOKENS = sorted(set(BUNDLED["domain"]) | set(BUNDLED["problem"])
+                     | {"nan", "1e400", "-1", "?x", "kitchen", "(not", "()"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(BUNDLED)),
+       edits=st.lists(st.tuples(st.sampled_from(["insert", "delete",
+                                                 "replace"]),
+                                st.integers(0, 10**6),
+                                st.sampled_from(EDIT_TOKENS)),
+                      min_size=1, max_size=3))
+def test_token_edits_raise_only_pddl_errors(kind, edits):
+    tokens = list(BUNDLED[kind])
+    for op, at, token in edits:
+        if op == "insert":
+            tokens.insert(at % (len(tokens) + 1), token)
+        elif tokens:
+            del tokens[at % len(tokens)]
+            if op == "replace":
+                tokens.insert(at % (len(tokens) + 1), token)
+    texts = {k: " ".join(v) for k, v in BUNDLED.items()}
+    texts[kind] = " ".join(tokens)
+    try:
+        domain = parse_domain(texts["domain"], path="d.pddl")
+        problem = parse_problem(texts["problem"], domain, path="p.pddl")
+    except PddlError as exc:
+        assert str(exc).startswith(("d.pddl:", "p.pddl:")), exc
+        return
+    try:
+        ground(domain, problem)
+    except PddlError:
+        pass
 
 
 # ---------------------------------------------------------------------------
