@@ -16,9 +16,11 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import WorkbotError
-from .geometry import unit
+from .geometry import canonical_sign, unit
 
 _AXES = {"x": 0, "y": 1, "z": 2}
+# a plane normal points toward positive z, ties broken on y, then x
+_PLANE_AXES = (2, 1, 0)
 
 # Eigenvalue floor below which a neighbourhood or cluster carries no usable
 # spatial extent (squared metres; ~1e-8 m spread).
@@ -81,7 +83,6 @@ class PointCloud:
 
     points: np.ndarray
     normals: np.ndarray | None = None
-    frame: str = ""
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -104,9 +105,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def point(self, i: int) -> Point3:
-        return Point3.from_array(self.points[i])
-
 
 @dataclass(frozen=True, eq=False)
 class Plane:
@@ -128,22 +126,14 @@ class Plane:
             raise ValueError("plane normal must be a nonzero finite vector")
         n = n / ln
         off = float(self.offset) / ln if ln != 1.0 else float(self.offset)
-        n, off = _canonicalize_plane(n, off)
+        sign = canonical_sign(n, _PLANE_AXES)
+        n, off = sign * n, sign * off
         idx = np.ascontiguousarray(np.asarray(self.inliers, dtype=np.intp))
         idx.setflags(write=False)
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "inliers", idx)
-
-
-def _canonicalize_plane(n: np.ndarray, off: float) -> tuple[np.ndarray, float]:
-    for c in (2, 1, 0):
-        if n[c] > 0.0:
-            return n.copy(), off
-        if n[c] < 0.0:
-            return -n, -off
-    return n.copy(), off
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,7 +282,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     if not (leaf > 0.0 and math.isfinite(leaf)):
         raise NonPositiveLeaf(f"voxel leaf must be positive, got {leaf}")
     if len(cloud) == 0:
-        return PointCloud(np.empty((0, 3)), frame=cloud.frame)
+        return PointCloud(np.empty((0, 3)))
     idx = np.floor(cloud.points / leaf).astype(np.int64)
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
     sidx = idx[order]
@@ -301,7 +291,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     starts = np.concatenate(([0], np.nonzero(new_voxel)[0] + 1))
     sums = np.add.reduceat(spts, starts, axis=0)
     counts = np.diff(np.concatenate((starts, [len(spts)])))
-    return PointCloud(sums / counts[:, None], frame=cloud.frame)
+    return PointCloud(sums / counts[:, None])
 
 
 def passthrough(cloud: PointCloud, axis: str, lo: float, hi: float) -> PointCloud:
@@ -314,7 +304,7 @@ def passthrough(cloud: PointCloud, axis: str, lo: float, hi: float) -> PointClou
     coord = cloud.points[:, a]
     keep = (coord >= lo) & (coord <= hi)
     normals = cloud.normals[keep] if cloud.normals is not None else None
-    return PointCloud(cloud.points[keep], normals=normals, frame=cloud.frame)
+    return PointCloud(cloud.points[keep], normals=normals)
 
 
 def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
@@ -343,7 +333,7 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     toward_sensor = np.einsum("ni,ni->n", normals, cloud.points) > 0.0
     normals[toward_sensor] *= -1.0
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(cloud.points, normals=normals, frame=cloud.frame)
+    return PointCloud(cloud.points, normals=normals)
 
 
 def segment_plane(cloud: PointCloud,
@@ -379,7 +369,8 @@ def segment_plane(cloud: PointCloud,
             continue
         normal = normal / norm
         offset = -float(normal @ pts[i])
-        normal, offset = _canonicalize_plane(normal, offset)
+        sign = canonical_sign(normal, _PLANE_AXES)
+        normal, offset = sign * normal, sign * offset
         if abs(float(normal @ ref)) < cos_tol:
             continue
         dist = np.abs(pts @ normal + offset)
@@ -479,7 +470,7 @@ def euclidean_cluster(cloud: PointCloud, subset,
 _PLY_PROPS = ("x", "y", "z", "nx", "ny", "nz")
 
 
-def load_ply(path, frame: str = "") -> PointCloud:
+def load_ply(path) -> PointCloud:
     """Read an ASCII PLY vertex cloud; rejects binary files and unknown properties."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -555,7 +546,7 @@ def load_ply(path, frame: str = "") -> PointCloud:
     if filled != count:
         fail(lineno, f"declared {count} vertices but found {filled}")
     normals = rows[:, 3:6] if len(props) == 6 else None
-    return PointCloud(rows[:, :3], normals=normals, frame=frame)
+    return PointCloud(rows[:, :3], normals=normals)
 
 
 def save_ply(cloud: PointCloud, path) -> None:

@@ -9,7 +9,7 @@ that can be dumped as JSON Lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import WorkbotError
 from .jsonio import decode
@@ -24,7 +24,6 @@ EVENTS = (E_START, E_STOP, E_TRIGGER)
 E_SUCCESS = "e_success"
 E_FAILURE = "e_failure"
 E_STOPPED = "e_stopped"
-STATUSES = (E_SUCCESS, E_FAILURE, E_STOPPED)
 
 OUTCOME_SUCCESS = "Success"
 OUTCOME_BUDGET = "ReplanBudgetExhausted"
@@ -39,7 +38,7 @@ class UnknownAction(ExecutionError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionBinding:
     """Deterministic component behavior for one planner action.
 
@@ -53,7 +52,6 @@ class ActionBinding:
     script: tuple[str, ...] = (E_SUCCESS,)
     failure_add: frozenset[Atom] = frozenset()
     failure_delete: frozenset[Atom] = frozenset()
-    _cursor: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if not self.script:
@@ -67,17 +65,13 @@ class ActionBinding:
         """Status of the binding's run-th run (0-based)."""
         return self.script[min(run, len(self.script) - 1)]
 
-    def next_status(self) -> str:
-        status = self.status_at(self._cursor)
-        self._cursor += 1
-        return status
-
 
 def component_step(binding: ActionBinding, event: str,
                    kb: frozenset[Atom],
-                   ground_action: GroundAction | None = None
-                   ) -> tuple[str, frozenset[Atom]]:
-    """One command/status exchange with a component.
+                   ground_action: GroundAction | None = None,
+                   run: int = 0) -> tuple[str, frozenset[Atom]]:
+    """One command/status exchange with a component, as its run-th run
+    (0-based).
 
     e_stop answers e_stopped and leaves the kb alone.  e_trigger and
     e_start both run the behavior to completion: success applies the ground
@@ -88,7 +82,7 @@ def component_step(binding: ActionBinding, event: str,
         raise ValueError(f"unknown event: {event}")
     if event == E_STOP:
         return E_STOPPED, kb
-    status = binding.next_status()
+    status = binding.status_at(run)
     return status, _apply_status(binding, status, kb, ground_action)
 
 
@@ -155,8 +149,7 @@ def execute(domain: DomainDef, problem: ProblemDef,
         if schema.name not in bindings:
             raise UnknownAction(f"no binding for action: {schema.name}")
     fault_script = load_fault_script(fault_script or {})
-    # script positions live here, not on the caller's bindings: every run
-    # starts each script fresh and leaves the bindings as they were
+    # how many times each binding has run in this execution
     runs = dict.fromkeys(bindings, 0)
 
     kb = problem.init
@@ -164,17 +157,16 @@ def execute(domain: DomainDef, problem: ProblemDef,
     replans = 0
     plans_attempted = 0
     step = 0
+    outcome = None
 
-    while True:
+    while outcome is None:
         plans_attempted += 1
         try:
             the_plan = make_plan(domain, replace(problem, init=kb), mode)
         except Unsolvable:
-            return ExecutionTrace(records=tuple(records),
-                                  outcome=OUTCOME_UNSOLVABLE, final_kb=kb,
-                                  replans=replans,
-                                  plans_attempted=plans_attempted)
-        failed = False
+            outcome = OUTCOME_UNSOLVABLE
+            break
+        outcome = OUTCOME_SUCCESS
         for act in the_plan.actions:
             name = _schema_name(act.name)
             binding = bindings[name]
@@ -191,19 +183,11 @@ def execute(domain: DomainDef, problem: ProblemDef,
                                        replans=replans, kb_after=kb))
             step += 1
             if status == E_FAILURE:
-                failed = True
+                outcome = OUTCOME_BUDGET if replans > max_replans else None
                 break
-        if failed:
-            if replans > max_replans:
-                return ExecutionTrace(records=tuple(records),
-                                      outcome=OUTCOME_BUDGET, final_kb=kb,
-                                      replans=replans,
-                                      plans_attempted=plans_attempted)
-            continue
-        return ExecutionTrace(records=tuple(records),
-                              outcome=OUTCOME_SUCCESS, final_kb=kb,
-                              replans=replans,
-                              plans_attempted=plans_attempted)
+    return ExecutionTrace(records=tuple(records), outcome=outcome,
+                          final_kb=kb, replans=replans,
+                          plans_attempted=plans_attempted)
 
 
 def load_fault_script(obj: dict, where: str = "") -> dict[int, str]:

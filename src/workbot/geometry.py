@@ -30,15 +30,16 @@ def unit(v) -> np.ndarray:
     return v / n
 
 
-def canonical_quat(q: np.ndarray) -> np.ndarray:
-    """Resolve the quaternion double cover: w > 0, ties broken on x, y, z."""
-    q = np.asarray(q, dtype=float)
-    for c in (3, 0, 1, 2):
-        if q[c] > 0.0:
-            return q.copy()
-        if q[c] < 0.0:
-            return -q
-    return q.copy()
+def canonical_sign(v, axes: tuple[int, ...]) -> float:
+    """1.0 or -1.0, whichever makes the first nonzero component of v, taken
+    in the order ``axes``, positive (1.0 when all are zero): the factor that
+    picks one of v and -v where both mean the same, as for a plane normal."""
+    for c in axes:
+        if v[c] > 0.0:
+            return 1.0
+        if v[c] < 0.0:
+            return -1.0
+    return 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +55,10 @@ class Pose:
         n = float(np.linalg.norm(q))
         if not np.isfinite(p).all() or not math.isfinite(n) or abs(n - 1.0) > 1e-6:
             raise ValueError("pose requires a finite position and a unit quaternion")
+        q = q / n
         object.__setattr__(self, "position", p)
-        object.__setattr__(self, "quat_xyzw", canonical_quat(q / n))
+        # q and -q are one rotation: keep w > 0, ties broken on x, y, z
+        object.__setattr__(self, "quat_xyzw", canonical_sign(q, (3, 0, 1, 2)) * q)
 
     @staticmethod
     def identity() -> "Pose":

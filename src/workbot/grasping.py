@@ -25,6 +25,12 @@ GraspResult = Literal["grasped", "empty"]
 
 HEIGHT_THRESHOLD = 0.06
 
+FORCE_MIN = 0.3                    # least mean finger force of a hold
+GAP_MIN = 0.005                    # least finger gap an object leaves, m
+# linear finger model: gap = GAP_OPEN - TRAVEL_PER_RAD * (pos0 + pos1)
+GAP_OPEN = 0.10
+TRAVEL_PER_RAD = 0.025
+
 
 class GraspError(WorkbotError):
     pass
@@ -57,12 +63,7 @@ class GripperFeedback:
 
 @dataclass(frozen=True)
 class GraspMonitorConfig:
-    force_min: float = 0.3
-    gap_min: float = 0.005
-    gap_max: float = 0.09
-    # linear finger model: gap = gap_open - travel_per_rad * (pos0 + pos1)
-    gap_open: float = 0.10
-    travel_per_rad: float = 0.025
+    gap_max: float = 0.09          # widest finger gap that still holds an object
 
 
 def decide_approach(object_height: float,
@@ -126,14 +127,14 @@ def sample_pregrasp(object_pose: Pose, approach: Approach,
 
 def select_reachable(chain: KinematicChain,
                      candidates: list[GraspCandidate], q0,
-                     solver=None, **ik_kwargs) -> tuple[GraspCandidate, IkResult]:
+                     solver=None) -> tuple[GraspCandidate, IkResult]:
     """First-fit scan: returns the first candidate the IK solver reaches."""
     if not candidates:
         raise ValueError("no candidates to test")
     solve = solver or kinematics.ik_dls
     for cand in candidates:
         try:
-            result = solve(chain, cand.pregrasp_pose, q0, **ik_kwargs)
+            result = solve(chain, cand.pregrasp_pose, q0)
         except NoConvergence:
             continue
         return cand, result
@@ -143,11 +144,12 @@ def select_reachable(chain: KinematicChain,
 
 def grasp_monitor(fb: GripperFeedback,
                   cfg: GraspMonitorConfig | None = None) -> GraspResult:
-    """Grasped when mean force reaches force_min and the finger gap is plausible."""
+    """Grasped when mean force reaches FORCE_MIN and the finger gap lies in
+    [GAP_MIN, cfg.gap_max]."""
     cfg = cfg or GraspMonitorConfig()
     mean_force = (fb.forces[0] + fb.forces[1]) / 2.0
-    gap = max(cfg.gap_open - cfg.travel_per_rad * (fb.positions[0] + fb.positions[1]),
+    gap = max(GAP_OPEN - TRAVEL_PER_RAD * (fb.positions[0] + fb.positions[1]),
               0.0)
-    if mean_force >= cfg.force_min and cfg.gap_min <= gap <= cfg.gap_max:
+    if mean_force >= FORCE_MIN and GAP_MIN <= gap <= cfg.gap_max:
         return "grasped"
     return "empty"

@@ -19,8 +19,16 @@ from .jsonio import construct, decode, load_json
 
 N_JOINTS = 5
 
+IK_TOL_POS = 1e-3                  # m, see ik_dls
+IK_TOL_ANG = math.radians(0.5)
+IK_DAMPING = 0.1                   # lambda of the damped least-squares step
+# weights of the orientation error about the end-effector x, y, z axes: the
+# wrist roll a 5-DoF arm cannot control counts a fifth
 DEFAULT_ROT_WEIGHTS = (1.0, 1.0, 0.2)
-FD_STEP = 1e-6
+FD_STEP = 1e-6                     # central-difference step, rad
+
+_ROT_WEIGHTS = np.asarray(DEFAULT_ROT_WEIGHTS, dtype=float)
+_DAMPING = (IK_DAMPING * IK_DAMPING) * np.eye(N_JOINTS)
 
 
 class KinematicsError(WorkbotError):
@@ -170,15 +178,14 @@ def _pose_errors(p_target: np.ndarray, r_target: np.ndarray,
 _STENCIL = np.vstack([np.zeros(N_JOINTS), np.eye(N_JOINTS), -np.eye(N_JOINTS)])
 
 
-def _stencil_errors(base, dh, p_target, r_target, q, step,
-                    rot_weights) -> np.ndarray:
-    """Pose errors at q (row 0) and at q +/- step per joint (rows 1-10)."""
-    return _pose_errors(p_target, r_target, _fk(base, dh, q + step * _STENCIL),
-                        rot_weights)
+def _stencil_errors(base, dh, p_target, r_target, q) -> np.ndarray:
+    """Pose errors at q (row 0) and at q +/- FD_STEP per joint (rows 1-10)."""
+    return _pose_errors(p_target, r_target,
+                        _fk(base, dh, q + FD_STEP * _STENCIL), _ROT_WEIGHTS)
 
 
-def _central_jacobian(errs: np.ndarray, step: float) -> np.ndarray:
-    return (errs[1:1 + N_JOINTS] - errs[1 + N_JOINTS:]).T / (2.0 * step)
+def _central_jacobian(errs: np.ndarray) -> np.ndarray:
+    return (errs[1:1 + N_JOINTS] - errs[1 + N_JOINTS:]).T / (2.0 * FD_STEP)
 
 
 def fk_matrix(chain: KinematicChain, q) -> np.ndarray:
@@ -200,15 +207,12 @@ def pose_error(target: Pose, current: Pose,
                         np.asarray(rot_weights, dtype=float))[0]
 
 
-def error_jacobian(chain: KinematicChain, target: Pose, q,
-                   step: float = FD_STEP,
-                   rot_weights=DEFAULT_ROT_WEIGHTS) -> np.ndarray:
+def error_jacobian(chain: KinematicChain, target: Pose, q) -> np.ndarray:
     """Central finite-difference Jacobian of the pose error wrt joint angles."""
     q = np.asarray(q, dtype=float).reshape(N_JOINTS)
     errs = _stencil_errors(chain.base.matrix(), _dh_table(chain),
-                           target.position, target.rotation(), q, step,
-                           np.asarray(rot_weights, dtype=float))
-    return _central_jacobian(errs, step)
+                           target.position, target.rotation(), q)
+    return _central_jacobian(errs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,40 +224,32 @@ class IkResult:
 
 
 def ik_dls(chain: KinematicChain, target: Pose, q0,
-           tol_pos: float = 1e-3,
-           tol_ang: float = math.radians(0.5),
-           max_iters: int = 100,
-           lam: float = 0.1,
-           rot_weights=DEFAULT_ROT_WEIGHTS,
-           fd_step: float = FD_STEP) -> IkResult:
+           max_iters: int = 100) -> IkResult:
     """Damped-least-squares IK with joint-limit clamping at every iterate.
 
-    Succeeds when the position error norm is within tol_pos and the weighted
-    orientation error norm within tol_ang; otherwise raises NoConvergence
-    carrying the best error seen.
+    Succeeds when the position error norm is within IK_TOL_POS and the
+    weighted orientation error norm within IK_TOL_ANG; otherwise raises
+    NoConvergence carrying the best error seen.
     """
     base, dh = chain.base.matrix(), _dh_table(chain)
     p_target, r_target = target.position, target.rotation()
-    weights = np.asarray(rot_weights, dtype=float)
     lo, hi = chain.limits()
-    damping = (lam * lam) * np.eye(N_JOINTS)
     q = np.clip(np.asarray(q0, dtype=float).reshape(N_JOINTS), lo, hi)
     best = (math.inf, math.inf, q)
     for it in range(max_iters + 1):
-        errs = _stencil_errors(base, dh, p_target, r_target, q, fd_step,
-                               weights)
+        errs = _stencil_errors(base, dh, p_target, r_target, q)
         err = errs[0]
         pos_err = float(np.linalg.norm(err[:3]))
         ang_err = float(np.linalg.norm(err[3:]))
         if pos_err + ang_err < best[0] + best[1]:
             best = (pos_err, ang_err, q.copy())
-        if pos_err <= tol_pos and ang_err <= tol_ang:
+        if pos_err <= IK_TOL_POS and ang_err <= IK_TOL_ANG:
             return IkResult(q=q, iterations=it, pos_err=pos_err, ang_err=ang_err)
         if it == max_iters:
             break
-        jac = _central_jacobian(errs, fd_step)
-        # e(q + dq) ~ e(q) + J dq = 0  =>  (J^T J + lam^2 I) dq = -J^T e
-        dq = np.linalg.solve(jac.T @ jac + damping, -jac.T @ err)
+        jac = _central_jacobian(errs)
+        # e(q + dq) ~ e(q) + J dq = 0  =>  (J^T J + lambda^2 I) dq = -J^T e
+        dq = np.linalg.solve(jac.T @ jac + _DAMPING, -jac.T @ err)
         q = np.clip(q + dq, lo, hi)
     raise NoConvergence(
         f"no convergence in {max_iters} iterations "

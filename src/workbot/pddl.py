@@ -295,6 +295,40 @@ def _typed(nodes: list, node, path: str,
     return pairs
 
 
+def _objects(nodes: list, node, path: str, known_types: set[str],
+             names: set[str]) -> list[tuple[str, str]]:
+    """A typed list of constants or objects.  Domain constants and problem
+    objects share one name space, `names`: each name joins it, and a name
+    already in it is an error."""
+    pairs = _typed(nodes, node, path, known_types)
+    for obj, _ in pairs:
+        if obj in names:
+            _fail(node, path, f"object declared twice: {obj}")
+        names.add(obj)
+    return pairs
+
+
+def _type_section(nodes: list, node, path: str,
+                  types: dict[str, str]) -> None:
+    """Add a `:types` section to `types` (type -> parent).  A parent may be
+    declared after its subtypes, so parents are checked once the section is
+    read; a type that is its own ancestor is an error."""
+    section = _typed_list(nodes, path)
+    for ty, parent in section:
+        if ty == ROOT_TYPE or ty in types:
+            _fail(node, path, f"type declared twice: {ty}")
+        types[ty] = parent
+    for start, _ in section:
+        seen, ty = set(), start
+        while ty != ROOT_TYPE:
+            if ty not in types:
+                _fail(node, path, f"unknown parent type: {ty}", UnknownType)
+            if ty in seen:
+                _fail(node, path, f"type hierarchy has a cycle: {start}")
+            seen.add(ty)
+            ty = types[ty]
+
+
 def _declarations(nodes: list, path: str, known_types: set[str],
                   table: dict[str, tuple[str, ...]], what: str) -> None:
     """Add each `(name ?a - t ...)` to `table` as name -> parameter types;
@@ -372,9 +406,10 @@ def _number(node, path: str) -> float:
 def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
     tree, name, sections = _define(text, path, "domain")
     requirements: set[str] = set()
-    types: list[tuple[str, str]] = []
+    types: dict[str, str] = {}
     known_types = {ROOT_TYPE}
     constants: list[tuple[str, str]] = []
+    constant_names: set[str] = set()
     predicates: dict[str, tuple[str, ...]] = {}
     functions: dict[str, tuple[str, ...]] = {}
     actions: list[ActionSchema] = []
@@ -388,23 +423,18 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
                                                  req.lstrip(":"))
                 requirements.add(req)
         elif key == ":types":
-            for ty, parent in _typed_list(rest, path):
-                if parent not in known_types:
-                    _fail(node, path, f"unknown parent type: {parent}",
-                          UnknownType)
-                if ty in known_types:
-                    _fail(node, path, f"type declared twice: {ty}")
-                known_types.add(ty)
-                types.append((ty, parent))
+            _type_section(rest, node, path, types)
+            known_types.update(types)
         elif key == ":constants":
-            constants += _typed(rest, node, path, known_types)
+            constants += _objects(rest, node, path, known_types,
+                                  constant_names)
         elif key == ":predicates":
             _declarations(rest, path, known_types, predicates, "predicate")
         elif key == ":functions":
             _declarations(rest, path, known_types, functions, "function")
         elif key == ":action":
             actions.append(_action(node, rest, path, known_types, predicates,
-                                   functions, {obj for obj, _ in constants}))
+                                   functions, constant_names))
         else:
             _fail(node, path, f"unknown domain section: {key}")
 
@@ -412,7 +442,8 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
         _fail(tree, path, f"{TOTAL_COST} must take no arguments",
               ArityMismatch)
     return DomainDef(name=name, requirements=frozenset(requirements),
-                     types=tuple(types), predicates=tuple(predicates.items()),
+                     types=tuple(types.items()),
+                     predicates=tuple(predicates.items()),
                      functions=tuple(functions.items()),
                      constants=tuple(constants), actions=tuple(actions))
 
@@ -516,9 +547,7 @@ def parse_problem(text: str, domain: DomainDef,
                 _fail(node, path, f"problem is for domain {domain_name!r}, "
                                   f"expected {domain.name!r}")
         elif key == ":objects":
-            declared = _typed(rest, node, path, known_types)
-            objects += declared
-            names.update(obj for obj, _ in declared)
+            objects += _objects(rest, node, path, known_types, names)
         elif key == ":init":
             for fact in rest:
                 if _head(fact, path) == "=":

@@ -188,8 +188,8 @@ def _ee_target(candidate: PlacementPose, polygon: Polygon2,
 def rank_placements(chain: KinematicChain, base_pose: Pose,
                     candidates: list[PlacementPose], q0,
                     polygon: Polygon2,
-                    place_offset: float = PLACE_APPROACH_OFFSET,
-                    **ik_kwargs) -> list[PlacementPose]:
+                    place_offset: float = PLACE_APPROACH_OFFSET
+                    ) -> list[PlacementPose]:
     """Order placements by IK effort: quick-to-reach first.
 
     reach_score is 1 / (1 + IK iterations) for solvable candidates and 0
@@ -203,7 +203,7 @@ def rank_placements(chain: KinematicChain, base_pose: Pose,
     for cand in candidates:
         target = _ee_target(cand, polygon, place_offset)
         try:
-            res = kinematics.ik_dls(arm, target, q0, **ik_kwargs)
+            res = kinematics.ik_dls(arm, target, q0)
             score = 1.0 / (1.0 + res.iterations)
             any_reachable = True
         except NoConvergence:

@@ -1,21 +1,19 @@
 """Object pose estimation and 2D/3D recognition-score fusion.
 
-Classifier backends are pluggable: anything that maps a cluster to an
-:class:`ObjectScores` can act as a provider.  Only the geometry (PCA pose)
-and the fusion rule live here.
+Only the geometry (PCA pose) and the fusion rule live here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 
 from .cloud import Cluster, DEGENERATE_EIG, PointCloud
 from .errors import WorkbotError
-from .geometry import Pose
+from .geometry import Pose, canonical_sign
 
 Source = Literal["2d", "3d"]
 
@@ -83,18 +81,7 @@ class ObjectHypothesis:
         object.__setattr__(self, "extents", ext)
 
 
-ScoreProvider = Callable[[PointCloud, Cluster], ObjectScores]
-
 NEUTRAL_SCORE = 0.5
-
-
-def _canonical_axis(a: np.ndarray) -> np.ndarray:
-    for c in range(3):
-        if a[c] > 0.0:
-            return a
-        if a[c] < 0.0:
-            return -a
-    return a
 
 
 def pca_pose(cloud: PointCloud, cluster: Cluster) -> tuple[Pose, np.ndarray]:
@@ -115,8 +102,7 @@ def pca_pose(cloud: PointCloud, cluster: Cluster) -> tuple[Pose, np.ndarray]:
     evecs = evecs[:, ::-1]
     if evals[1] <= DEGENERATE_EIG:
         raise DegenerateCluster("cluster covariance has rank < 2")
-    a1 = _canonical_axis(evecs[:, 0].copy())
-    a2 = _canonical_axis(evecs[:, 1].copy())
+    a1, a2 = (canonical_sign(a, (0, 1, 2)) * a for a in evecs[:, :2].T)
     a3 = np.cross(a1, a2)
     rot = np.column_stack([a1, a2, a3])
     extents = np.sqrt(np.clip(evals, 0.0, None))

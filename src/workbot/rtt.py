@@ -13,6 +13,7 @@ from .errors import WorkbotError
 from .geometry import wrap_angle
 
 TWO_PI = 2.0 * math.pi
+OMEGA_MIN = 1e-3                   # rad/s; predict_arrival rejects slower tables
 
 
 class TrackingError(WorkbotError):
@@ -180,18 +181,20 @@ def hungarian(cost) -> dict[int, int]:
 
 @dataclass
 class SortConfig:
-    """Tracker tuning; noise defaults are in pixel units per frame."""
+    """Track lifetime and the frame interval (s) of the Kalman model."""
 
-    iou_min: float = 0.3
     max_age: int = 5
     min_hits: int = 3
     dt: float = 1.0 / 15.0
-    q_pos: float = 1.0
-    q_vel: float = 10.0
-    r_meas: float = 1.0
-    p0_pos: float = 10.0
-    p0_vel: float = 1000.0
 
+
+# a detection may extend a track only if their boxes overlap by this IoU
+IOU_MIN = 0.3
+# Kalman noise in pixel units per frame, on the state [u, v, s, r, du, dv, ds]:
+# process noise Q, measurement noise R and the covariance P0 of a new track
+_Q = np.diag([1.0] * 4 + [10.0] * 3)
+_R = np.eye(4)
+_P0 = np.diag([10.0] * 4 + [1000.0] * 3)
 
 _H = np.zeros((4, 7))
 _H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
@@ -235,27 +238,25 @@ def kalman_predict(track: Track2D, cfg: SortConfig) -> None:
     if track.state[2] + track.state[6] * cfg.dt <= 0.0:
         track.state[6] = 0.0
     track.state = f @ track.state
-    q = np.diag([cfg.q_pos] * 4 + [cfg.q_vel] * 3)
-    track.cov = f @ track.cov @ f.T + q
+    track.cov = f @ track.cov @ f.T + _Q
 
 
 def kalman_update(track: Track2D, det: Detection2D, cfg: SortConfig) -> np.ndarray:
-    """Measurement update; returns the innovation vector."""
+    """Measurement update; returns the innovation vector.  R is fixed, so
+    ``cfg`` goes unused; it keeps the call shape of kalman_predict."""
     z = _measurement(det)
     innovation = z - _H @ track.state
-    r = np.eye(4) * cfg.r_meas
-    s = _H @ track.cov @ _H.T + r
+    s = _H @ track.cov @ _H.T + _R
     k = track.cov @ _H.T @ np.linalg.inv(s)
     track.state = track.state + k @ innovation
     track.cov = (np.eye(7) - k @ _H) @ track.cov
     return innovation
 
 
-def _new_track(track_id: int, det: Detection2D, cfg: SortConfig) -> Track2D:
+def _new_track(track_id: int, det: Detection2D) -> Track2D:
     state = np.zeros(7)
     state[:4] = _measurement(det)
-    cov = np.diag([cfg.p0_pos] * 4 + [cfg.p0_vel] * 3)
-    return Track2D(id=track_id, state=state, cov=cov)
+    return Track2D(id=track_id, state=state, cov=_P0.copy())
 
 
 @dataclass(frozen=True)
@@ -300,10 +301,10 @@ class SortTracker:
                 for j, det in enumerate(detections):
                     ious[i, j] = iou(pbox, det.corners())
             cost = 1.0 - ious
-            cost[ious < cfg.iou_min] = 1e6     # forbidden pairs
+            cost[ious < IOU_MIN] = 1e6     # forbidden pairs
             assigned = hungarian(cost)
             for ti, dj in sorted(assigned.items()):
-                if ious[ti, dj] < cfg.iou_min:
+                if ious[ti, dj] < IOU_MIN:
                     continue
                 tr = self.tracks[ti]
                 kalman_update(tr, detections[dj], cfg)
@@ -314,7 +315,7 @@ class SortTracker:
 
         new_ids = []
         for dj in sorted(unmatched_dets):
-            tr = _new_track(self._next_id, detections[dj], cfg)
+            tr = _new_track(self._next_id, detections[dj])
             self._next_id += 1
             self.tracks.append(tr)
             new_ids.append(tr.id)
@@ -468,18 +469,17 @@ def estimate_motion(track: Track3D, center_hint=None) -> CircularMotion:
 
 
 def predict_arrival(motion: CircularMotion, target_angle: float,
-                    t_now: float, lead: float = 0.5,
-                    omega_min: float = 1e-3) -> float:
+                    t_now: float, lead: float = 0.5) -> float:
     """Earliest time >= t_now + lead at which the motion reaches target_angle.
 
     The target is interpreted modulo 2*pi in the direction of rotation; a
-    nearly stationary table (|omega| <= omega_min) is rejected.
+    nearly stationary table (|omega| <= OMEGA_MIN) is rejected.
     """
     if lead < 0.0:
         raise ValueError(f"lead must be non-negative, got {lead}")
-    if abs(motion.omega) <= omega_min:
+    if abs(motion.omega) <= OMEGA_MIN:
         raise TableStationary(
-            f"|omega| = {abs(motion.omega):.2e} <= {omega_min:.2e} rad/s")
+            f"|omega| = {abs(motion.omega):.2e} <= {OMEGA_MIN:.2e} rad/s")
     t0 = t_now + lead
     current = motion.angle_at(t0)
     if motion.omega > 0.0:

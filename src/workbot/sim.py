@@ -15,12 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import decode, load_json
-from .rtt import (Detection2D, SortConfig, SortTracker, Track3D, TrackingError,
+from .rtt import (Detection2D, SortTracker, Track3D, TrackingError,
                   associate_nn_3d, estimate_motion, hungarian)
 
 DEFAULT_DENSITY = 10000.0          # surface samples per square meter
 DEFAULT_PPM = 500.0                # pixels per meter, orthographic top view
 DEFAULT_BOX_SIZE = 0.05            # rtt detection box edge, meters
+NN3D_GATE = 0.1                    # evaluate_nn3d association gate, meters
+FREE_RADIUS = 0.5                  # gen_obstacle_grid keep-free disc, meters
 
 OUTLIER_LABEL = -1
 TABLE_LABEL = 0
@@ -330,24 +332,22 @@ def _omega_error(track: Track3D | None, truth: RttTruth) -> float:
     return abs(motion.omega - truth.omega) / abs(truth.omega)
 
 
-def evaluate_sort(frames2: list[RttFrame2], truth: RttTruth,
-                  cfg: SortConfig | None = None,
-                  gate_px: float | None = None) -> dict[str, float]:
+def evaluate_sort(frames2: list[RttFrame2],
+                  truth: RttTruth) -> dict[str, float]:
     """Run SORT over a detection stream and score it against truth.
 
     Each frame, objects claim confirmed tracks one to one: the assignment
     of least total pixel distance between true positions and reported box
-    centres, pairs farther apart than the gate excluded.  Metrics:
+    centres, pairs farther apart than one box edge excluded.  Metrics:
     id_switches, assoc_accuracy, track_count, omega_rel_err.
     """
-    cfg = cfg or SortConfig()
     n_obj = truth.positions.shape[1]
     claims: list[list[int | None]] = [[] for _ in range(n_obj)]
     traces: dict[int, list[tuple[float, float, float]]] = {}
-    tracker = SortTracker(cfg)
+    tracker = SortTracker()
     all_ids: set[int] = set()
     scale = truth.pixels_per_meter
-    gate = gate_px if gate_px is not None else truth.box_px
+    gate = truth.box_px
     for i, frame in enumerate(frames2):
         step = tracker.step(list(frame.detections))
         centers = []
@@ -381,8 +381,8 @@ def evaluate_sort(frames2: list[RttFrame2], truth: RttTruth,
             "frames": float(len(frames2))}
 
 
-def evaluate_nn3d(frames3: list[RttFrame3], truth: RttTruth,
-                  gate: float = 0.1) -> dict[str, float]:
+def evaluate_nn3d(frames3: list[RttFrame3],
+                  truth: RttTruth) -> dict[str, float]:
     """Run greedy 3D association over a point stream and score it.
 
     Unmatched points found new tracks; each matched point's track id is the
@@ -394,7 +394,7 @@ def evaluate_nn3d(frames3: list[RttFrame3], truth: RttTruth,
     claims: list[list[int | None]] = [[] for _ in range(n_obj)]
     for frame in frames3:
         stamped = [(frame.t, p) for p in frame.points]
-        assoc = associate_nn_3d(tracks, stamped, gate)
+        assoc = associate_nn_3d(tracks, stamped, NN3D_GATE)
         frame_claim: dict[int, int] = {}
         for ti, pj in assoc.pairs:
             frame_claim[frame.gt_ids[pj]] = tracks[ti].id
@@ -420,13 +420,13 @@ def evaluate_nn3d(frames3: list[RttFrame3], truth: RttTruth,
 def gen_obstacle_grid(rows: int, cols: int, resolution: float,
                       density: float, seed: int,
                       origin: tuple[float, float] = (0.0, 0.0),
-                      keep_free: tuple[tuple[float, float], ...] = (),
-                      free_radius: float = 0.5) -> np.ndarray:
+                      keep_free: tuple[tuple[float, float], ...] = ()
+                      ) -> np.ndarray:
     """Bernoulli-occupied cell array with optional carved-free discs.
 
     Returns a cell array ready for OccupancyGrid; points listed in
-    ``keep_free`` get a disc of free cells around them so start and goal
-    stay usable.
+    ``keep_free`` get a disc of FREE_RADIUS free cells around them so start
+    and goal stay usable.
     """
     from .dwa import FREE, OCCUPIED
     rng = np.random.default_rng(seed)
@@ -437,7 +437,7 @@ def gen_obstacle_grid(rows: int, cols: int, resolution: float,
         cx = origin[0] + (cc + 0.5) * resolution
         cy = origin[1] + (rr + 0.5) * resolution
         for (px, py) in keep_free:
-            mask = (cx - px) ** 2 + (cy - py) ** 2 <= free_radius ** 2
+            mask = (cx - px) ** 2 + (cy - py) ** 2 <= FREE_RADIUS ** 2
             cells[mask] = FREE
     return cells
 

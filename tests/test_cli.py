@@ -414,9 +414,17 @@ SHELF_WS = "(= (distance shelf ws) 1)"
     ("transport.pddl", "(:predicates",
      "(:predicates " + "(" * 3000 + ")" * 3000,
      "PddlSyntaxError", "8:17: expected a symbol, found a list"),
+    ("transport_1.pddl", "bolt - item", "bolt bolt - item",
+     "PddlSyntaxError", "5:3: object declared twice: bolt"),
+    ("transport.pddl", "(:types robot item location)",
+     "(:types a - b b - a robot item location)",
+     "PddlSyntaxError", "7:3: type hierarchy has a cycle: a"),
+    ("transport.pddl", "(:types robot item location)",
+     "(:types a - a robot item location)",
+     "PddlSyntaxError", "7:3: type hierarchy has a cycle: a"),
 ], ids=["init-nan", "init-inf", "init-overflow", "increase-nan",
         "duplicate-function", "undeclared-constant", "init-variable",
-        "deep-nesting"])
+        "deep-nesting", "duplicate-object", "type-cycle", "type-own-parent"])
 def test_pddl_error_is_located_json(tmp_path, capsys, file, old, new, error,
                                     message):
     from workbot.cli import main

@@ -47,7 +47,6 @@ def test_stop_answers_stopped_and_preserves_kb():
     status, after = component_step(binding, E_STOP, kb)
     assert status == E_STOPPED
     assert after == kb
-    assert binding._cursor == 0        # the script was not consumed
 
 
 def test_success_applies_planner_effects():
@@ -78,9 +77,20 @@ def test_failure_applies_binding_effects_not_planner_effects():
 
 def test_script_last_entry_repeats():
     binding = ActionBinding(action="flip", script=(E_SUCCESS, E_FAILURE))
-    statuses = [component_step(binding, E_TRIGGER, frozenset())[0]
-                for _ in range(4)]
+    statuses = [component_step(binding, E_TRIGGER, frozenset(), run=run)[0]
+                for run in range(4)]
     assert statuses == [E_SUCCESS, E_FAILURE, E_FAILURE, E_FAILURE]
+
+
+def test_component_step_is_a_function_of_its_arguments():
+    binding = ActionBinding(action="flip", script=(E_FAILURE, E_SUCCESS),
+                            failure_add=frozenset({("jammed", "a")}))
+    before = replace(binding)
+    kb = frozenset({("up", "a")})
+    first = component_step(binding, E_TRIGGER, kb, toy_action())
+    second = component_step(binding, E_TRIGGER, kb, toy_action())
+    assert first == second == (E_FAILURE, kb | {("jammed", "a")})
+    assert binding == before
 
 
 def test_unknown_event_rejected():
@@ -185,16 +195,14 @@ def test_execute_leaves_the_callers_bindings_untouched():
     bindings = all_success_bindings(domain)
     bindings["grasp"] = ActionBinding(action="grasp",
                                       script=(E_FAILURE, E_SUCCESS))
-    component_step(bindings["grasp"], E_TRIGGER, frozenset())
     before = {name: replace(b) for name, b in bindings.items()}
     first = execute(domain, problem, bindings)
     second = execute(domain, problem, bindings)
     assert first.records == second.records
     assert first.to_jsonl() == second.to_jsonl()
-    # the component's own cursor stays where the caller left it, and the run
-    # still started the script fresh: the first grasp fails
+    # the bindings are unchanged, and each run starts the script fresh: the
+    # first grasp fails
     assert bindings == before
-    assert bindings["grasp"]._cursor == 1
     grasps = [r.status for r in first.records if r.action.startswith("(grasp")]
     assert grasps == [E_FAILURE, E_SUCCESS]
 

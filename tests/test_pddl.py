@@ -114,6 +114,35 @@ def test_unknown_type():
         parse_domain(text)
 
 
+def test_types_may_declare_a_parent_after_its_subtypes():
+    text = DATA.joinpath("transport.pddl").read_text()
+    bundled = "(:types robot item location)"
+    assert bundled in text
+    parent_first, child_first = (
+        parse_domain(text.replace(bundled, f"(:types {types})"))
+        for types in ("thing location - object robot item - thing",
+                      "robot item - thing location thing"))
+    assert child_first.type_parents() == parent_first.type_parents() == {
+        "thing": "object", "location": "object",
+        "robot": "thing", "item": "thing"}
+    for name in ("transport_1.pddl", "transport_3.pddl"):
+        problem_text = DATA.joinpath(name).read_text()
+        plans = [plan(domain, parse_problem(problem_text, domain))
+                 for domain in (transport(), parent_first, child_first)]
+        assert plans[0] == plans[1] == plans[2]
+    with pytest.raises(UnknownType, match="unknown parent type: thing"):
+        parse_domain(text.replace(bundled, "(:types robot item - thing)"))
+
+
+def test_constants_and_objects_share_one_name_space():
+    domain = TOY_DOMAIN.replace("(:predicates", "(:constants a - block)\n  (:predicates")
+    with pytest.raises(PddlSyntaxError, match="object declared twice: a"):
+        parse_problem(TOY_PROBLEM, parse_domain(domain))
+    twice = domain.replace("(:constants a - block)", "(:constants a a - block)")
+    with pytest.raises(PddlSyntaxError, match="object declared twice: a"):
+        parse_domain(twice)
+
+
 def test_unknown_predicate():
     text = """
     (define (domain d)

@@ -1,6 +1,7 @@
 """Generator determinism, label bookkeeping, stream geometry, evaluators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +221,33 @@ def test_evaluate_nn3d_clean_stream():
     assert metrics["assoc_accuracy"] >= 0.99
     assert metrics["track_count"] == 3.0
     assert 0.0 <= metrics["omega_rel_err"] <= 0.05
+
+
+# the metrics of the bundled stream, clean and with 10 % dropout, exactly:
+# they move if a tracker constant (SORT noise, IoU floor, nn3d gate) does
+PINNED_METRICS = {
+    ("sort", 0.0): {"id_switches": 0.0, "assoc_accuracy": 0.9977777777777778,
+                    "track_count": 3.0, "omega_rel_err": 5.401813190231142e-05,
+                    "frames": 900.0},
+    ("nn3d", 0.0): {"id_switches": 0.0, "assoc_accuracy": 1.0,
+                    "track_count": 3.0, "omega_rel_err": 2.899649901821899e-05,
+                    "frames": 900.0},
+    ("sort", 0.1): {"id_switches": 0.0, "assoc_accuracy": 0.9975144987572494,
+                    "track_count": 3.0, "omega_rel_err": 4.846508737277322e-05,
+                    "frames": 900.0},
+    ("nn3d", 0.1): {"id_switches": 0.0, "assoc_accuracy": 1.0,
+                    "track_count": 3.0, "omega_rel_err": 6.814730624737919e-05,
+                    "frames": 900.0},
+}
+
+
+@pytest.mark.parametrize("tracker, dropout", list(PINNED_METRICS))
+def test_tracker_metrics_are_pinned(tracker, dropout):
+    sc = replace(load_scenario(RTT), dropout=dropout)
+    frames3, frames2, truth = gen_rtt_stream(sc)
+    metrics = (evaluate_sort(frames2, truth) if tracker == "sort"
+               else evaluate_nn3d(frames3, truth))
+    assert metrics == PINNED_METRICS[tracker, dropout]
 
 
 # ---------------------------------------------------------------------------
