@@ -34,10 +34,10 @@ def decode(cls, obj, where: str):
 
     Handles float (finite, not bool), int (a whole number), str, fixed-size
     ``tuple[...]``, ``tuple[T, ...]`` and ``frozenset[T]`` (JSON lists),
-    ``X | None`` and nested dataclasses.  Private ``_`` fields are skipped;
-    a missing key takes the field's default or, without one, is checked as
-    None.  Errors read "<where>: '<key>' must be ..., got <value>"; a
-    ValueError from the dataclass's own checks gets the <where> prefix.
+    ``X | None`` and nested dataclasses.  A missing key takes the field's
+    default or, without one, is checked as None.  Errors read
+    "<where>: '<key>' must be ..., got <value>"; a ValueError from the
+    dataclass's own checks gets the <where> prefix.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: expected a JSON object, got {obj!r}")
@@ -46,7 +46,7 @@ def decode(cls, obj, where: str):
     for f in dataclasses.fields(cls):
         missing = (f.default is dataclasses.MISSING
                    and f.default_factory is dataclasses.MISSING)
-        if not f.name.startswith("_") and (f.name in obj or missing):
+        if f.name in obj or missing:
             kwargs[f.name] = _value(hints[f.name], obj.get(f.name), where,
                                     f.name)
     return construct(cls, where, **kwargs)

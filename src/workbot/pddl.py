@@ -221,8 +221,13 @@ class GroundAction:
 
 @dataclass(frozen=True)
 class Plan:
+    """A plan and what its search cost: `expanded` counts the states whose
+    successors were generated, `generated` the successors of those states,
+    duplicates included."""
     actions: tuple[GroundAction, ...]
     cost: float
+    expanded: int = 0
+    generated: int = 0
 
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.actions)
@@ -678,6 +683,11 @@ def ground(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]:
 
 # --- search ------------------------------------------------------------------
 
+# one row per ground action: its index, positive and negative preconditions,
+# the bits it keeps (all but its delete effects), its add effects and cost
+_Row = tuple[int, int, int, int, int, float]
+
+
 def _goal_holds(goal: tuple[Atom, ...], state: frozenset[Atom]) -> bool:
     return all(atom in state for atom in goal)
 
@@ -691,51 +701,102 @@ def plan(domain: DomainDef, problem: ProblemDef,
     returns the first plan found.  Both are deterministic: the frontier
     orders equal-priority entries by the plan prefix, whose elements follow
     the sorted ground-action order.
+
+    A state is an int with one bit per atom.  Each action is filed under
+    one of its precondition bits, so an expanded state tries only the
+    actions filed under its own bits; it tries them in ascending index
+    order, which decides the first path to a state and so greedy's plan.
+    The frontier keeps whole paths rather than parent pointers, because
+    the path is the tie-break.
     """
     if mode not in ("optimal", "greedy"):
         raise ValueError(f"mode must be 'optimal' or 'greedy', got {mode!r}")
     actions = ground(domain, problem)
-    goal = problem.goal
-    init = problem.init
+    atoms = set(problem.init).union(problem.goal)
+    for act in actions:
+        atoms.update(act.pre_pos, act.pre_neg, act.add, act.delete)
+    bit = {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
 
-    def unsatisfied(state: frozenset[Atom]) -> int:
-        return sum(1 for atom in goal if atom not in state)
+    def mask(part: frozenset[Atom]) -> int:
+        return sum(map(bit.__getitem__, part))
 
-    start: frozenset[Atom] = init
+    filed: dict[int, list[_Row]] = {}       # lowest precondition bit -> rows
+    unfiled: list[_Row] = []                # no positive precondition
+    for idx, a in enumerate(actions):
+        pre = mask(a.pre_pos)
+        row = (idx, pre, mask(a.pre_neg), ~mask(a.delete), mask(a.add),
+               a.cost)
+        if pre:
+            filed.setdefault(pre & -pre, []).append(row)
+        else:
+            unfiled.append(row)
+    filed_bits = sum(filed)
+    tried: dict[int, list[_Row]] = {}       # state & filed_bits -> rows
+
+    # greedy counts a goal atom once per listing: layer k holds the atoms
+    # listed more than k times, and layer 0 is the goal
+    layers: list[int] = []
+    listings: dict[Atom, int] = {}
+    for atom in problem.goal:
+        k = listings[atom] = listings.get(atom, 0) + 1
+        if k > len(layers):
+            layers.append(0)
+        layers[k - 1] |= bit[atom]
+    goal = layers[0] if layers else 0
+
+    def unsatisfied(state: int) -> int:
+        count = 0
+        for layer in layers:
+            count += (layer & ~state).bit_count()
+        return count
+
+    optimal = mode == "optimal"
+    start = mask(problem.init)
     # frontier entries: (priority, path indices, state, cost)
-    if mode == "optimal":
-        frontier = [(0.0, (), start, 0.0)]
-    else:
-        frontier = [(float(unsatisfied(start)), (), start, 0.0)]
-    best_cost: dict[frozenset[Atom], float] = {start: 0.0}
-    closed: set[frozenset[Atom]] = set()
+    frontier = [(0.0 if optimal else unsatisfied(start), (), start, 0.0)]
+    best_cost: dict[int, float] = {start: 0.0}
+    closed: set[int] = set()
+    expanded = generated = 0
+    push, pop, inf = heapq.heappush, heapq.heappop, math.inf
 
     while frontier:
-        _, path, state, cost = heapq.heappop(frontier)
-        if _goal_holds(goal, state):
-            chosen = tuple(actions[i] for i in path)
-            return Plan(actions=chosen, cost=cost)
+        _, path, state, cost = pop(frontier)
+        if state & goal == goal:
+            return Plan(actions=tuple(actions[i] for i in path), cost=cost,
+                        expanded=expanded, generated=generated)
         if state in closed:
             continue
         closed.add(state)
-        for idx, act in enumerate(actions):
-            if not act.applicable(state):
+        expanded += 1
+        key = state & filed_bits
+        rows = tried.get(key)
+        if rows is None:
+            rows = list(unfiled)
+            rest = key
+            while rest:
+                low = rest & -rest
+                rows += filed[low]
+                rest ^= low
+            rows.sort()
+            tried[key] = rows
+        for idx, pre, neg, keep, add, step in rows:
+            if state & pre != pre or state & neg:
                 continue
-            nxt = act.apply(state)
-            ncost = cost + act.cost
-            if mode == "optimal":
+            nxt = state & keep | add
+            ncost = cost + step
+            generated += 1
+            if optimal:
                 # strict comparison: equal-cost alternatives stay in the
                 # frontier so the path tie-break picks the smallest one
-                if nxt in closed or best_cost.get(nxt, math.inf) < ncost:
+                if nxt in closed or best_cost.get(nxt, inf) < ncost:
                     continue
                 best_cost[nxt] = ncost
-                heapq.heappush(frontier, (ncost, path + (idx,), nxt, ncost))
+                push(frontier, (ncost, path + (idx,), nxt, ncost))
             else:
                 if nxt in closed or nxt in best_cost:
                     continue
                 best_cost[nxt] = ncost
-                heapq.heappush(frontier, (float(unsatisfied(nxt)),
-                                          path + (idx,), nxt, ncost))
+                push(frontier, (unsatisfied(nxt), path + (idx,), nxt, ncost))
     raise Unsolvable(
         f"no plan reaches the goal ({len(actions)} ground actions explored)")
 

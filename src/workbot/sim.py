@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import decode, load_json
-from .rtt import (Detection2D, SortTracker, Track3D, TrackingError,
-                  associate_nn_3d, estimate_motion, hungarian)
+from .rtt import (Detection2D, SortConfig, SortTracker, Track3D,
+                  TrackingError, associate_nn_3d, estimate_motion, hungarian)
 
 DEFAULT_DENSITY = 10000.0          # surface samples per square meter
 DEFAULT_PPM = 500.0                # pixels per meter, orthographic top view
@@ -336,15 +336,19 @@ def evaluate_sort(frames2: list[RttFrame2],
                   truth: RttTruth) -> dict[str, float]:
     """Run SORT over a detection stream and score it against truth.
 
-    Each frame, objects claim confirmed tracks one to one: the assignment
-    of least total pixel distance between true positions and reported box
-    centres, pairs farther apart than one box edge excluded.  Metrics:
-    id_switches, assoc_accuracy, track_count, omega_rel_err.
+    The Kalman model steps by the stream's frame interval.  Each frame,
+    objects claim confirmed tracks one to one: the assignment of least
+    total pixel distance between true positions and reported box centres,
+    pairs farther apart than one box edge excluded.  Metrics: id_switches,
+    assoc_accuracy, track_count, omega_rel_err.
     """
     n_obj = truth.positions.shape[1]
     claims: list[list[int | None]] = [[] for _ in range(n_obj)]
     traces: dict[int, list[tuple[float, float, float]]] = {}
-    tracker = SortTracker()
+    # a stream of one frame never predicts, so any interval serves
+    dt = (float(truth.times[1] - truth.times[0]) if len(truth.times) > 1
+          else SortConfig.dt)
+    tracker = SortTracker(SortConfig(dt=dt))
     all_ids: set[int] = set()
     scale = truth.pixels_per_meter
     gate = truth.box_px

@@ -33,6 +33,8 @@ print(json.dumps({"code": code, "loaded": loaded}))
 
 PLAN = ["--domain", str(DATA / "transport.pddl"),
         "--problem", str(DATA / "transport_1.pddl")]
+PLAN_3 = ["--domain", str(DATA / "transport.pddl"),
+          "--problem", str(DATA / "transport_3.pddl")]
 
 
 @pytest.mark.parametrize("argv, code, absent", [
@@ -42,6 +44,10 @@ PLAN = ["--domain", str(DATA / "transport.pddl"),
                  id="plan-optimal"),
     pytest.param(["plan", *PLAN, "--mode", "greedy"], 0, {"numpy", "scipy"},
                  id="plan-greedy"),
+    pytest.param(["plan", *PLAN_3, "--mode", "optimal"], 0,
+                 {"numpy", "scipy"}, id="plan-optimal-transport-3"),
+    pytest.param(["plan", *PLAN_3, "--mode", "greedy"], 0,
+                 {"numpy", "scipy"}, id="plan-greedy-transport-3"),
     pytest.param(["exec", *PLAN, "--bindings", str(DATA / "bindings.json")],
                  0, {"numpy", "scipy"}, id="exec"),
     pytest.param(["rtt", "--scenario", str(DATA / "rtt.json"),

@@ -33,7 +33,6 @@ class Outer:
     atoms: frozenset[tuple[str, ...]] = frozenset()
     limit: float | None = None
     parts: tuple[Inner, ...] = ()
-    _cache: int = 0
 
     def __post_init__(self):
         if self.count < 0:
@@ -43,8 +42,8 @@ class Outer:
 def test_decode_builds_typed_fields():
     obj = decode(Outer, {"count": 3.0, "span": [0, 1.5], "tags": ["a", "b"],
                          "atoms": [["at", "x"], ["at", "x"]], "limit": None,
-                         "parts": [{"name": "p"}], "extra": [1],
-                         "_cache": "ignored"}, "f.json")
+                         "parts": [{"name": "p"}], "extra": [1]},
+                "f.json")
     assert obj == Outer(count=3, span=(0.0, 1.5), tags=("a", "b"),
                         atoms=frozenset({("at", "x")}),
                         parts=(Inner("p"),))

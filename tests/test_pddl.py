@@ -2,7 +2,9 @@
 
 import heapq
 import itertools
+import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -391,6 +393,99 @@ def test_plan_is_deterministic():
     a = plan(domain, problem, mode="optimal")
     b = plan(domain, problem, mode="optimal")
     assert a.names() == b.names()
+
+
+def seeded_transport(seed, items, locations):
+    """A transport problem for the bundled domain: random drive costs 1-9
+    between every two locations, and each item wanted at a location other
+    than the one it starts at."""
+    rng = random.Random(1000 * seed + 10 * items + locations)
+    locs = [f"loc{i}" for i in range(locations)]
+    names = [f"item{i}" for i in range(items)]
+    init = [f"(at youbot {rng.choice(locs)})", "(gripper-empty youbot)"]
+    goal = []
+    for item in names:
+        start, end = rng.sample(locs, 2)
+        init.append(f"(item-at {item} {start})")
+        goal.append(f"(item-at {item} {end})")
+    for a, b in itertools.combinations(locs, 2):
+        cost = rng.randint(1, 9)
+        init += [f"(= (distance {a} {b}) {cost})",
+                 f"(= (distance {b} {a}) {cost})"]
+    text = (f"(define (problem seeded) (:domain transport)"
+            f" (:objects youbot - robot {' '.join(names)} - item"
+            f" {' '.join(locs)} - location)"
+            f" (:init {' '.join(init)}) (:goal (and {' '.join(goal)}))"
+            f" (:metric minimize (total-cost)))")
+    domain = transport()
+    return domain, parse_problem(text, domain)
+
+
+# plan.txt lines of each seeded problem, "<seed>-<items>x<locations>-<mode>"
+PINNED_PLANS = json.loads(
+    Path(__file__).with_name("data").joinpath("seeded_plans.json").read_text())
+
+
+@pytest.mark.parametrize("seed, items, locations, mode", [
+    (seed, items, locations, mode)
+    for seed in (1, 2) for locations in (2, 3)
+    for mode, most in (("optimal", 4), ("greedy", 6))
+    for items in range(2, most + 1)])
+def test_seeded_plans_are_pinned(seed, items, locations, mode):
+    domain, problem = seeded_transport(seed, items, locations)
+    result = plan(domain, problem, mode=mode)
+    key = f"{seed}-{items}x{locations}-{mode}"
+    assert format_plan(result).splitlines() == PINNED_PLANS[key]
+
+
+TIE_DOMAIN = """
+(define (domain tie)
+  (:requirements :strips :action-costs)
+  (:predicates (p) (q) (done))
+  (:functions (total-cost))
+  (:action detour :parameters () :precondition ({detour})
+    :effect (and (done) (increase (total-cost) 5)))
+  (:action drive :parameters () :precondition ({drive})
+    :effect (and (done) (increase (total-cost) 1))))
+"""
+
+
+@pytest.mark.parametrize("detour, drive", [("p", "q"), ("q", "p")])
+def test_greedy_keeps_the_lower_index_of_two_ways_to_one_state(detour,
+                                                               drive):
+    # both actions lead from init to the same state; greedy keeps the first
+    # path to a state, which must be the lower sorted index whichever
+    # precondition atom comes first
+    domain = parse_domain(TIE_DOMAIN.format(detour=detour, drive=drive))
+    problem = parse_problem("(define (problem t) (:domain tie)"
+                            " (:init (p) (q)) (:goal (done)))", domain)
+    greedy = plan(domain, problem, mode="greedy")
+    assert (greedy.names(), greedy.cost) == (("(detour)",), 5.0)
+    assert (greedy.expanded, greedy.generated) == (1, 2)
+    optimal = plan(domain, problem, mode="optimal")
+    assert (optimal.names(), optimal.cost) == (("(drive)",), 1.0)
+
+
+def test_greedy_counts_a_repeated_goal_atom_twice():
+    domain = parse_domain("""
+        (define (domain two) (:requirements :strips)
+          (:predicates (a) (b))
+          (:action make-a :parameters () :effect (a))
+          (:action make-b :parameters () :effect (b)))""")
+    problem = parse_problem("(define (problem t) (:domain two) (:init)"
+                            " (:goal (and (b) (b) (a))))", domain)
+    # (b) is worth two goal atoms, so greedy makes it first although
+    # (make-a) sorts first
+    assert plan(domain, problem, mode="greedy").names() == ("(make-b)",
+                                                            "(make-a)")
+
+
+def test_plan_counts_expanded_and_generated_states():
+    domain, problem = problem_file("transport_3.pddl")
+    for mode in ("optimal", "greedy"):
+        result = plan(domain, problem, mode=mode)
+        assert len(result.actions) <= result.expanded < result.generated
+    assert Plan(actions=(), cost=0.0).expanded == 0
 
 
 def test_plan_rejects_unknown_mode():

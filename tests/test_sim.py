@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from workbot import rtt, sim
 from workbot.sim import (RttObject, RttScenario, SceneObject,
                          WorkstationScenario, box_surface_points,
                          cylinder_surface_points, evaluate_nn3d,
@@ -248,6 +249,21 @@ def test_tracker_metrics_are_pinned(tracker, dropout):
     metrics = (evaluate_sort(frames2, truth) if tracker == "sort"
                else evaluate_nn3d(frames3, truth))
     assert metrics == PINNED_METRICS[tracker, dropout]
+
+
+def test_evaluate_sort_steps_by_the_stream_frame_interval(monkeypatch):
+    sc = replace(load_scenario(RTT), frame_rate=30.0, duration=20.0,
+                 omega=1.5)
+    _, frames2, truth = gen_rtt_stream(sc)
+    metrics = evaluate_sort(frames2, truth)
+
+    def tracked_at(dt):
+        monkeypatch.setattr(sim, "SortTracker", lambda cfg=None:
+                            rtt.SortTracker(rtt.SortConfig(dt=dt)))
+        return evaluate_sort(frames2, truth)
+
+    assert metrics == tracked_at(1.0 / 30.0)
+    assert metrics != tracked_at(1.0 / 15.0)
 
 
 # ---------------------------------------------------------------------------
