@@ -457,6 +457,19 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
                                                      "cfg.json"],
                  "cfg.json", "ValueError",
                  "'dt' must be a finite number, got '0.1'", id="dwa-config"),
+    *[pytest.param({**MAP, "cfg.json": {key: value}},
+                   [*DWA, "--config", "cfg.json"], "cfg.json", "ValueError",
+                   message, id=f"dwa-config-{key}-{value}")
+      for key, value, message in [
+          ("robot_radius", -0.5, "robot_radius must not be negative, got -0.5"),
+          ("vx_samples", 0, "vx_samples must be at least 1, got 0"),
+          ("vx_samples", -1, "vx_samples must be at least 1, got -1"),
+          ("omega_samples", 0, "omega_samples must be at least 1, got 0"),
+          ("ax", -1.0, "ax must be positive, got -1.0"),
+          ("ay", -1.0, "ay must be positive, got -1.0"),
+          ("aomega", -2.0, "aomega must be positive, got -2.0"),
+          ("omega_max", -1.5, "omega_max must be positive, got -1.5"),
+      ]],
     pytest.param({"cfg.json": {"leaf": "x"}},
                  ["perceive", "--scenario", str(DATA / "workstation.json"),
                   "--config", "cfg.json"], "cfg.json", "ValueError",

@@ -1,16 +1,20 @@
 """Window arithmetic, arc rollouts vs a fine Euler oracle, grid round trips."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from workbot.dwa import (FREE, OCCUPIED, UNKNOWN, DWAConfig, GridParseError,
                          NoAdmissibleVelocity, OccupancyGrid, RobotState,
-                         TrajectoryLeavesMap, VelocityCommand, clearance,
-                         dwa_step, dynamic_window, load_pgm, rollout,
-                         run_episode, save_pgm, step_state)
+                         TrajectoryLeavesMap, VelocityCommand, _clearances,
+                         clearance, dwa_step, dynamic_window, load_pgm,
+                         rollout, run_episode, save_pgm, step_state)
 from workbot.jsonio import decode
+from workbot.sim import gen_obstacle_grid
 
 
 def empty_grid(n=30, resolution=0.1):
@@ -159,6 +163,40 @@ def test_clearance_counts_unknown_as_blocked():
     assert clearance(traj, grid, 0.05) == pytest.approx(0.15)
 
 
+@pytest.mark.parametrize("height, width, resolution, origin", [
+    (1, 1, 1.0, (0.0, 0.0)),
+    (1, 7, 0.37, (-3.2, 7.9)),
+    (13, 5, 0.013, (0.25, -0.5)),
+    (23, 37, 0.1, (1000.5, -250.25)),
+    (40, 31, 0.05, (0.0, 0.0)),
+])
+def test_clearance_equals_a_kd_query_exactly(height, width, resolution,
+                                             origin):
+    rng = np.random.default_rng(height * 100 + width)
+    cells = rng.choice([FREE, OCCUPIED, UNKNOWN], size=(height, width),
+                       p=[0.85, 0.1, 0.05]).astype(np.uint8)
+    cells[0, 0] = UNKNOWN        # at least one blocked cell
+    grid = OccupancyGrid(cells=cells, resolution=resolution, origin=origin)
+    lo, hi = grid.extent()
+    pos = rng.uniform(lo, hi, (60, 15, 2))
+    # a third of the coordinates on cell edges, the upper edge included
+    edge = rng.integers(0, [width + 1, height + 1], pos.shape)
+    on_edge = rng.random(pos.shape) < 0.3
+    pos = np.minimum(np.where(on_edge, lo + edge * resolution, pos), hi)
+    pos[0, :, 0] = hi[0]
+    pos[1, :, 1] = hi[1]
+
+    tree = cKDTree(grid.blocked_centers())
+    nearest = tree.query(pos.reshape(-1, 2))[0].reshape(pos.shape[:2])
+    oracle = nearest.min(axis=1)
+    assert (_clearances(pos, grid, 0.0) == oracle).all()
+    for traj, want in zip(pos[:10], oracle):
+        assert clearance(traj, grid, 0.05) == max(want - 0.05, 0.0)
+    _, count, _, _ = grid._candidates
+    assert len(count) == 4 * height * width
+    assert (count >= 1).all()
+
+
 def test_clearance_outside_grid_raises():
     grid = empty_grid()
     with pytest.raises(TrajectoryLeavesMap):
@@ -232,6 +270,7 @@ def test_episode_reaches_goal_on_empty_map():
     result = run_episode(RobotState(1.0, 1.0, 0.8), np.array([4.0, 4.0]),
                          grid, max_steps=150)
     assert result.reached
+    assert result.stop == "reached"
     assert result.steps <= 150
     t_final, x, y, _ = result.poses[-1]
     assert math.hypot(x - 4.0, y - 4.0) <= 0.15 + 0.08  # one step past stop
@@ -245,6 +284,47 @@ def test_episode_already_at_goal_takes_no_step():
     assert result.reached
     assert result.steps == 0
     assert result.commands == ()
+
+
+def test_episode_stops_on_the_step_budget():
+    grid = empty_grid(n=60)
+    result = run_episode(RobotState(1.0, 1.0, 0.0), np.array([5.0, 5.0]),
+                         grid, max_steps=10)
+    assert result.stop == "budget"
+    assert not result.reached
+    assert result.steps == 10
+
+
+def test_episode_stops_when_no_command_is_admissible():
+    cells = np.full((20, 20), OCCUPIED, dtype=np.uint8)
+    cells[9:11, 9:11] = FREE
+    grid = OccupancyGrid(cells=cells, resolution=0.05, origin=np.zeros(2))
+    result = run_episode(RobotState(0.5, 0.5, 0.0), np.array([0.9, 0.9]),
+                         grid)
+    assert result.stop == "no_admissible"
+    assert not result.reached
+    assert result.steps == 0
+
+
+# sha256 of the commands (vx, vy, omega as little-endian doubles) of
+# PINNED_EPISODES, as the KD-tree clearance of earlier versions chose them
+PINNED_COMMANDS = (
+    "7763085d89a1ec1e2f567bd20c9f0c57ec3fb2e02815901f1a6fe18c41b5ae2c")
+PINNED_EPISODES = [(0.01, 1), (0.03, 2), (0.05, 3), (0.075, 4), (0.10, 5)]
+
+
+def test_seeded_episodes_choose_the_pinned_commands():
+    digest = hashlib.sha256()
+    for density, seed in PINNED_EPISODES:
+        cells = gen_obstacle_grid(60, 60, 0.1, density, seed,
+                                  keep_free=((1.0, 1.0), (5.0, 5.0)))
+        grid = OccupancyGrid(cells=cells, resolution=0.1, origin=(0.0, 0.0))
+        result = run_episode(RobotState(x=1.0, y=1.0, theta=0.3), (5.0, 5.0),
+                             grid, max_steps=40)
+        assert result.steps == 40
+        for cmd in result.commands:
+            digest.update(struct.pack("<3d", cmd.vx, cmd.vy, cmd.omega))
+    assert digest.hexdigest() == PINNED_COMMANDS
 
 
 def test_episode_timestamps_advance_by_dt():

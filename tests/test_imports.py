@@ -1,10 +1,11 @@
 """Each CLI subcommand loads only the libraries its pipeline needs.
 
-A fresh interpreter runs ``workbot.cli.main`` and reports which of numpy
-and scipy ended up in ``sys.modules``: `plan` and `exec` must load
-neither, `rtt` and `gen` on a detection stream no scipy.  A stray
-top-level import in the CLI or in a module these pipelines share would
-put back the import time the split saves.
+A fresh interpreter runs ``workbot.cli.main`` and reports which of numpy,
+scipy and scipy.ndimage ended up in ``sys.modules``: `plan` and `exec`
+must load neither numpy nor scipy, `rtt` and `gen` on a detection stream
+no scipy, and `dwa` no scipy.ndimage (its import alone costs tens of
+milliseconds).  A stray top-level import in the CLI or in a module these
+pipelines share would put back the import time the split saves.
 """
 
 import json
@@ -26,8 +27,7 @@ if argv is not None:
         code = workbot.cli.main(argv)
     except SystemExit as exc:
         code = exc.code
-loaded = sorted({name.split(".")[0] for name in sys.modules}
-                & {"numpy", "scipy"})
+loaded = sorted(set(sys.modules) & {"numpy", "scipy", "scipy.ndimage"})
 print(json.dumps({"code": code, "loaded": loaded}))
 """
 
@@ -56,6 +56,9 @@ PLAN_3 = ["--domain", str(DATA / "transport.pddl"),
                   "--tracker", "nn3d"], 0, {"scipy"}, id="rtt-nn3d"),
     pytest.param(["gen", "--scenario", str(DATA / "rtt.json")], 0, {"scipy"},
                  id="gen-rtt"),
+    pytest.param(["dwa", "--map", str(DATA / "cluttered.pgm"),
+                  "--start", "1,1,0", "--goal", "5,5", "--max-steps", "5"], 0,
+                 {"scipy.ndimage"}, id="dwa"),
 ])
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, code, absent):
     if argv:
