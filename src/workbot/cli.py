@@ -69,10 +69,14 @@ def _perception_config(path):
 
 def _parse_floats(text: str, n: int, flag: str) -> tuple[float, ...]:
     parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != n:
-        raise ValueError(f"{flag} expects {n} comma-separated numbers, "
-                         f"got {text!r}")
-    return tuple(float(p) for p in parts)
+    try:
+        values = tuple(float(p) for p in parts)
+    except ValueError:
+        values = ()
+    if len(values) != n or not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} expects {n} comma-separated finite "
+                         f"numbers, got {text!r}")
+    return values
 
 
 # --- subcommands -------------------------------------------------------------
@@ -124,6 +128,7 @@ def cmd_place(args) -> int:
     from . import sim as simmod
     from .geometry import Pose
 
+    base_xyz = _parse_floats(args.base, 3, "--base")
     sc = _workstation_scenario(args.scenario, args.seed)
     cfg = _perception_config(args.config)
     cloud, _ = simmod.gen_workstation(sc)
@@ -135,8 +140,7 @@ def cmd_place(args) -> int:
     if args.chain:
         chain = kinmod.load_chain(args.chain)
         q0 = np.zeros(len(chain.joints))
-        base = Pose(np.array(_parse_floats(args.base, 3, "--base")),
-                    np.array([0.0, 0.0, 0.0, 1.0]))
+        base = Pose(np.array(base_xyz), np.array([0.0, 0.0, 0.0, 1.0]))
         cands = placemod.rank_placements(chain, base, cands, q0, polygon,
                                          place_offset=args.place_offset)
     out = {"plane": {"normal": plane.normal, "offset": plane.offset},

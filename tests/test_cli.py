@@ -514,6 +514,40 @@ def test_malformed_input_file_is_a_pipeline_error(tmp_path, capsys, files,
     assert err == {"error": error, "message": f"{tmp_path / bad}: {message}"}
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (DWA, "--start", "1,1,nan"),
+    (DWA, "--start", "inf,1,0"),
+    (DWA, "--goal", "nan,5"),
+    (DWA, "--goal", "5,-inf"),
+    (DWA, "--goal", "5,x"),
+    (["place", "--scenario", str(DATA / "workstation.json"),
+      "--chain", str(DATA / "chain_5dof.json"), "--base", "0,0,0"],
+     "--base", "0,0,inf"),
+    (["place", "--scenario", str(DATA / "workstation.json"),
+      "--base", "0,0,0"], "--base", "nan,0,0"),
+], ids=["dwa-start-nan", "dwa-start-inf", "dwa-goal-nan", "dwa-goal-minus-inf",
+        "dwa-goal-word", "place-base-inf", "place-base-nan-without-chain"])
+def test_non_finite_flag_values_are_a_pipeline_error(tmp_path, capsys, argv,
+                                                     flag, value):
+    from workbot.cli import main
+
+    for name, content in MAP.items():
+        (tmp_path / name).write_text(
+            content if isinstance(content, str) else json.dumps(content))
+    argv = [str(tmp_path / a) if a in MAP else a for a in argv]
+    argv[argv.index(flag) + 1] = value
+    n = 2 if flag == "--goal" else 3
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert not (tmp_path / "out").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": f"{flag} expects {n} comma-separated finite numbers, "
+                   f"got {value!r}"}
+
+
 def test_unsupported_requirement_names_the_domain(tmp_path, capsys):
     from workbot.cli import main
 

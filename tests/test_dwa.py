@@ -110,6 +110,41 @@ def test_step_state_equals_first_rollout_pose():
     assert (nxt.vx, nxt.vy, nxt.omega) == (cmd.vx, cmd.vy, cmd.omega)
 
 
+def closed_form_pose(state, cmd, t):
+    """Pose after t seconds of a constant twist: the arc's closed form, or
+    a straight line at the start heading when |omega| < 1e-9."""
+    th0, om = state.theta, cmd.omega
+    th = th0 + om * t
+    if abs(om) < 1e-9:
+        c, s = math.cos(th0), math.sin(th0)
+        return (state.x + (cmd.vx * c - cmd.vy * s) * t,
+                state.y + (cmd.vx * s + cmd.vy * c) * t, th)
+    ds = math.sin(th) - math.sin(th0)
+    dc = math.cos(th) - math.cos(th0)
+    return (state.x + (cmd.vx * ds + cmd.vy * dc) / om,
+            state.y + (-cmd.vx * dc + cmd.vy * ds) / om, th)
+
+
+# Just above |omega| = 1e-9 the arc divides sine differences of about 1e-10
+# by omega, so these cases also need numpy's sin and cos to round as the
+# math module's do.
+@pytest.mark.parametrize("omega", [0.0, 9e-10, -9e-10, 1.1e-9, -1.1e-9,
+                                   0.7, -1.3])
+def test_rollout_and_step_state_match_the_closed_form(omega):
+    cfg = DWAConfig()
+    state = RobotState(0.5, -0.2, 2.1)
+    cmd = VelocityCommand(0.6, -0.3, omega)
+    traj = rollout(state, cmd, cfg)
+    assert traj.shape == (15, 3)
+    for k, pose in enumerate(traj, start=1):
+        want = closed_form_pose(state, cmd, k * cfg.dt)
+        np.testing.assert_allclose(pose, want, rtol=0, atol=1e-12)
+    nxt = step_state(state, cmd, cfg)
+    np.testing.assert_allclose((nxt.x, nxt.y, nxt.theta),
+                               closed_form_pose(state, cmd, cfg.dt),
+                               rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # clearance
 
@@ -163,19 +198,35 @@ def test_clearance_counts_unknown_as_blocked():
     assert clearance(traj, grid, 0.05) == pytest.approx(0.15)
 
 
-@pytest.mark.parametrize("height, width, resolution, origin", [
-    (1, 1, 1.0, (0.0, 0.0)),
-    (1, 7, 0.37, (-3.2, 7.9)),
-    (13, 5, 0.013, (0.25, -0.5)),
-    (23, 37, 0.1, (1000.5, -250.25)),
-    (40, 31, 0.05, (0.0, 0.0)),
+@pytest.mark.parametrize("height, width, resolution, origin, layout", [
+    pytest.param(1, 1, 1.0, (0.0, 0.0), "random", id="1-1-1.0-origin0"),
+    pytest.param(1, 7, 0.37, (-3.2, 7.9), "random", id="1-7-0.37-origin1"),
+    pytest.param(13, 5, 0.013, (0.25, -0.5), "random",
+                 id="13-5-0.013-origin2"),
+    pytest.param(23, 37, 0.1, (1000.5, -250.25), "random",
+                 id="23-37-0.1-origin3"),
+    pytest.param(40, 31, 0.05, (0.0, 0.0), "random", id="40-31-0.05-origin4"),
+    # one blocked cell in a corner: every ball reaches across the map
+    pytest.param(30, 30, 0.1, (0.0, 0.0), "corner", id="30-30-0.1-corner"),
+    # blocked cells on a ring around a free centre: many blocked centres
+    # lie at one distance from the squares near the middle
+    pytest.param(41, 41, 0.1, (-2.05, -2.05), "ring", id="41-41-0.1-ring"),
 ])
 def test_clearance_equals_a_kd_query_exactly(height, width, resolution,
-                                             origin):
+                                             origin, layout):
     rng = np.random.default_rng(height * 100 + width)
-    cells = rng.choice([FREE, OCCUPIED, UNKNOWN], size=(height, width),
-                       p=[0.85, 0.1, 0.05]).astype(np.uint8)
-    cells[0, 0] = UNKNOWN        # at least one blocked cell
+    if layout == "random":
+        cells = rng.choice([FREE, OCCUPIED, UNKNOWN], size=(height, width),
+                           p=[0.85, 0.1, 0.05]).astype(np.uint8)
+        cells[0, 0] = UNKNOWN        # at least one blocked cell
+    elif layout == "corner":
+        cells = np.full((height, width), FREE, dtype=np.uint8)
+        cells[-1, -1] = OCCUPIED
+    else:
+        rows, cols = np.indices((height, width))
+        ring = np.hypot(rows - height // 2, cols - width // 2)
+        cells = np.where(np.abs(ring - height // 3) < 0.5,
+                         OCCUPIED, FREE).astype(np.uint8)
     grid = OccupancyGrid(cells=cells, resolution=resolution, origin=origin)
     lo, hi = grid.extent()
     pos = rng.uniform(lo, hi, (60, 15, 2))
@@ -185,11 +236,13 @@ def test_clearance_equals_a_kd_query_exactly(height, width, resolution,
     pos = np.minimum(np.where(on_edge, lo + edge * resolution, pos), hi)
     pos[0, :, 0] = hi[0]
     pos[1, :, 1] = hi[1]
+    if layout == "ring":
+        pos[2, :] = (lo + hi) / 2.0       # the ring's centre
 
     tree = cKDTree(grid.blocked_centers())
     nearest = tree.query(pos.reshape(-1, 2))[0].reshape(pos.shape[:2])
     oracle = nearest.min(axis=1)
-    assert (_clearances(pos, grid, 0.0) == oracle).all()
+    assert (_clearances(pos[..., 0], pos[..., 1], grid, 0.0) == oracle).all()
     for traj, want in zip(pos[:10], oracle):
         assert clearance(traj, grid, 0.05) == max(want - 0.05, 0.0)
     _, count, _, _ = grid._candidates
@@ -311,20 +364,53 @@ def test_episode_stops_when_no_command_is_admissible():
 PINNED_COMMANDS = (
     "7763085d89a1ec1e2f567bd20c9f0c57ec3fb2e02815901f1a6fe18c41b5ae2c")
 PINNED_EPISODES = [(0.01, 1), (0.03, 2), (0.05, 3), (0.075, 4), (0.10, 5)]
+# the same hash and each episode's step count under other sample shapes
+# (vx, vy, omega), as the rollout over an (s, 3) command array chose them:
+# length-1 axes, and even counts, whose samples at rest miss omega = 0 and
+# the straight-line branch that odd counts take
+PINNED_SHAPES = {
+    (7, 7, 1): (
+        "8e8ae8340c654b59b8dc43cd5aa0aa710f362fd46857692c32ab6c85caeb2e0d",
+        [40, 40, 40, 40, 40]),
+    (4, 6, 2): (
+        "2cc782203fcb56b063fdcb991ab92793db0d8bddfe818a369d462d851a0f5e16",
+        [40, 40, 40, 40, 40]),
+    (1, 7, 9): (
+        "ee10b3de3218a8af60e878866685074659fe119985d5a1f7227cc1936a01aade",
+        [40, 11, 5, 4, 4]),
+    (1, 1, 1): (
+        "160ce7f51b285a121da62396ddb85856ce9a4f926bbce87b0620a9290a67e0b6",
+        [4, 4, 2, 1, 2]),
+}
 
 
-def test_seeded_episodes_choose_the_pinned_commands():
+def pinned_episodes(cfg):
+    """sha256 of the commands chosen on PINNED_EPISODES and each episode's
+    step count."""
     digest = hashlib.sha256()
+    steps = []
     for density, seed in PINNED_EPISODES:
         cells = gen_obstacle_grid(60, 60, 0.1, density, seed,
                                   keep_free=((1.0, 1.0), (5.0, 5.0)))
         grid = OccupancyGrid(cells=cells, resolution=0.1, origin=(0.0, 0.0))
         result = run_episode(RobotState(x=1.0, y=1.0, theta=0.3), (5.0, 5.0),
-                             grid, max_steps=40)
-        assert result.steps == 40
+                             grid, cfg, max_steps=40)
+        steps.append(result.steps)
         for cmd in result.commands:
             digest.update(struct.pack("<3d", cmd.vx, cmd.vy, cmd.omega))
-    assert digest.hexdigest() == PINNED_COMMANDS
+    return digest.hexdigest(), steps
+
+
+def test_seeded_episodes_choose_the_pinned_commands():
+    assert pinned_episodes(DWAConfig()) == (PINNED_COMMANDS, [40] * 5)
+
+
+@pytest.mark.parametrize("shape", PINNED_SHAPES,
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_seeded_episodes_pin_other_sample_shapes(shape):
+    cfg = DWAConfig(vx_samples=shape[0], vy_samples=shape[1],
+                    omega_samples=shape[2])
+    assert pinned_episodes(cfg) == PINNED_SHAPES[shape]
 
 
 def test_episode_timestamps_advance_by_dt():
