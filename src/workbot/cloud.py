@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import WorkbotError
-from .geometry import canonical_sign, unit
+from .geometry import canonical_sign, frozen_array, unit
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 # a plane normal points toward positive z, ties broken on y, then x
@@ -85,21 +85,19 @@ class PointCloud:
     normals: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        pts = frozen_array(self.points)
         if pts.size == 0:
             pts = pts.reshape(0, 3)
         if pts.ndim != 2 or pts.shape[1] != 3 or not np.isfinite(pts).all():
             raise ValueError("points must be a finite (n, 3) array")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.normals is not None:
-            nrm = np.ascontiguousarray(np.asarray(self.normals, dtype=float))
+            nrm = frozen_array(self.normals)
             if nrm.shape != pts.shape:
                 raise ValueError("normals must pair 1:1 with points")
             lengths = np.linalg.norm(nrm, axis=1)
             if pts.shape[0] and np.max(np.abs(lengths - 1.0), initial=0.0) > 1e-6:
                 raise ValueError("normals must have unit length")
-            nrm.setflags(write=False)
             object.__setattr__(self, "normals", nrm)
 
     def __len__(self) -> int:
@@ -127,13 +125,9 @@ class Plane:
         n = n / ln
         off = float(self.offset) / ln if ln != 1.0 else float(self.offset)
         sign = canonical_sign(n, _PLANE_AXES)
-        n, off = sign * n, sign * off
-        idx = np.ascontiguousarray(np.asarray(self.inliers, dtype=np.intp))
-        idx.setflags(write=False)
-        n.setflags(write=False)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "inliers", idx)
+        object.__setattr__(self, "normal", frozen_array(sign * n))
+        object.__setattr__(self, "offset", sign * off)
+        object.__setattr__(self, "inliers", frozen_array(self.inliers, dtype=np.intp))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +139,11 @@ class PlaneBasis:
     v: np.ndarray
 
     def __post_init__(self):
-        o = np.asarray(self.origin, dtype=float).reshape(3)
-        u = np.asarray(self.u, dtype=float).reshape(3)
-        v = np.asarray(self.v, dtype=float).reshape(3)
+        o, u, v = (frozen_array(a, shape=3) for a in (self.origin, self.u, self.v))
         if (abs(np.linalg.norm(u) - 1.0) > 1e-9 or abs(np.linalg.norm(v) - 1.0) > 1e-9
                 or abs(float(np.dot(u, v))) > 1e-9):
             raise ValueError("basis axes must be orthonormal")
         for name, val in (("origin", o), ("u", u), ("v", v)):
-            val.setflags(write=False)
             object.__setattr__(self, name, val)
 
     @property
@@ -182,12 +173,11 @@ class Polygon2:
     basis: PlaneBasis
 
     def __post_init__(self):
-        verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
+        verts = frozen_array(self.vertices)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise ValueError("polygon needs at least 3 2D vertices")
         if _signed_area(verts) <= 0.0:
             raise ValueError("polygon vertices must wind counter-clockwise")
-        verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
 
     @property
@@ -244,10 +234,9 @@ class Cluster:
     centroid: Point3
 
     def __post_init__(self):
-        idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.intp))
+        idx = frozen_array(self.indices, dtype=np.intp)
         if idx.size == 0:
             raise ValueError("cluster cannot be empty")
-        idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
@@ -504,6 +493,8 @@ def load_ply(path) -> PointCloud:
             try:
                 count = int(tokens[2])
             except ValueError:
+                count = -1
+            if count < 0:
                 fail(lineno, f"bad vertex count {tokens[2]!r}")
         elif tokens[0] == "property":
             if len(tokens) != 3 or tokens[1] != "float":
@@ -526,27 +517,28 @@ def load_ply(path) -> PointCloud:
     if props != expected or len(props) not in (3, 6):
         raise PlyParseError(
             f"{name}:{data_start}: properties must be x y z [nx ny nz] in order")
-    rows = np.empty((count, len(props)))
+    # rows are kept as read, not allocated by the declared count, which the
+    # file may overstate without bound
+    rows = []
     lineno = data_start
-    filled = 0
     for raw in lines[data_start:]:
         lineno += 1
         tokens = raw.split()
         if not tokens:
             continue
-        if filled >= count:
+        if len(rows) >= count:
             fail(lineno, "more data rows than declared vertices")
         if len(tokens) != len(props):
             fail(lineno, f"expected {len(props)} values, got {len(tokens)}")
         try:
-            rows[filled] = [float(t) for t in tokens]
+            rows.append([float(t) for t in tokens])
         except ValueError:
             fail(lineno, f"bad float in data row {raw.strip()!r}")
-        filled += 1
-    if filled != count:
-        fail(lineno, f"declared {count} vertices but found {filled}")
-    normals = rows[:, 3:6] if len(props) == 6 else None
-    return PointCloud(rows[:, :3], normals=normals)
+    if len(rows) != count:
+        fail(lineno, f"declared {count} vertices but found {len(rows)}")
+    values = np.array(rows, dtype=float).reshape(count, len(props))
+    normals = values[:, 3:6] if len(props) == 6 else None
+    return PointCloud(values[:, :3], normals=normals)
 
 
 def save_ply(cloud: PointCloud, path) -> None:

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import WorkbotError
+from .geometry import frozen_array
 from .jsonio import construct, decode, load_json
 
 FREE = 0
@@ -84,18 +85,15 @@ class OccupancyGrid:
     origin: np.ndarray
 
     def __post_init__(self):
-        cells = np.ascontiguousarray(np.asarray(self.cells, dtype=np.uint8))
+        cells = frozen_array(self.cells, dtype=np.uint8)
         if cells.ndim != 2:
             raise ValueError("cells must be a 2D array")
         if not np.isin(cells, (FREE, OCCUPIED, UNKNOWN)).all():
             raise ValueError("cells must be Free, Occupied or Unknown")
         if not (self.resolution > 0.0):
             raise ValueError(f"resolution must be positive, got {self.resolution}")
-        origin = np.asarray(self.origin, dtype=float).reshape(2)
-        cells.setflags(write=False)
-        origin.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "origin", frozen_array(self.origin, shape=2))
 
     @property
     def height(self) -> int:

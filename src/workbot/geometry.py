@@ -1,4 +1,5 @@
-"""Shared 3D geometry helpers: angles, quaternions and rigid poses.
+"""Shared 3D geometry helpers: angles, quaternions, rigid poses and the
+read-only array copies that frozen value types store.
 
 scipy's ``Rotation`` is imported inside the ``Pose`` methods that use it, so
 a module that needs only ``wrap_angle`` (the trackers) does not load scipy.
@@ -20,6 +21,17 @@ def wrap_angle(theta: float) -> float:
     if w == -math.pi:
         return math.pi
     return w
+
+
+def frozen_array(value, dtype=float, shape=None) -> np.ndarray:
+    """A read-only C-contiguous copy of ``value`` as ``dtype``, reshaped to
+    ``shape`` when given.  Every array field of a frozen value type is stored
+    through it: a value never shares memory with its caller and never
+    changes the caller's array, so no edit on either side reaches the other."""
+    a = np.asarray(value, dtype=dtype)
+    a = (a if shape is None else a.reshape(shape)).copy(order="C")
+    a.setflags(write=False)
+    return a
 
 
 def unit(v) -> np.ndarray:
@@ -50,7 +62,7 @@ class Pose:
     quat_xyzw: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.position, dtype=float).reshape(3)
+        p = frozen_array(self.position, shape=3)
         q = np.asarray(self.quat_xyzw, dtype=float).reshape(4)
         n = float(np.linalg.norm(q))
         if not np.isfinite(p).all() or not math.isfinite(n) or abs(n - 1.0) > 1e-6:
@@ -58,7 +70,8 @@ class Pose:
         q = q / n
         object.__setattr__(self, "position", p)
         # q and -q are one rotation: keep w > 0, ties broken on x, y, z
-        object.__setattr__(self, "quat_xyzw", canonical_sign(q, (3, 0, 1, 2)) * q)
+        object.__setattr__(self, "quat_xyzw",
+                           frozen_array(canonical_sign(q, (3, 0, 1, 2)) * q))
 
     @staticmethod
     def identity() -> "Pose":
@@ -75,7 +88,7 @@ class Pose:
     def from_rotation(rot: np.ndarray, position) -> "Pose":
         from scipy.spatial.transform import Rotation
         q = Rotation.from_matrix(np.asarray(rot, dtype=float)).as_quat()
-        return Pose(np.asarray(position, dtype=float), q)
+        return Pose(position, q)
 
     def rotation(self) -> np.ndarray:
         from scipy.spatial.transform import Rotation

@@ -17,7 +17,7 @@ from .cloud import (Cluster, PerceptionConfig, Plane, PointCloud, Polygon2,
                     extract_prism, passthrough, segment_plane,
                     voxel_downsample)
 from .errors import WorkbotError
-from .geometry import Pose
+from .geometry import Pose, frozen_array
 from .kinematics import KinematicChain, NoConvergence
 
 DEFAULT_D_MIN = 0.03
@@ -46,10 +46,9 @@ class Obstacle2:
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(2)
+        c = frozen_array(self.center, shape=2)
         if self.radius < 0.0:
             raise ValueError(f"obstacle radius cannot be negative: {self.radius}")
-        c.setflags(write=False)
         object.__setattr__(self, "center", c)
 
 
@@ -63,10 +62,9 @@ class PlacementPose:
     reach_score: float = 0.0
 
     def __post_init__(self):
-        uv = np.asarray(self.uv, dtype=float).reshape(2)
+        uv = frozen_array(self.uv, shape=2)
         if self.clearance < 0.0:
             raise ValueError(f"clearance cannot be negative: {self.clearance}")
-        uv.setflags(write=False)
         object.__setattr__(self, "uv", uv)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cloud import Cluster, DEGENERATE_EIG, PointCloud
 from .errors import WorkbotError
-from .geometry import Pose, canonical_sign
+from .geometry import Pose, canonical_sign, frozen_array
 
 Source = Literal["2d", "3d"]
 
@@ -72,12 +72,11 @@ class ObjectHypothesis:
     extents: np.ndarray
 
     def __post_init__(self):
-        ext = np.asarray(self.extents, dtype=float).reshape(3)
+        ext = frozen_array(self.extents, shape=3)
         if np.any(ext < 0.0) or np.any(np.diff(ext) > 1e-12):
             raise ValueError("extents must be non-negative and descending")
         if not (0.0 <= self.confidence <= 1.0):
             raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
-        ext.setflags(write=False)
         object.__setattr__(self, "extents", ext)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WorkbotError
-from .geometry import wrap_angle
+from .geometry import frozen_array, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 OMEGA_MIN = 1e-3                   # rad/s; predict_arrival rejects slower tables
@@ -410,12 +410,11 @@ class CircularMotion:
     t_ref: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).reshape(2)
+        c = frozen_array(self.center, shape=2)
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if not (-math.pi < self.phase0 <= math.pi):
             raise ValueError(f"phase0 outside (-pi, pi]: {self.phase0}")
-        c.setflags(write=False)
         object.__setattr__(self, "center", c)
 
     def angle_at(self, t: float) -> float:

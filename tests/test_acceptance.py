@@ -20,8 +20,7 @@ from scipy.spatial import cKDTree
 from workbot.cloud import (Cluster, PerceptionConfig, Point3, PointCloud,
                            convex_hull, estimate_normals, euclidean_cluster,
                            extract_prism, segment_plane, voxel_downsample)
-from workbot.dwa import (DWAConfig, OccupancyGrid, RobotState, clearance,
-                         rollout, run_episode, step_state)
+from workbot.dwa import DWAConfig, OccupancyGrid, RobotState, run_episode
 from workbot.execution import (E_FAILURE, E_SUCCESS, ActionBinding, execute)
 from workbot.kinematics import (NoConvergence, error_jacobian, fk, ik_dls,
                                 load_chain, pose_error)
@@ -279,8 +278,31 @@ def test_criterion_07_hungarian_vs_brute_force():
 # 8. dwa
 
 
+def _twist_poses(x, y, th0, cmd, dt, steps):
+    """(x, y) at dt, 2dt, ... steps*dt under a constant twist, in scalar
+    closed form: the arc, or a straight line when |omega| < 1e-9."""
+    om = cmd.omega
+    poses = []
+    for k in range(1, steps + 1):
+        t = k * dt
+        if abs(om) < 1e-9:
+            c, s = math.cos(th0), math.sin(th0)
+            poses.append((x + (cmd.vx * c - cmd.vy * s) * t,
+                          y + (cmd.vx * s + cmd.vy * c) * t))
+        else:
+            ds = math.sin(th0 + om * t) - math.sin(th0)
+            dc = math.cos(th0 + om * t) - math.cos(th0)
+            poses.append((x + (cmd.vx * ds + cmd.vy * dc) / om,
+                          y + (-cmd.vx * dc + cmd.vy * ds) / om))
+    return poses
+
+
 def test_criterion_08_dwa_safety_and_goal():
+    # each chosen command is checked with its own oracle, not with the
+    # library's rollout and clearance that chose it: the command's poses in
+    # closed form, then every pose against every blocked cell centre
     cfg = DWAConfig()
+    steps = round(cfg.horizon / cfg.dt)
     safe = True
     for seed in range(50):
         cells = gen_obstacle_grid(60, 60, 0.1, 0.10, seed,
@@ -288,13 +310,20 @@ def test_criterion_08_dwa_safety_and_goal():
         grid = OccupancyGrid(cells=cells, resolution=0.1, origin=(0.0, 0.0))
         result = run_episode(RobotState(x=1.0, y=1.0, theta=0.785),
                              (5.0, 5.0), grid, cfg, max_steps=80)
-        state = RobotState(x=1.0, y=1.0, theta=0.785)
+        rows, cols = np.nonzero(cells)            # Occupied and Unknown
+        blocked = np.column_stack([(cols + 0.5) * 0.1, (rows + 0.5) * 0.1])
+        x, y, theta = 1.0, 1.0, 0.785
         for cmd in result.commands:
-            margin = clearance(rollout(state, cmd, cfg), grid,
-                               cfg.robot_radius)
-            if not margin > 0.0:
+            poses = np.array(_twist_poses(x, y, theta, cmd, cfg.dt, steps))
+            gaps = np.linalg.norm(poses[:, None, :] - blocked[None], axis=2)
+            margin = gaps.min() - cfg.robot_radius
+            inside = ((poses >= 0.0) & (poses <= 6.0)).all()
+            if not (margin > 0.0 and inside):
                 safe = False
-            state = step_state(state, cmd, cfg)
+            (x, y), theta = poses[0], theta + cmd.omega * cfg.dt
+        # the oracle followed the path the episode logged
+        if not np.allclose((x, y, theta), result.poses[-1][1:], atol=1e-9):
+            safe = False
     empty = OccupancyGrid(cells=np.zeros((120, 120), dtype=np.uint8),
                           resolution=0.1, origin=(0.0, 0.0))
     run = run_episode(RobotState(x=1.0, y=6.0, theta=0.0), (6.0, 6.0),

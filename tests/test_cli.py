@@ -1,5 +1,6 @@
 """End-to-end subcommand runs on the bundled data, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -602,3 +603,62 @@ def test_two_objects_in_one_gate_report_metrics(tmp_path, capsys):
     assert summary["frames"] == 900.0
     assert 0.0 <= summary["assoc_accuracy"] <= 1.0
     assert out.read_text().startswith("metric,value\n")
+
+
+# sha256 of each artifact, sidecar and stdout in tests/data/cli_digests.json,
+# recorded with numpy 2.4.6 and scipy 1.17.1 on one x86-64 Linux host, as
+# the SORT metric and DWA command pins are; re-recording them is a change to
+# the artifacts and needs its own CHANGES.md entry
+CLI_DIGESTS = Path("tests/data/cli_digests.json").resolve()
+WORKSTATION = str(DATA / "workstation.json")
+CHAIN = str(DATA / "chain_5dof.json")
+PDDL = ["--domain", str(DATA / "transport.pddl"),
+        "--problem", str(DATA / "transport_1.pddl")]
+PDDL_3 = [*PDDL[:3], str(DATA / "transport_3.pddl")]
+# name: (argv without --out, artifact suffix, writes a .truth.json sidecar)
+DIGEST_JOBS = {
+    "perceive": (["perceive", "--scenario", WORKSTATION], ".csv", False),
+    "place_chain": (["place", "--scenario", WORKSTATION, "--chain", CHAIN,
+                     "--base", "0.0,0.0,0.55"], ".json", False),
+    "grasp_chain": (["grasp", "--object", str(DATA / "grasp_object.json"),
+                     "--chain", CHAIN], ".json", False),
+    "rtt_sort": (["rtt", "--scenario", str(DATA / "rtt.json"),
+                  "--tracker", "sort"], ".csv", False),
+    "rtt_nn3d": (["rtt", "--scenario", str(DATA / "rtt.json"),
+                  "--tracker", "nn3d"], ".csv", False),
+    "gen_workstation": (["gen", "--scenario", WORKSTATION], ".ply", True),
+    "gen_rtt": (["gen", "--scenario", str(DATA / "rtt.json")], ".jsonl",
+                True),
+    "dwa": (["dwa", "--map", str(DATA / "cluttered.pgm"),
+             "--start", "1,1,0", "--goal", "5,5"], ".csv", False),
+    # transport_3, where the two modes return different plans
+    "plan_optimal": (["plan", *PDDL_3, "--mode", "optimal"], ".txt", False),
+    "plan_greedy": (["plan", *PDDL_3, "--mode", "greedy"], ".txt", False),
+    "exec_faults": (["exec", *PDDL, "--bindings", str(DATA / "bindings.json"),
+                     "--faults", None], ".jsonl", False),
+}
+
+
+def cli_digests(tmp_path):
+    """Run every DIGEST_JOBS entry and hash what it writes."""
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    faults = tmp_path / "faults.json"
+    faults.write_text('{"1": "e_failure"}\n')
+    digests = {}
+    for name, (argv, suffix, sidecar) in DIGEST_JOBS.items():
+        out = tmp_path / f"{name}{suffix}"
+        args = [str(faults) if a is None else a for a in argv]
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == 0, (name, proc.stderr)
+        digests[name] = {"artifact": sha(out.read_bytes()),
+                         "stdout": sha(proc.stdout.encode())}
+        if sidecar:
+            digests[name]["sidecar"] = sha(
+                Path(str(out) + ".truth.json").read_bytes())
+    return digests
+
+
+def test_cli_artifacts_match_the_recorded_digests(tmp_path):
+    assert cli_digests(tmp_path) == json.loads(CLI_DIGESTS.read_text())

@@ -379,6 +379,23 @@ def test_ply_rejects_wrong_vertex_count(tmp_path):
         load_ply(p)
 
 
+@pytest.mark.parametrize("count, rows, message", [
+    ("-1", "0 0 0\n", ":3: bad vertex count '-1'"),
+    # a count that no allocation could hold is found short, not allocated
+    ("99999999999999", "0 0 0\n",
+     ":8: declared 99999999999999 vertices but found 1"),
+], ids=["negative", "beyond-memory"])
+def test_ply_rejects_a_bad_header_count_with_its_location(tmp_path, count,
+                                                           rows, message):
+    p = tmp_path / "count.ply"
+    p.write_text(f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 f"end_header\n{rows}")
+    with pytest.raises(PlyParseError) as exc:
+        load_ply(p)
+    assert str(exc.value) == f"{p}{message}"
+
+
 def test_ply_rejects_non_numeric_row(tmp_path):
     p = tmp_path / "junk.ply"
     p.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"

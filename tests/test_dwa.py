@@ -250,6 +250,26 @@ def test_clearance_equals_a_kd_query_exactly(height, width, resolution,
     assert (count >= 1).all()
 
 
+@pytest.mark.parametrize("edit", ["cells", "origin"])
+def test_clearance_table_follows_no_edit_by_the_caller(edit):
+    # the nearest-obstacle table is cached on the grid, so it stays right
+    # only while no edit to the arrays the grid was built from reaches it
+    base = np.zeros(3600, np.uint8)
+    origin = np.zeros(2)
+    if edit == "origin":
+        base[0] = OCCUPIED
+    grid = OccupancyGrid(base.reshape(60, 60), 0.1, origin)
+    pose = [[3.05, 3.05, 0.0]]
+    before = clearance(pose, grid, 0.2)          # builds the table
+    if edit == "cells":
+        base[1830] = OCCUPIED                    # cell (30, 30), under pose
+    else:
+        origin[:] = -1.0
+    rebuilt = OccupancyGrid(grid.cells, grid.resolution, grid.origin)
+    assert clearance(pose, grid, 0.2) == clearance(pose, rebuilt, 0.2)
+    assert clearance(pose, grid, 0.2) == before
+
+
 def test_clearance_outside_grid_raises():
     grid = empty_grid()
     with pytest.raises(TrajectoryLeavesMap):
