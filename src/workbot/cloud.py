@@ -358,8 +358,6 @@ def segment_plane(cloud: PointCloud,
             continue
         normal = normal / norm
         offset = -float(normal @ pts[i])
-        sign = canonical_sign(normal, _PLANE_AXES)
-        normal, offset = sign * normal, sign * offset
         if abs(float(normal @ ref)) < cos_tol:
             continue
         dist = np.abs(pts @ normal + offset)

@@ -451,9 +451,10 @@ def _sidecar_path(pgm_path) -> str:
     return root + ".json"
 
 
-def load_pgm(pgm_path, sidecar_path=None) -> OccupancyGrid:
+def load_pgm(pgm_path) -> OccupancyGrid:
     """Read a P2 occupancy grid (0 occupied, 255 free, 128 unknown) plus its
-    JSON sidecar carrying resolution and origin."""
+    JSON sidecar, the same path with a .json suffix, carrying resolution and
+    origin."""
     name = str(pgm_path)
     with open(pgm_path, "r", encoding="ascii", errors="replace") as fh:
         text = fh.read()
@@ -489,14 +490,14 @@ def load_pgm(pgm_path, sidecar_path=None) -> OccupancyGrid:
             raise GridParseError(
                 f"{name}: sample {value} is not one of 0/128/255")
         cells[i] = _PGM_VALUES[value]
-    sidecar = sidecar_path or _sidecar_path(pgm_path)
+    sidecar = _sidecar_path(pgm_path)
     meta = decode(_Sidecar, load_json(sidecar), sidecar)
     return construct(OccupancyGrid, sidecar,
                      cells=cells.reshape(height, width),
                      resolution=meta.resolution, origin=np.array(meta.origin))
 
 
-def save_pgm(grid: OccupancyGrid, pgm_path, sidecar_path=None) -> None:
+def save_pgm(grid: OccupancyGrid, pgm_path) -> None:
     lines = ["P2", f"{grid.width} {grid.height}", "255"]
     for row in grid.cells:
         lines.append(" ".join(str(_CELL_VALUES[int(c)]) for c in row))
@@ -504,7 +505,6 @@ def save_pgm(grid: OccupancyGrid, pgm_path, sidecar_path=None) -> None:
         fh.write("\n".join(lines) + "\n")
     meta = {"origin": [float(grid.origin[0]), float(grid.origin[1])],
             "resolution": float(grid.resolution)}
-    with open(sidecar_path or _sidecar_path(pgm_path), "w",
-              encoding="utf-8") as fh:
+    with open(_sidecar_path(pgm_path), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

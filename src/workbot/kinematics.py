@@ -92,14 +92,14 @@ class KinematicChain:
         return replace(self, base=base)
 
 
-def load_chain(path, base: Pose | None = None) -> KinematicChain:
+def load_chain(path) -> KinematicChain:
     """Chain from a JSON array of {a, alpha, d, theta_offset, lo, hi} rows.
 
     Malformed files raise ValueError naming the path.
     """
     joints = tuple(decode(DhJoint, row, f"{path}: joint {i}")
                    for i, row in enumerate(load_json(path, list)))
-    return construct(KinematicChain, path, joints=joints, base=base)
+    return construct(KinematicChain, path, joints=joints)
 
 
 def _dh_table(chain: KinematicChain) -> tuple[np.ndarray, ...]:

@@ -208,8 +208,9 @@ def rank_placements(chain: KinematicChain, base_pose: Pose,
             score = 0.0
         scored.append(replace(cand, reach_score=score))
     if not any_reachable:
-        raise NoReachablePlacement(
-            f"IK reaches none of the {len(candidates)} placements")
+        base = tuple(float(x) for x in base_pose.position)
+        raise NoReachablePlacement(f"IK reaches none of the {len(candidates)} "
+                                   f"placements from arm base {base}")
     scored.sort(key=lambda c: (-c.reach_score, -c.clearance,
                                float(c.uv[0]), float(c.uv[1])))
     return scored

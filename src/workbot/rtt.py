@@ -10,9 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WorkbotError
-from .geometry import frozen_array, wrap_angle
+from .geometry import TWO_PI, frozen_array, wrap_angle
 
-TWO_PI = 2.0 * math.pi
 OMEGA_MIN = 1e-3                   # rad/s; predict_arrival rejects slower tables
 
 
@@ -177,6 +176,20 @@ def hungarian(cost) -> dict[int, int]:
     return {r: row_col[r] for r in range(rows) if row_col[r] < cols}
 
 
+def gated_assignment(cost, allowed) -> list[tuple[int, int]]:
+    """Minimum-cost assignment over the allowed pairs only, as (row, col)
+    pairs in row order.
+
+    Forbidden pairs cost 1e6, so ``hungarian`` first makes as many allowed
+    pairs as it can and then the cheapest such set; this holds only while
+    the allowed costs sum to far below 1e6.  A forbidden pair the solver
+    still makes to fill a row or column is dropped.
+    """
+    allowed = np.asarray(allowed, dtype=bool)
+    assigned = hungarian(np.where(allowed, cost, 1e6))
+    return [(r, c) for r, c in sorted(assigned.items()) if allowed[r, c]]
+
+
 # --- SORT-style Kalman tracking ---------------------------------------------
 
 @dataclass
@@ -195,15 +208,6 @@ IOU_MIN = 0.3
 _Q = np.diag([1.0] * 4 + [10.0] * 3)
 _R = np.eye(4)
 _P0 = np.diag([10.0] * 4 + [1000.0] * 3)
-
-_H = np.zeros((4, 7))
-_H[0, 0] = _H[1, 1] = _H[2, 2] = _H[3, 3] = 1.0
-
-
-def _f_matrix(dt: float) -> np.ndarray:
-    f = np.eye(7)
-    f[0, 4] = f[1, 5] = f[2, 6] = dt
-    return f
 
 
 def _measurement(det: Detection2D) -> np.ndarray:
@@ -233,23 +237,15 @@ class Track2D:
         return _state_box(self.state)
 
 
-def kalman_predict(track: Track2D, cfg: SortConfig) -> None:
-    f = _f_matrix(cfg.dt)
-    if track.state[2] + track.state[6] * cfg.dt <= 0.0:
-        track.state[6] = 0.0
-    track.state = f @ track.state
-    track.cov = f @ track.cov @ f.T + _Q
-
-
-def kalman_update(track: Track2D, det: Detection2D, cfg: SortConfig) -> np.ndarray:
-    """Measurement update; returns the innovation vector.  R is fixed, so
-    ``cfg`` goes unused; it keeps the call shape of kalman_predict."""
-    z = _measurement(det)
-    innovation = z - _H @ track.state
-    s = _H @ track.cov @ _H.T + _R
-    k = track.cov @ _H.T @ np.linalg.inv(s)
+def kalman_update(track: Track2D, det: Detection2D) -> np.ndarray:
+    """Measurement update; returns the innovation vector.  The measurement
+    is the first four state entries, so H is applied by slicing."""
+    innovation = _measurement(det) - track.state[:4]
+    k = track.cov[:, :4] @ np.linalg.inv(track.cov[:4, :4] + _R)
     track.state = track.state + k @ innovation
-    track.cov = (np.eye(7) - k @ _H) @ track.cov
+    i_kh = np.eye(7)
+    i_kh[:, :4] -= k
+    track.cov = i_kh @ track.cov
     return innovation
 
 
@@ -285,29 +281,28 @@ class SortTracker:
         self.cfg = cfg or SortConfig()
         self.tracks: list[Track2D] = []
         self._next_id = 0
+        # constant-velocity transition: u, v and s move by their rates per frame
+        self._f = np.eye(7)
+        self._f[0, 4] = self._f[1, 5] = self._f[2, 6] = self.cfg.dt
 
     def step(self, detections: list[Detection2D]) -> SortStep:
-        cfg = self.cfg
+        cfg, f = self.cfg, self._f
         for tr in self.tracks:
-            kalman_predict(tr, cfg)
+            if tr.state[2] + tr.state[6] * cfg.dt <= 0.0:
+                tr.state[6] = 0.0          # the box area must stay positive
+            tr.state = f @ tr.state
+            tr.cov = f @ tr.cov @ f.T + _Q
             tr.age_since_update += 1
 
         matches: list[tuple[int, int]] = []
         unmatched_dets = set(range(len(detections)))
         if self.tracks and detections:
-            ious = np.zeros((len(self.tracks), len(detections)))
-            for i, tr in enumerate(self.tracks):
-                pbox = tr.predicted_box()
-                for j, det in enumerate(detections):
-                    ious[i, j] = iou(pbox, det.corners())
-            cost = 1.0 - ious
-            cost[ious < IOU_MIN] = 1e6     # forbidden pairs
-            assigned = hungarian(cost)
-            for ti, dj in sorted(assigned.items()):
-                if ious[ti, dj] < IOU_MIN:
-                    continue
+            preds = [tr.predicted_box() for tr in self.tracks]
+            boxes = [d.corners() for d in detections]
+            ious = np.array([[iou(p, b) for b in boxes] for p in preds])
+            for ti, dj in gated_assignment(1.0 - ious, ious >= IOU_MIN):
                 tr = self.tracks[ti]
-                kalman_update(tr, detections[dj], cfg)
+                kalman_update(tr, detections[dj])
                 tr.hits += 1
                 tr.age_since_update = 0
                 matches.append((tr.id, dj))

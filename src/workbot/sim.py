@@ -16,7 +16,8 @@ import numpy as np
 
 from .jsonio import decode, load_json
 from .rtt import (Detection2D, SortConfig, SortTracker, Track3D,
-                  TrackingError, associate_nn_3d, estimate_motion, hungarian)
+                  TrackingError, associate_nn_3d, estimate_motion,
+                  gated_assignment)
 
 DEFAULT_DENSITY = 10000.0          # surface samples per square meter
 DEFAULT_PPM = 500.0                # pixels per meter, orthographic top view
@@ -297,29 +298,6 @@ def gen_rtt_stream(sc: RttScenario
 
 # --- metric evaluators -------------------------------------------------------
 
-def _claims_to_metrics(claims: list[list[int | None]],
-                       present: np.ndarray) -> tuple[int, float]:
-    """Per-object claimed-id sequences to (id switches, association accuracy)."""
-    switches = 0
-    correct = 0
-    total = 0
-    for k, seq in enumerate(claims):
-        observed = [c for c in seq if c is not None]
-        switches += sum(1 for a, b in zip(observed, observed[1:]) if a != b)
-        if observed:
-            dominant = max(set(observed), key=observed.count)
-        else:
-            dominant = None
-        for i, c in enumerate(seq):
-            if not present[i, k]:
-                continue
-            total += 1
-            if c is not None and c == dominant:
-                correct += 1
-    accuracy = correct / total if total else 0.0
-    return switches, accuracy
-
-
 def _omega_error(track: Track3D | None, truth: RttTruth) -> float:
     """Relative angular-velocity error of a track's fitted motion;
     -1.0 without a track or when it is too short or degenerate to fit."""
@@ -330,6 +308,28 @@ def _omega_error(track: Track3D | None, truth: RttTruth) -> float:
     except TrackingError:
         return -1.0
     return abs(motion.omega - truth.omega) / abs(truth.omega)
+
+
+def _score(claims: list[list[int | None]], truth: RttTruth, track_count: int,
+           longest: Track3D | None, frames: int) -> dict[str, float]:
+    """The metrics of a tracker run from each object's per-frame claimed
+    track ids (None when unclaimed) and the run's longest track."""
+    switches = 0
+    correct = 0
+    total = 0
+    for k, seq in enumerate(claims):
+        observed = [c for c in seq if c is not None]
+        switches += sum(1 for a, b in zip(observed, observed[1:]) if a != b)
+        dominant = max(set(observed), key=observed.count) if observed else None
+        for i, c in enumerate(seq):
+            if truth.present[i, k]:
+                total += 1
+                correct += c is not None and c == dominant
+    return {"id_switches": float(switches),
+            "assoc_accuracy": correct / total if total else 0.0,
+            "track_count": float(track_count),
+            "omega_rel_err": _omega_error(longest, truth),
+            "frames": float(frames)}
 
 
 def evaluate_sort(frames2: list[RttFrame2],
@@ -362,9 +362,8 @@ def evaluate_sort(frames2: list[RttFrame2],
         truth_px = (truth.positions[i, :, :2] - truth.center) * scale
         dist = np.array([[math.hypot(cx - gx, cy - gy) for _, cx, cy in centers]
                          for gx, gy in truth_px]).reshape(n_obj, len(centers))
-        assigned = hungarian(np.where(dist <= gate, dist, 1e6))
-        claimed = {k: centers[j] for k, j in assigned.items()
-                   if dist[k, j] <= gate}
+        claimed = {k: centers[j]
+                   for k, j in gated_assignment(dist, dist <= gate)}
         for k in range(n_obj):
             claims[k].append(claimed[k][0] if k in claimed else None)
         for tid, cx, cy in claimed.values():
@@ -372,17 +371,12 @@ def evaluate_sort(frames2: list[RttFrame2],
                 (float(truth.times[i]),
                  truth.center[0] + cx / scale,
                  truth.center[1] + cy / scale))
-    switches, accuracy = _claims_to_metrics(claims, truth.present)
     longest = None
     if traces:
         longest = Track3D(id=-1)
         for t, x, y in max(traces.values(), key=len):
             longest.append(t, np.array([x, y, 0.0]))
-    return {"id_switches": float(switches),
-            "assoc_accuracy": accuracy,
-            "track_count": float(len(all_ids)),
-            "omega_rel_err": _omega_error(longest, truth),
-            "frames": float(len(frames2))}
+    return _score(claims, truth, len(all_ids), longest, len(frames2))
 
 
 def evaluate_nn3d(frames3: list[RttFrame3],
@@ -410,27 +404,21 @@ def evaluate_nn3d(frames3: list[RttFrame3],
             frame_claim[frame.gt_ids[pj]] = tr.id
         for k in range(n_obj):
             claims[k].append(frame_claim.get(k))
-    switches, accuracy = _claims_to_metrics(claims, truth.present)
     longest = max(tracks, key=lambda tr: len(tr.history), default=None)
-    return {"id_switches": float(switches),
-            "assoc_accuracy": accuracy,
-            "track_count": float(next_id),
-            "omega_rel_err": _omega_error(longest, truth),
-            "frames": float(len(frames3))}
+    return _score(claims, truth, next_id, longest, len(frames3))
 
 
 # --- occupancy-map generator -------------------------------------------------
 
 def gen_obstacle_grid(rows: int, cols: int, resolution: float,
                       density: float, seed: int,
-                      origin: tuple[float, float] = (0.0, 0.0),
                       keep_free: tuple[tuple[float, float], ...] = ()
                       ) -> np.ndarray:
     """Bernoulli-occupied cell array with optional carved-free discs.
 
-    Returns a cell array ready for OccupancyGrid; points listed in
-    ``keep_free`` get a disc of FREE_RADIUS free cells around them so start
-    and goal stay usable.
+    Returns a cell array ready for an OccupancyGrid at origin (0, 0);
+    points listed in ``keep_free`` get a disc of FREE_RADIUS free cells
+    around them so start and goal stay usable.
     """
     from .dwa import FREE, OCCUPIED
     rng = np.random.default_rng(seed)
@@ -438,8 +426,8 @@ def gen_obstacle_grid(rows: int, cols: int, resolution: float,
                      OCCUPIED, FREE).astype(np.uint8)
     if keep_free:
         rr, cc = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-        cx = origin[0] + (cc + 0.5) * resolution
-        cy = origin[1] + (rr + 0.5) * resolution
+        cx = (cc + 0.5) * resolution
+        cy = (rr + 0.5) * resolution
         for (px, py) in keep_free:
             mask = (cx - px) ** 2 + (cy - py) ** 2 <= FREE_RADIUS ** 2
             cells[mask] = FREE

@@ -74,6 +74,22 @@ def test_place_with_chain_ranks_by_reachability(tmp_path):
     assert scores == [1 / 21, 1 / 21, 1 / 22, 1 / 55] + [0.0] * 16
 
 
+def test_place_with_chain_from_the_default_base_names_the_base(tmp_path,
+                                                                capsys):
+    # the bundled table top is at z = 0.7 m, out of reach from the floor
+    from workbot.cli import main
+
+    code = main(["place", "--scenario", str(DATA / "workstation.json"),
+                 "--chain", str(DATA / "chain_5dof.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert not (tmp_path / "out").exists()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NoReachablePlacement",
+        "message": "IK reaches none of the 20 placements from arm base "
+                   "(0.0, 0.0, 0.0)"}
+
+
 def test_grasp_samples_candidates(tmp_path):
     out = tmp_path / "grasps.json"
     proc = run_cli("grasp", "--object", str(DATA / "grasp_object.json"),

@@ -12,8 +12,8 @@ from workbot.rtt import (CollinearPoints, Detection2D, DimensionMismatch,
                          NonMonotonicTimestamp, RoiOutOfBounds, RoiRect,
                          SortConfig, SortTracker, TableStationary, Track3D,
                          ZeroTimeSpan, associate_nn_3d, change_trigger,
-                         estimate_motion, fit_circle, hungarian, iou,
-                         predict_arrival)
+                         estimate_motion, fit_circle, gated_assignment,
+                         hungarian, iou, predict_arrival)
 
 
 def det(t, cx, cy, w=20.0, h=20.0, score=0.9):
@@ -133,6 +133,72 @@ def test_hungarian_tie_break_prefers_real_columns_and_low_indices():
     assert hungarian([[0, 1], [0, 9]]) == {0: 1, 1: 0}
 
 
+# --- gated_assignment --------------------------------------------------------
+
+def best_gated(cost, allowed):
+    """(pair count, total cost) of the best matching on allowed pairs by
+    enumeration: most pairs first, then least cost."""
+    rows, cols = cost.shape
+    best = (0, 0.0)
+    for k in range(1, min(rows, cols) + 1):
+        for rsel in itertools.combinations(range(rows), k):
+            for csel in itertools.permutations(range(cols), k):
+                if all(allowed[r, c] for r, c in zip(rsel, csel)):
+                    total = sum(cost[r, c] for r, c in zip(rsel, csel))
+                    best = min(best, (-k, total))
+    return -best[0], best[1]
+
+
+def test_gated_assignment_drops_the_pair_forced_on_a_forbidden_row():
+    # row 1 may pair with nothing, yet the square solve gives it column 1
+    cost = [[0.1, 0.2], [0.5, 0.5]]
+    allowed = [[True, True], [False, False]]
+    assert hungarian(np.where(allowed, cost, 1e6)) == {0: 0, 1: 1}
+    assert gated_assignment(cost, allowed) == [(0, 0)]
+
+
+def test_gated_assignment_makes_most_allowed_pairs_before_least_cost():
+    # (0, 0) alone costs 0.0; the two-pair matching costs 1.8 and wins
+    cost = [[0.0, 0.9], [0.9, 0.3]]
+    allowed = [[True, True], [True, False]]
+    assert gated_assignment(cost, allowed) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_gated_assignment_rectangular_both_ways(transpose):
+    # both rows may take column 1; only row 0 may take another column
+    cost = np.arange(8, dtype=float).reshape(2, 4) / 10.0
+    allowed = np.array([[False, True, True, False],
+                        [False, True, False, False]])
+    pairs = [(0, 2), (1, 1)]
+    if transpose:
+        cost, allowed = cost.T, allowed.T
+        pairs = sorted((c, r) for r, c in pairs)
+    assert gated_assignment(cost, allowed) == pairs
+
+
+def test_gated_assignment_lists_pairs_in_row_order():
+    cost = np.array([[3.0, 2.0, 0.0], [2.0, 0.0, 3.0], [0.0, 3.0, 2.0]])
+    assert gated_assignment(cost, np.ones((3, 3), bool)) == [
+        (0, 2), (1, 1), (2, 0)]
+
+
+def test_gated_assignment_matches_enumeration():
+    rng = np.random.default_rng(3)
+    for _ in range(80):
+        rows, cols = rng.integers(1, 5, size=2)
+        cost = rng.uniform(0.0, 1.0, (rows, cols))
+        allowed = rng.random((rows, cols)) < 0.5
+        pairs = gated_assignment(cost, allowed)
+        assert all(allowed[r, c] for r, c in pairs)
+        assert [r for r, _ in pairs] == sorted({r for r, _ in pairs})
+        assert len({c for _, c in pairs}) == len(pairs)
+        count, total = best_gated(cost, allowed)
+        assert len(pairs) == count
+        assert sum(cost[r, c] for r, c in pairs) == pytest.approx(total,
+                                                                  abs=1e-9)
+
+
 # --- SORT --------------------------------------------------------------------
 
 def test_sort_two_detections_spawn_ids_zero_one():
@@ -210,8 +276,8 @@ def test_sort_innovation_non_increasing_after_burn_in():
     captured = []
     orig_update = rttmod.kalman_update
 
-    def spy(track, d, c):
-        innovation = orig_update(track, d, c)
+    def spy(track, d):
+        innovation = orig_update(track, d)
         captured.append(float(np.linalg.norm(innovation[:2])))
         return innovation
 
