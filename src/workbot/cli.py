@@ -68,9 +68,8 @@ def _perception_config(path):
 
 
 def _parse_floats(text: str, n: int, flag: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
     try:
-        values = tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in text.split(","))
     except ValueError:
         values = ()
     if len(values) != n or not all(map(math.isfinite, values)):

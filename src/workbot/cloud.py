@@ -201,29 +201,31 @@ class Polygon2:
             inside &= cross >= -eps
         return bool(inside[0]) if single else inside
 
-    def edge_distance(self, uv) -> float:
-        """Distance from a 2D point to the closest polygon edge segment."""
-        p = np.asarray(uv, dtype=float)
-        best = math.inf
-        verts = self.vertices
-        for i in range(len(verts)):
-            a = verts[i]
-            b = verts[(i + 1) % len(verts)]
-            best = min(best, _point_segment_distance(p, a, b))
-        return best
+    def edge_distance(self, uv) -> np.ndarray | float:
+        """Distance to the closest edge segment, for one point or an (n, 2) batch."""
+        uv = np.asarray(uv, dtype=float)
+        a = self.vertices
+        ab = np.roll(a, -1, axis=0) - a
+        denom = _rowdot(ab, ab)
+        pts = np.atleast_2d(uv)[:, None, :]
+        rel = pts - a
+        # a zero-length edge measures from its start vertex (t = 0)
+        t = np.divide(_rowdot(rel, ab), denom, out=np.zeros(rel.shape[:2]),
+                      where=denom != 0.0)
+        gap = pts - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
+        dist = np.sqrt(_rowdot(gap, gap)).min(axis=1)
+        return float(dist[0]) if uv.ndim == 1 else dist
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # dot over the last axis, bit-equal to 1-D x @ y and so to np.linalg.norm
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _signed_area(verts: np.ndarray) -> float:
     x = verts[:, 0]
     y = verts[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else min(1.0, max(0.0, float((p - a) @ ab) / denom))
-    return float(np.linalg.norm(p - (a + t * ab)))
 
 
 @dataclass(frozen=True, eq=False)

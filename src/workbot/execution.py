@@ -192,19 +192,24 @@ def execute(domain: DomainDef, problem: ProblemDef,
 
 def load_fault_script(obj: dict, where: str = "") -> dict[int, str]:
     """{"3": "e_failure"} form to {3: "e_failure"}; a step that is not a
-    whole number, or a status other than e_success/e_failure, raises
-    ValueError naming the step, after ``where`` (the file) when given."""
+    whole number, a negative step, or a status other than
+    e_success/e_failure raises ValueError naming the step, after ``where``
+    (the file) when given."""
     prefix = f"{where}: " if where else ""
     script = {}
     for key, status in obj.items():
         try:
-            script[int(key)] = status
+            step = int(key)
         except ValueError:
             raise ValueError(f"{prefix}fault script: step {key!r} must be a "
                              f"whole number") from None
+        if step < 0:
+            raise ValueError(f"{prefix}fault script: step {key!r} is "
+                             f"negative, but steps count from 0")
         if status not in (E_SUCCESS, E_FAILURE):
             raise ValueError(f"{prefix}fault script step {key}: status must "
                              f"be {E_SUCCESS}/{E_FAILURE}, got {status!r}")
+        script[step] = status
     return script
 
 

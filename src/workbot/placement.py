@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kinematics
 from .cloud import (Cluster, PerceptionConfig, Plane, PointCloud, Polygon2,
-                    convex_hull, estimate_normals, euclidean_cluster,
+                    _rowdot, convex_hull, estimate_normals, euclidean_cluster,
                     extract_prism, passthrough, segment_plane,
                     voxel_downsample)
 from .errors import WorkbotError
@@ -24,6 +24,9 @@ DEFAULT_D_MIN = 0.03
 DEFAULT_FOOTPRINT = 0.05
 DEFAULT_MAX_ATTEMPTS = 10000
 PLACE_APPROACH_OFFSET = 0.05
+# draws tested together by sample_placements: testing all 10,000 at once took
+# about 21 ms a call, no better than the 23 ms of testing them one by one
+_DRAW_BLOCK = 64
 
 
 class PlacementError(WorkbotError):
@@ -137,36 +140,30 @@ def sample_placements(polygon: Polygon2, obstacles: list[Obstacle2],
     centre.  Stops at ``n`` accepted poses or ``max_attempts`` draws; raises
     NoFreeSpace when nothing was accepted at all.
     """
-    if d_min < 0.0 or footprint < 0.0:
+    if not (d_min >= 0.0 and footprint >= 0.0):
         raise ValueError("d_min and footprint must be non-negative")
     if n < 1 or max_attempts < 1:
         raise ValueError("n and max_attempts must be positive")
     rng = np.random.default_rng(rng_seed)
-    verts = polygon.vertices
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
+    lo, hi = polygon.vertices.min(axis=0), polygon.vertices.max(axis=0)
     accepted: list[PlacementPose] = []
-    for _ in range(max_attempts):
-        if len(accepted) >= n:
-            break
-        uv = lo + rng.random(2) * (hi - lo)
-        if not polygon.contains(uv, eps=0.0):
-            continue
-        edge_d = polygon.edge_distance(uv)
-        if edge_d < footprint:
-            continue
-        margin_ok = True
-        clearance = edge_d
+    for start in range(0, max_attempts, _DRAW_BLOCK):
+        # one (k, 2) draw is the same stream as k draws of 2
+        k = min(_DRAW_BLOCK, max_attempts - start)
+        uv = lo + rng.random((k, 2)) * (hi - lo)
+        clearance = polygon.edge_distance(uv)
+        ok = polygon.contains(uv, eps=0.0) & (clearance >= footprint)
         for obs in obstacles:
-            dist = float(np.linalg.norm(uv - obs.center))
-            if dist < obs.radius + footprint + d_min:
-                margin_ok = False
-                break
-            clearance = min(clearance, dist - obs.radius)
-        if not margin_ok:
-            continue
-        accepted.append(PlacementPose(pose=_pose_on_plane(polygon, uv),
-                                      uv=uv, clearance=clearance))
+            rel = uv - obs.center
+            dist = np.sqrt(_rowdot(rel, rel))
+            ok &= dist >= obs.radius + footprint + d_min
+            clearance = np.minimum(clearance, dist - obs.radius)
+        for i in np.flatnonzero(ok)[:n - len(accepted)]:
+            accepted.append(PlacementPose(pose=_pose_on_plane(polygon, uv[i]),
+                                          uv=uv[i],
+                                          clearance=float(clearance[i])))
+        if len(accepted) == n:
+            break
     if not accepted:
         raise NoFreeSpace(
             f"no admissible placement in {max_attempts} attempts "

@@ -192,7 +192,7 @@ def gated_assignment(cost, allowed) -> list[tuple[int, int]]:
 
 # --- SORT-style Kalman tracking ---------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SortConfig:
     """Track lifetime and the frame interval (s) of the Kalman model."""
 

@@ -211,6 +211,19 @@ def _rect_polygon(w=0.8, h=0.6, z=0.7):
     return Polygon2(vertices=verts, basis=basis)
 
 
+def _edge_distance(polygon, uv) -> float:
+    # closest hull edge segment, measured one edge at a time
+    verts = polygon.vertices
+    dists = []
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        ab = b - a
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0.0 else min(1.0, max(0.0, float((uv - a) @ ab)
+                                                   / denom))
+        dists.append(float(np.linalg.norm(uv - (a + t * ab))))
+    return min(dists)
+
+
 def test_criterion_06_placement_inequalities():
     polygon = _rect_polygon()
     obstacles = [Obstacle2(center=np.array([0.18, 0.10]), radius=0.054),
@@ -222,7 +235,7 @@ def test_criterion_06_placement_inequalities():
     for cand in placements:
         if not polygon.contains(cand.uv, eps=0.0):
             holds = False
-        if polygon.edge_distance(cand.uv) < footprint:
+        if _edge_distance(polygon, cand.uv) < footprint:
             holds = False
         for obs in obstacles:
             if np.linalg.norm(cand.uv - obs.center) < (obs.radius

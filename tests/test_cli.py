@@ -542,8 +542,16 @@ def test_malformed_input_file_is_a_pipeline_error(tmp_path, capsys, files,
      "--base", "0,0,inf"),
     (["place", "--scenario", str(DATA / "workstation.json"),
       "--base", "0,0,0"], "--base", "nan,0,0"),
+    (["place", "--scenario", str(DATA / "workstation.json"),
+      "--base", "0,0,0"], "--base", "1,,2,3"),
+    (["place", "--scenario", str(DATA / "workstation.json"),
+      "--base", "0,0,0"], "--base", "1,2,3,"),
+    (["place", "--scenario", str(DATA / "workstation.json"),
+      "--base", "0,0,0"], "--base", ",1,2,3"),
 ], ids=["dwa-start-nan", "dwa-start-inf", "dwa-goal-nan", "dwa-goal-minus-inf",
-        "dwa-goal-word", "place-base-inf", "place-base-nan-without-chain"])
+        "dwa-goal-word", "place-base-inf", "place-base-nan-without-chain",
+        "place-base-empty-field", "place-base-trailing-comma",
+        "place-base-leading-comma"])
 def test_non_finite_flag_values_are_a_pipeline_error(tmp_path, capsys, argv,
                                                      flag, value):
     from workbot.cli import main
@@ -583,6 +591,8 @@ def test_unsupported_requirement_names_the_domain(tmp_path, capsys):
     ({"99": "bogus"}, "fault script step 99: status must be "
                       "e_success/e_failure, got 'bogus'"),
     ({"x": "e_failure"}, "fault script: step 'x' must be a whole number"),
+    ({"-1": "e_failure"},
+     "fault script: step '-1' is negative, but steps count from 0"),
 ])
 def test_malformed_fault_script_is_a_pipeline_error(tmp_path, capsys, faults,
                                                     message):

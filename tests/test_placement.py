@@ -1,14 +1,18 @@
-"""Free-space sampling inequalities, dense-grid feasibility oracle, ranking."""
+"""Free-space sampling inequalities, dense-grid feasibility oracle, a
+per-draw reference sampler, ranking."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from workbot.cloud import PlaneBasis, Polygon2
+from workbot.cloud import PlaneBasis, Polygon2, _rowdot
 from workbot.geometry import Pose
 from workbot.kinematics import IkResult, NoConvergence, load_chain
-from workbot.placement import (NoFreeSpace, NoReachablePlacement, Obstacle2,
-                               PlacementPose, rank_placements,
-                               sample_placements, workstation_model)
+from workbot.placement import (_DRAW_BLOCK, NoFreeSpace, NoReachablePlacement,
+                               Obstacle2, PlacementPose, _pose_on_plane,
+                               rank_placements, sample_placements,
+                               workstation_model)
 from workbot.sim import gen_workstation, load_scenario
 
 TABLE_W, TABLE_H = 0.8, 0.6
@@ -26,6 +30,61 @@ def table_polygon(w=TABLE_W, h=TABLE_H, z=0.7) -> Polygon2:
 def bench_obstacles():
     return [Obstacle2(center=np.array([0.18, 0.10]), radius=0.054),
             Obstacle2(center=np.array([-0.20, -0.12]), radius=0.033)]
+
+
+def crowded_obstacles():
+    return [Obstacle2(center=np.array(c), radius=r) for c, r in [
+        ((0.0, 0.0), 0.15), ((0.25, 0.1), 0.08), ((-0.25, -0.1), 0.1),
+        ((0.2, -0.2), 0.05), ((-0.2, 0.2), 0.07)]]
+
+
+def scalar_edge_distance(polygon, uv) -> float:
+    """Distance to the closest edge segment, measured one edge at a time."""
+    verts = polygon.vertices
+    dists = []
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        ab = b - a
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0.0 else min(1.0, max(0.0, float((uv - a) @ ab)
+                                                   / denom))
+        dists.append(float(np.linalg.norm(uv - (a + t * ab))))
+    return min(dists)
+
+
+def reference_sample(polygon, obstacles, d_min=0.03, footprint=0.05, n=20,
+                     rng_seed=0, max_attempts=10000):
+    """The sampler one draw at a time: the reference the batched one meets."""
+    rng = np.random.default_rng(rng_seed)
+    verts = polygon.vertices
+    lo = verts.min(axis=0)
+    hi = verts.max(axis=0)
+    accepted = []
+    for _ in range(max_attempts):
+        if len(accepted) >= n:
+            break
+        uv = lo + rng.random(2) * (hi - lo)
+        if not polygon.contains(uv, eps=0.0):
+            continue
+        edge_d = scalar_edge_distance(polygon, uv)
+        if edge_d < footprint:
+            continue
+        margin_ok = True
+        clearance = edge_d
+        for obs in obstacles:
+            dist = float(np.linalg.norm(uv - obs.center))
+            if dist < obs.radius + footprint + d_min:
+                margin_ok = False
+                break
+            clearance = min(clearance, dist - obs.radius)
+        if not margin_ok:
+            continue
+        accepted.append(PlacementPose(pose=_pose_on_plane(polygon, uv),
+                                      uv=uv, clearance=clearance))
+    if not accepted:
+        raise NoFreeSpace(
+            f"no admissible placement in {max_attempts} attempts "
+            f"(footprint {footprint} m, separation {d_min} m)")
+    return accepted
 
 
 def feasible_grid(polygon, obstacles, d_min, footprint, step=0.001):
@@ -88,7 +147,7 @@ def test_samples_satisfy_stated_inequalities():
     assert len(placements) == 50
     for p in placements:
         assert polygon.contains(p.uv, eps=0.0)
-        edge_d = polygon.edge_distance(p.uv)
+        edge_d = scalar_edge_distance(polygon, p.uv)
         assert edge_d >= footprint
         gaps = [float(np.linalg.norm(p.uv - o.center)) - o.radius
                 for o in obstacles]
@@ -147,6 +206,96 @@ def test_sample_rejects_bad_arguments():
         sample_placements(polygon, [], d_min=-0.01)
     with pytest.raises(ValueError, match="positive"):
         sample_placements(polygon, [], n=0)
+    # a NaN margin would compare false against every distance
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_placements(polygon, [], footprint=float("nan"))
+
+
+def placement_bytes(placements):
+    return [(p.uv.tobytes(), type(p.clearance),
+             np.float64(p.clearance).tobytes(), p.pose.position.tobytes(),
+             p.pose.quat_xyzw.tobytes()) for p in placements]
+
+
+def assert_matches_reference(polygon, obstacles, **kw):
+    try:
+        want = placement_bytes(reference_sample(polygon, obstacles, **kw))
+    except NoFreeSpace as exc:
+        with pytest.raises(NoFreeSpace) as got:
+            sample_placements(polygon, obstacles, **kw)
+        assert str(got.value) == str(exc)
+        return 0
+    got = placement_bytes(sample_placements(polygon, obstacles, **kw))
+    assert got == want
+    return len(got)
+
+
+@pytest.mark.parametrize("scan_seed", [0, 1, 2])
+def test_sampler_matches_reference_on_seeded_scans(scan_seed):
+    sc = load_scenario("src/workbot/data/workstation.json")
+    cloud, _ = gen_workstation(replace(sc, seed=scan_seed))
+    _, polygon, obstacles = workstation_model(cloud)
+    for rng_seed in range(4):
+        for n in (4, 20):
+            assert assert_matches_reference(polygon, obstacles, n=n,
+                                            rng_seed=rng_seed) == n
+
+
+def test_sampler_matches_reference_on_crowded_and_degenerate_polygons():
+    # the second polygon repeats a vertex, so one of its edges has length 0
+    rect = table_polygon()
+    verts = np.insert(rect.vertices, 1, rect.vertices[1], axis=0)
+    repeated = Polygon2(vertices=verts, basis=rect.basis)
+    for polygon in (rect, repeated):
+        for rng_seed in range(5):
+            assert assert_matches_reference(polygon, crowded_obstacles(),
+                                            n=20, rng_seed=rng_seed) == 20
+
+
+def test_sampler_matches_reference_when_draws_run_out():
+    # an attempt budget that is not a whole number of blocks, and more
+    # placements asked for than the budget can supply
+    odd = 2 * _DRAW_BLOCK + 7
+    polygon = table_polygon()
+    kept = assert_matches_reference(polygon, crowded_obstacles(), n=300,
+                                    max_attempts=odd, rng_seed=3)
+    assert 0 < kept < 300
+    assert assert_matches_reference(polygon, bench_obstacles(), n=300,
+                                    rng_seed=1, max_attempts=500) < 300
+    assert assert_matches_reference(polygon, [], n=5, max_attempts=3) <= 3
+
+
+def test_sampler_matches_reference_on_no_free_space():
+    blocker = [Obstacle2(center=np.array([0.0, 0.0]), radius=0.65)]
+    assert assert_matches_reference(table_polygon(), blocker,
+                                    max_attempts=_DRAW_BLOCK + 1) == 0
+
+
+@pytest.mark.parametrize("shape", [(500, 2), (200, 7, 2)])
+def test_rowdot_is_bit_equal_to_row_by_row_matmul(shape):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    b = rng.normal(size=shape)
+    rows_a, rows_b = a.reshape(-1, 2), b.reshape(-1, 2)
+    want = np.array([x @ y for x, y in zip(rows_a, rows_b)])
+    assert _rowdot(a, b).reshape(-1).tobytes() == want.tobytes()
+    norms = np.array([np.linalg.norm(x) for x in rows_a])
+    assert np.sqrt(_rowdot(a, a)).reshape(-1).tobytes() == norms.tobytes()
+
+
+def test_edge_distance_takes_a_point_or_a_batch():
+    rect = table_polygon()
+    verts = np.insert(rect.vertices, 2, rect.vertices[2], axis=0)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-0.6, 0.6, size=(300, 2))
+    for polygon in (rect, Polygon2(vertices=verts, basis=rect.basis)):
+        batch = polygon.edge_distance(pts)
+        assert batch.shape == (300,)
+        one = polygon.edge_distance(pts[0])
+        assert isinstance(one, float)
+        assert one == batch[0]
+        want = np.array([scalar_edge_distance(polygon, p) for p in pts])
+        assert batch.tobytes() == want.tobytes()
 
 
 def test_obstacle_and_pose_validation():

@@ -1,5 +1,6 @@
 """2D/3D tracking, assignment, circular-motion estimation and triggers."""
 
+import dataclasses
 import itertools
 import math
 
@@ -200,6 +201,15 @@ def test_gated_assignment_matches_enumeration():
 
 
 # --- SORT --------------------------------------------------------------------
+
+def test_sort_config_is_frozen():
+    # the tracker builds its transition from dt once, so dt cannot change
+    cfg = SortConfig()
+    SortTracker(cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.dt = 0.5
+    assert cfg.dt == 1.0 / 15.0
+
 
 def test_sort_two_detections_spawn_ids_zero_one():
     tracker = SortTracker(SortConfig())
