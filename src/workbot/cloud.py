@@ -28,6 +28,10 @@ DEGENERATE_EIG = 1e-16
 
 _BOUNDARY_EPS = 1e-12
 
+# RANSAC candidates built per batch: the default 500 iterations fit in one
+# block, and a larger max_iters does not grow the batch arrays
+_PLANE_BLOCK = 512
+
 
 class CloudError(WorkbotError):
     pass
@@ -176,6 +180,8 @@ class Polygon2:
         verts = frozen_array(self.vertices)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise ValueError("polygon needs at least 3 2D vertices")
+        if not np.isfinite(verts).all():
+            raise ValueError("polygon vertices must be finite")
         if _signed_area(verts) <= 0.0:
             raise ValueError("polygon vertices must wind counter-clockwise")
         object.__setattr__(self, "vertices", verts)
@@ -263,6 +269,14 @@ class PerceptionConfig:
     cluster_max_size: int = 20000
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.plane_angle_tol <= math.pi / 2.0:
+            raise ValueError(f"plane_angle_tol must be in (0, pi/2], "
+                             f"got {self.plane_angle_tol}")
+        if not self.plane_dist_thresh > 0.0:
+            raise ValueError(f"plane_dist_thresh must be positive, "
+                             f"got {self.plane_dist_thresh}")
+
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """Replace each occupied voxel by the centroid of its member points.
@@ -309,7 +323,8 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
         raise TooFewPoints(f"normal estimation needs k >= 3, got {k}")
     if n < k:
         raise TooFewPoints(f"cloud has {n} points but k = {k}")
-    tree = cKDTree(cloud.points)
+    # sliding-midpoint splits answer the same queries faster on clustered scans
+    tree = cKDTree(cloud.points, balanced_tree=False)
     _, nn = tree.query(cloud.points, k=k)
     neigh = cloud.points[nn]
     centered = neigh - neigh.mean(axis=1, keepdims=True)
@@ -339,6 +354,12 @@ def segment_plane(cloud: PointCloud,
     plane distance is at most dist_thresh and its own normal agrees with
     the plane normal (up to sign) within angle_tol.  Returns the admissible
     candidate with the most inliers.
+
+    Every iteration draws its sample, whatever its candidate turns out to
+    be, so the random stream depends only on rng_seed and max_iters.  Of
+    admissible candidates with equally many inliers, the first drawn wins.
+    Candidates are built a block of draws at a time, so memory stays
+    bounded whatever max_iters is.
     """
     pts = cloud.points
     n = len(cloud)
@@ -348,35 +369,38 @@ def segment_plane(cloud: PointCloud,
         raise ValueError("plane segmentation requires per-point normals")
     ref = unit(ref_axis)
     cos_tol = math.cos(angle_tol)
-    rng = np.random.default_rng(rng_seed)
-    best_mask = None
-    best_count = 0
-    best_plane: tuple[np.ndarray, float] | None = None
-    for _ in range(max_iters):
-        i, j, k = rng.choice(n, size=3, replace=False)
-        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        norm = float(np.linalg.norm(normal))
-        if norm < 1e-12:
-            continue
-        normal = normal / norm
-        offset = -float(normal @ pts[i])
-        if abs(float(normal @ ref)) < cos_tol:
-            continue
+
+    def inliers(normal, offset):
         dist = np.abs(pts @ normal + offset)
         aligned = np.abs(cloud.normals @ normal) >= cos_tol
-        mask = (dist <= dist_thresh) & aligned
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            best_plane = (normal, offset)
+        return (dist <= dist_thresh) & aligned
+
+    rng = np.random.default_rng(rng_seed)
+    best_count = 0
+    best_plane: tuple[np.ndarray, float] | None = None
+    for start in range(0, max_iters, _PLANE_BLOCK):
+        draws = np.array([rng.choice(n, size=3, replace=False) for _ in
+                          range(min(_PLANE_BLOCK, max_iters - start))])
+        a = pts[draws[:, 0]]
+        normals = np.cross(pts[draws[:, 1]] - a, pts[draws[:, 2]] - a)
+        norms = np.sqrt(_rowdot(normals, normals))
+        solid = norms >= 1e-12
+        normals = normals[solid] / norms[solid, None]
+        offsets = -_rowdot(normals, a[solid])
+        upright = np.abs(_rowdot(normals, ref)) >= cos_tol
+        for normal, offset in zip(normals[upright], offsets[upright].tolist()):
+            count = np.count_nonzero(inliers(normal, offset))
+            if count > best_count:
+                best_count = count
+                best_plane = (normal, offset)
     if best_plane is None or best_count < 3:
         raise NoAdmissiblePlane(
             f"no plane within {math.degrees(angle_tol):.1f} deg of the reference "
             f"axis gathered at least 3 inliers")
     normal, offset = best_plane
+    mask = inliers(normal, offset)
     return Plane(normal=normal, offset=offset,
-                 inliers=np.nonzero(best_mask)[0].astype(np.intp))
+                 inliers=np.nonzero(mask)[0].astype(np.intp))
 
 
 def _plane_basis(plane: Plane, pts: np.ndarray) -> PlaneBasis:

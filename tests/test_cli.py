@@ -492,6 +492,16 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
                   "--config", "cfg.json"], "cfg.json", "ValueError",
                  "'leaf' must be a finite number, got 'x'",
                  id="perceive-config"),
+    *[pytest.param({"cfg.json": {key: value}},
+                   ["perceive", "--scenario", str(DATA / "workstation.json"),
+                    "--config", "cfg.json"], "cfg.json", "ValueError",
+                   message, id=f"perceive-config-{key}-{value}")
+      for key, value, message in [
+          ("plane_angle_tol", 2.0,
+           "plane_angle_tol must be in (0, pi/2], got 2.0"),
+          ("plane_dist_thresh", -0.005,
+           "plane_dist_thresh must be positive, got -0.005"),
+      ]],
     pytest.param({"sc.json": {**RTT, "center": [0]}},
                  ["rtt", "--scenario", "sc.json"], "sc.json", "ValueError",
                  "'center' must be a list of 2 values, got [0]",

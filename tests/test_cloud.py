@@ -1,6 +1,9 @@
 """Tabletop perception pipeline: filters, plane, hull, prism, clusters, PLY."""
 
+import functools
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from workbot.cloud import (
-    DegenerateInliers, DegenerateNeighborhood, InvertedHeightRange,
-    InvertedRange, NoAdmissiblePlane, NonPositiveLeaf, PerceptionConfig,
-    PlyParseError, PointCloud, TooFewPoints, convex_hull, estimate_normals,
-    euclidean_cluster, extract_prism, load_ply, passthrough, save_ply,
-    segment_plane, voxel_downsample)
+    _PLANE_BLOCK, DegenerateInliers, DegenerateNeighborhood,
+    InvertedHeightRange, InvertedRange, NoAdmissiblePlane, NonPositiveLeaf,
+    PerceptionConfig, Plane, PlaneBasis, PlyParseError, PointCloud, Polygon2,
+    TooFewPoints, convex_hull, estimate_normals, euclidean_cluster,
+    extract_prism, load_ply, passthrough, save_ply, segment_plane,
+    voxel_downsample)
+from workbot.geometry import unit
 from workbot.jsonio import decode
+from workbot.sim import gen_workstation, load_scenario
 
 
 def grid_cloud(n=5, spacing=0.01, z=0.0):
@@ -120,6 +126,25 @@ def test_normals_degenerate_neighborhood_raises():
         estimate_normals(PointCloud(pts), k=4)
 
 
+def test_normals_match_a_brute_force_neighbour_oracle():
+    # neighbours from a stable sort of the full distance matrix, then the
+    # same covariance and eigh steps: the library's k-d tree must find the
+    # same neighbours in the same order
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-0.3, 0.3, (400, 3)) + [0.0, 0.0, 0.7]
+    k = 10
+    gap = pts[:, None, :] - pts[None, :, :]
+    nn = np.argsort((gap ** 2).sum(axis=2), axis=1, kind="stable")[:, :k]
+    neigh = pts[nn]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    want = np.linalg.eigh(cov)[1][:, :, 0].copy()
+    want[np.einsum("ni,ni->n", want, pts) > 0.0] *= -1.0
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    got = estimate_normals(PointCloud(pts), k=k).normals
+    assert got.tobytes() == want.tobytes()
+
+
 # --- segment_plane -----------------------------------------------------------
 
 def make_table_scene(seed=0, tilt=0.0):
@@ -168,6 +193,126 @@ def test_segment_plane_deterministic_given_seed():
     b = segment_plane(cloud, rng_seed=11)
     np.testing.assert_array_equal(a.inliers, b.inliers)
     assert a.offset == b.offset
+
+
+def reference_segment_plane(cloud, dist_thresh=0.005, ref_axis=(0.0, 0.0, 1.0),
+                            angle_tol=math.radians(10.0), max_iters=500,
+                            rng_seed=0):
+    """RANSAC one candidate per iteration: the oracle for segment_plane."""
+    pts = cloud.points
+    n = len(cloud)
+    ref = unit(ref_axis)
+    cos_tol = math.cos(angle_tol)
+    rng = np.random.default_rng(rng_seed)
+    best_mask = None
+    best_count = 0
+    best_plane = None
+    for _ in range(max_iters):
+        i, j, k = rng.choice(n, size=3, replace=False)
+        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        norm = float(np.linalg.norm(normal))
+        if norm < 1e-12:
+            continue
+        normal = normal / norm
+        offset = -float(normal @ pts[i])
+        if abs(float(normal @ ref)) < cos_tol:
+            continue
+        dist = np.abs(pts @ normal + offset)
+        aligned = np.abs(cloud.normals @ normal) >= cos_tol
+        mask = (dist <= dist_thresh) & aligned
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            best_plane = (normal, offset)
+    if best_plane is None or best_count < 3:
+        raise NoAdmissiblePlane(
+            f"no plane within {math.degrees(angle_tol):.1f} deg of the reference "
+            f"axis gathered at least 3 inliers")
+    normal, offset = best_plane
+    return Plane(normal=normal, offset=offset,
+                 inliers=np.nonzero(best_mask)[0].astype(np.intp))
+
+
+def plane_bytes(plane):
+    return (plane.normal.tobytes(), np.float64(plane.offset).tobytes(),
+            plane.inliers.tobytes())
+
+
+@functools.cache
+def working_scan(index):
+    """The downsampled scan with normals: 0 is the bundled scan, 1-8 are
+    seeded scans at 10k, 20k, 30k and 40k points per square metre."""
+    sc = load_scenario("src/workbot/data/workstation.json")
+    if index:
+        sc = replace(sc, seed=200 + index, density=10000.0 * (1 + index % 4))
+    cloud, _ = gen_workstation(sc)
+    return estimate_normals(voxel_downsample(cloud, 0.005))
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_segment_plane_matches_the_per_iteration_reference(index):
+    cloud = working_scan(index)
+    for rng_seed in (0, 1, 7):
+        want = plane_bytes(reference_segment_plane(cloud, rng_seed=rng_seed))
+        assert plane_bytes(segment_plane(cloud, rng_seed=rng_seed)) == want
+
+
+@pytest.mark.parametrize("kw", [
+    {"max_iters": 1300, "rng_seed": 5},
+    {"max_iters": 513, "rng_seed": 2, "angle_tol": math.radians(80.0)},
+    {"max_iters": 40, "rng_seed": 3, "dist_thresh": 0.0005},
+], ids=["three-blocks", "one-past-a-block", "few-draws-thin-band"])
+def test_segment_plane_matches_the_reference_across_blocks(kw):
+    cloud = working_scan(1)
+    want = plane_bytes(reference_segment_plane(cloud, **kw))
+    assert plane_bytes(segment_plane(cloud, **kw)) == want
+
+
+def noisy_table(n=60):
+    rng = np.random.default_rng(6)
+    pts = np.column_stack([rng.uniform(-0.4, 0.4, n),
+                           rng.uniform(-0.3, 0.3, n),
+                           0.7 + rng.normal(0.0, 0.002, n)])
+    return PointCloud(pts, normals=np.tile([0.0, 0.0, 1.0], (n, 1)))
+
+
+def test_segment_plane_keeps_the_first_drawn_of_tied_candidates():
+    # with a band far wider than the noise, every admissible candidate holds
+    # all 60 points, so only the draw order picks the winner
+    cloud = noisy_table()
+    kw = {"dist_thresh": 0.05, "max_iters": 1300}
+    want = reference_segment_plane(cloud, **kw)
+    assert want.inliers.size == 60
+    assert plane_bytes(segment_plane(cloud, **kw)) == plane_bytes(want)
+
+
+def test_segment_plane_memory_does_not_grow_with_max_iters():
+    cloud = noisy_table()
+
+    def peak_bytes(max_iters):
+        tracemalloc.start()
+        try:
+            segment_plane(cloud, dist_thresh=0.05, max_iters=max_iters)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the next block is drawn while the last one's arrays are still alive
+    two = peak_bytes(2 * _PLANE_BLOCK)
+    assert peak_bytes(8 * _PLANE_BLOCK) < 1.5 * two
+
+
+def test_segment_plane_failures_match_the_reference():
+    line = np.column_stack([np.linspace(0.0, 1.0, 30), np.zeros(30),
+                            np.full(30, 0.7)])
+    collinear = PointCloud(line, normals=np.tile([0.0, 0.0, 1.0], (30, 1)))
+    for cloud, kw in ((collinear, {}), (working_scan(0), {"max_iters": 0})):
+        with pytest.raises(NoAdmissiblePlane) as want:
+            reference_segment_plane(cloud, **kw)
+        with pytest.raises(NoAdmissiblePlane) as got:
+            segment_plane(cloud, **kw)
+        assert str(got.value) == str(want.value)
 
 
 # --- convex_hull -------------------------------------------------------------
@@ -238,6 +383,15 @@ def test_hull_vertices_are_ccw_extreme_points():
         d = np.array([math.cos(theta), math.sin(theta)])
         proj = poly.basis.project(pts) @ d
         assert np.max(verts @ d) >= np.max(proj) - 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polygon_rejects_a_non_finite_vertex(bad):
+    basis = PlaneBasis(origin=np.zeros(3), u=np.array([1.0, 0.0, 0.0]),
+                       v=np.array([0.0, 1.0, 0.0]))
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        Polygon2(vertices=verts, basis=basis)
 
 
 def test_hull_collinear_points_degenerate():
@@ -413,3 +567,17 @@ def test_perception_config_from_json_partial():
                  "cfg.json")
     assert cfg.leaf == 0.01 and cfg.cluster_tol == 0.05
     assert cfg.normals_k == 10
+
+
+@pytest.mark.parametrize("field, value", [
+    ("plane_angle_tol", 0.0), ("plane_angle_tol", -0.1),
+    ("plane_angle_tol", math.pi / 2.0 + 1e-9), ("plane_angle_tol", math.nan),
+    ("plane_dist_thresh", 0.0), ("plane_dist_thresh", -0.005),
+    ("plane_dist_thresh", math.nan)])
+def test_perception_config_rejects_bad_ransac_settings(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        PerceptionConfig(**{field: value})
+
+
+def test_perception_config_accepts_a_right_angle_tolerance():
+    assert PerceptionConfig(plane_angle_tol=math.pi / 2.0).plane_angle_tol > 0

@@ -1,6 +1,7 @@
 """Free-space sampling inequalities, dense-grid feasibility oracle, a
 per-draw reference sampler, ranking."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,30 @@ def test_workstation_model_polygon_covers_table():
     cloud, _ = gen_workstation(sc)
     plane, polygon, _ = workstation_model(cloud)
     assert polygon.area() == pytest.approx(TABLE_W * TABLE_H, rel=0.1)
+
+
+# SHA-256 over the plane (normal, offset, inliers), hull vertices, basis
+# (origin, u, v) and obstacle discs of eight seeded scans, two at each of
+# 10k, 20k, 30k and 40k points per square metre.  A perception change that
+# moves any of these bytes must say so and record the digest again.
+PERCEPTION_DIGEST = (
+    "6fb20cd01eef89a884159f2cb4f76f9b6fb6c985482fdd3f734985bce4c6895d")
+
+
+def test_workstation_model_matches_the_recorded_digest():
+    sc = load_scenario("src/workbot/data/workstation.json")
+    digest = hashlib.sha256()
+    for i, density in enumerate((10000.0, 20000.0, 30000.0, 40000.0) * 2):
+        cloud, _ = gen_workstation(replace(sc, seed=100 + i, density=density))
+        plane, polygon, obstacles = workstation_model(cloud)
+        basis = polygon.basis
+        for arr in (plane.normal, np.float64(plane.offset), plane.inliers,
+                    polygon.vertices, basis.origin, basis.u, basis.v):
+            digest.update(arr.tobytes())
+        for obs in obstacles:
+            digest.update(obs.center.tobytes())
+            digest.update(np.float64(obs.radius).tobytes())
+    assert digest.hexdigest() == PERCEPTION_DIGEST
 
 
 # ---------------------------------------------------------------------------
