@@ -52,19 +52,22 @@ def _load_planning_task(args):
     return domain, problem
 
 
-def _workstation_scenario(path, seed):
+def _scenario(path, seed, kind=None):
+    """The scenario at ``path``, which must be a ``kind`` ("workstation" or
+    "rtt") scenario when one is given, with ``seed`` as its seed if given."""
     from . import sim as simmod
     sc = simmod.load_scenario(path)
-    if not isinstance(sc, simmod.WorkstationScenario):
-        raise ValueError(f"scenario {path} is not a workstation scenario")
+    expected = {"workstation": simmod.WorkstationScenario,
+                "rtt": simmod.RttScenario}
+    if kind is not None and not isinstance(sc, expected[kind]):
+        article = "an" if kind == "rtt" else "a"
+        raise ValueError(f"scenario {path} is not {article} {kind} scenario")
     return sc if seed is None else replace(sc, seed=seed)
 
 
-def _perception_config(path):
-    from .cloud import PerceptionConfig
-    if path is None:
-        return PerceptionConfig()
-    return decode(PerceptionConfig, load_json(path), path)
+def _config(cls, path):
+    """The ``--config`` file at ``path`` as a ``cls``; defaults if None."""
+    return cls() if path is None else decode(cls, load_json(path), path)
 
 
 def _parse_floats(text: str, n: int, flag: str) -> tuple[float, ...]:
@@ -88,8 +91,8 @@ def cmd_perceive(args) -> int:
     from . import placement as placemod
     from . import sim as simmod
 
-    sc = _workstation_scenario(args.scenario, args.seed)
-    cfg = _perception_config(args.config)
+    sc = _scenario(args.scenario, args.seed, "workstation")
+    cfg = _config(cloudmod.PerceptionConfig, args.config)
     cloud, truth = simmod.gen_workstation(sc)
     if args.cloud_out:
         cloudmod.save_ply(cloud, args.cloud_out)
@@ -125,11 +128,12 @@ def cmd_place(args) -> int:
     from . import kinematics as kinmod
     from . import placement as placemod
     from . import sim as simmod
+    from .cloud import PerceptionConfig
     from .geometry import Pose
 
     base_xyz = _parse_floats(args.base, 3, "--base")
-    sc = _workstation_scenario(args.scenario, args.seed)
-    cfg = _perception_config(args.config)
+    sc = _scenario(args.scenario, args.seed, "workstation")
+    cfg = _config(PerceptionConfig, args.config)
     cloud, _ = simmod.gen_workstation(sc)
     plane, polygon, obstacles = placemod.workstation_model(cloud, cfg)
     cands = placemod.sample_placements(polygon, obstacles,
@@ -199,11 +203,7 @@ def cmd_grasp(args) -> int:
 
 def cmd_rtt(args) -> int:
     from . import sim as simmod
-    sc = simmod.load_scenario(args.scenario)
-    if not isinstance(sc, simmod.RttScenario):
-        raise ValueError(f"scenario {args.scenario} is not an rtt scenario")
-    if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
+    sc = _scenario(args.scenario, args.seed, "rtt")
     frames3, frames2, truth = simmod.gen_rtt_stream(sc)
     if args.tracker == "sort":
         metrics = simmod.evaluate_sort(frames2, truth)
@@ -217,8 +217,7 @@ def cmd_rtt(args) -> int:
 def cmd_dwa(args) -> int:
     from . import dwa as dwamod
     grid = dwamod.load_pgm(args.map)
-    cfg = (decode(dwamod.DWAConfig, load_json(args.config), args.config)
-           if args.config else dwamod.DWAConfig())
+    cfg = _config(dwamod.DWAConfig, args.config)
     x, y, theta = _parse_floats(args.start, 3, "--start")
     goal = _parse_floats(args.goal, 2, "--goal")
     result = dwamod.run_episode(dwamod.RobotState(x=x, y=y, theta=theta),
@@ -262,9 +261,7 @@ def cmd_exec(args) -> int:
 
 def cmd_gen(args) -> int:
     from . import sim as simmod
-    sc = simmod.load_scenario(args.scenario)
-    if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
+    sc = _scenario(args.scenario, args.seed)
     if isinstance(sc, simmod.WorkstationScenario):
         from .cloud import save_ply
         cloud, truth = simmod.gen_workstation(sc)

@@ -562,7 +562,10 @@ def load_ply(path) -> PointCloud:
         fail(lineno, f"declared {count} vertices but found {len(rows)}")
     values = np.array(rows, dtype=float).reshape(count, len(props))
     normals = values[:, 3:6] if len(props) == 6 else None
-    return PointCloud(values[:, :3], normals=normals)
+    try:
+        return PointCloud(values[:, :3], normals=normals)
+    except ValueError as exc:
+        raise PlyParseError(f"{name}: {exc}") from None
 
 
 def save_ply(cloud: PointCloud, path) -> None:

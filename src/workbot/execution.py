@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 from .errors import WorkbotError
 from .jsonio import decode
-from .pddl import (Atom, DomainDef, GroundAction, Plan, ProblemDef,
-                   Unsolvable, plan as make_plan)
+from .pddl import (Atom, DomainDef, GroundAction, ProblemDef, Unsolvable,
+                   ground, search as make_plan)
 
 E_START = "e_start"
 E_STOP = "e_stop"
@@ -139,11 +139,13 @@ def execute(domain: DomainDef, problem: ProblemDef,
             mode: str = "greedy") -> ExecutionTrace:
     """Plan, run each step through its component, replan on failure.
 
-    ``fault_script`` forces the status of specific global step indices
-    (counted across replans) without consuming the binding's own script.
-    The budget allows max_replans replans, i.e. max_replans + 1 plans in
-    total; exhausting it, or an unsolvable replanning state, ends the trace
-    with the corresponding outcome instead of raising.
+    Each plan searches the actions grounded once; only a failure that adds
+    atoms (maybe ones no action adds) grounds again.  ``fault_script``
+    forces the status of specific global step indices (counted across
+    replans) without consuming the binding's own script.  The budget allows
+    max_replans replans, i.e. max_replans + 1 plans in total; exhausting
+    it, or an unsolvable replanning state, ends the trace with the
+    corresponding outcome instead of raising.
     """
     for schema in domain.actions:
         if schema.name not in bindings:
@@ -152,6 +154,7 @@ def execute(domain: DomainDef, problem: ProblemDef,
     # how many times each binding has run in this execution
     runs = dict.fromkeys(bindings, 0)
 
+    actions = ground(domain, problem)
     kb = problem.init
     records: list[TraceRecord] = []
     replans = 0
@@ -162,7 +165,7 @@ def execute(domain: DomainDef, problem: ProblemDef,
     while outcome is None:
         plans_attempted += 1
         try:
-            the_plan = make_plan(domain, replace(problem, init=kb), mode)
+            the_plan = make_plan(actions, kb, problem.goal, mode)
         except Unsolvable:
             outcome = OUTCOME_UNSOLVABLE
             break
@@ -184,6 +187,8 @@ def execute(domain: DomainDef, problem: ProblemDef,
             step += 1
             if status == E_FAILURE:
                 outcome = OUTCOME_BUDGET if replans > max_replans else None
+                if outcome is None and binding.failure_add:
+                    actions = ground(domain, replace(problem, init=kb))
                 break
     return ExecutionTrace(records=tuple(records), outcome=outcome,
                           final_kb=kb, replans=replans,

@@ -3,9 +3,9 @@
 Covers a deliberately small PDDL subset: :strips, :typing,
 :negative-preconditions and :action-costs with a single total-cost fluent.
 Costs may reference static numeric functions whose values come from the
-problem init.  The planner searches forward, either cost-optimal
-(uniform-cost) or greedy on a goal-count heuristic, and ties always break
-on the lexicographic order of ground action names so results are stable.
+problem init.  ``plan`` grounds a problem, then ``search``es forward over
+its ground actions, either cost-optimal (uniform-cost) or greedy on a
+goal-count heuristic; ties break on ground action names, so plans are stable.
 """
 
 from __future__ import annotations
@@ -694,13 +694,19 @@ def _goal_holds(goal: tuple[Atom, ...], state: frozenset[Atom]) -> bool:
 
 def plan(domain: DomainDef, problem: ProblemDef,
          mode: str = "optimal") -> Plan:
-    """Forward search over ground actions.
+    """Ground the problem, then ``search`` it from its init."""
+    return search(ground(domain, problem), problem.init, problem.goal, mode)
+
+
+def search(actions: list[GroundAction], init: frozenset[Atom],
+           goal: tuple[Atom, ...], mode: str = "optimal") -> Plan:
+    """Forward search over ground ``actions`` from ``init`` to ``goal``.
 
     "optimal" runs uniform-cost search and returns a minimal-cost plan;
     "greedy" runs best-first on the number of unsatisfied goal atoms and
     returns the first plan found.  Both are deterministic: the frontier
-    orders equal-priority entries by the plan prefix, whose elements follow
-    the sorted ground-action order.
+    orders equal-priority entries by the plan prefix, whose elements index
+    ``actions``, in the name order that ``ground`` gives them.
 
     A state is an int with one bit per atom.  Each action is filed under
     one of its precondition bits, so an expanded state tries only the
@@ -711,8 +717,7 @@ def plan(domain: DomainDef, problem: ProblemDef,
     """
     if mode not in ("optimal", "greedy"):
         raise ValueError(f"mode must be 'optimal' or 'greedy', got {mode!r}")
-    actions = ground(domain, problem)
-    atoms = set(problem.init).union(problem.goal)
+    atoms = set(init).union(goal)
     for act in actions:
         atoms.update(act.pre_pos, act.pre_neg, act.add, act.delete)
     bit = {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
@@ -737,12 +742,12 @@ def plan(domain: DomainDef, problem: ProblemDef,
     # listed more than k times, and layer 0 is the goal
     layers: list[int] = []
     listings: dict[Atom, int] = {}
-    for atom in problem.goal:
+    for atom in goal:
         k = listings[atom] = listings.get(atom, 0) + 1
         if k > len(layers):
             layers.append(0)
         layers[k - 1] |= bit[atom]
-    goal = layers[0] if layers else 0
+    goal_bits = layers[0] if layers else 0
 
     def unsatisfied(state: int) -> int:
         count = 0
@@ -751,7 +756,7 @@ def plan(domain: DomainDef, problem: ProblemDef,
         return count
 
     optimal = mode == "optimal"
-    start = mask(problem.init)
+    start = mask(init)
     # frontier entries: (priority, path indices, state, cost)
     frontier = [(0.0 if optimal else unsatisfied(start), (), start, 0.0)]
     best_cost: dict[int, float] = {start: 0.0}
@@ -761,7 +766,7 @@ def plan(domain: DomainDef, problem: ProblemDef,
 
     while frontier:
         _, path, state, cost = pop(frontier)
-        if state & goal == goal:
+        if state & goal_bits == goal_bits:
             return Plan(actions=tuple(actions[i] for i in path), cost=cost,
                         expanded=expanded, generated=generated)
         if state in closed:

@@ -180,13 +180,15 @@ def gated_assignment(cost, allowed) -> list[tuple[int, int]]:
     """Minimum-cost assignment over the allowed pairs only, as (row, col)
     pairs in row order.
 
-    Forbidden pairs cost 1e6, so ``hungarian`` first makes as many allowed
-    pairs as it can and then the cheapest such set; this holds only while
-    the allowed costs sum to far below 1e6.  A forbidden pair the solver
-    still makes to fill a row or column is dropped.
+    A forbidden pair costs more than the allowed costs of any two
+    assignments can differ by, so ``hungarian`` first makes as many allowed
+    pairs as it can and then the cheapest such set.  A forbidden pair the
+    solver still makes to fill a row or column is dropped.
     """
+    cost = np.asarray(cost, dtype=float)
     allowed = np.asarray(allowed, dtype=bool)
-    assigned = hungarian(np.where(allowed, cost, 1e6))
+    spread = 2.0 * min(cost.shape) * np.abs(cost[allowed]).max(initial=0.0)
+    assigned = hungarian(np.where(allowed, cost, 1.0 + spread))
     return [(r, c) for r, c in sorted(assigned.items()) if allowed[r, c]]
 
 

@@ -211,6 +211,14 @@ class RttScenario:
             raise ValueError("radius, frame_rate and duration must be positive")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError(f"dropout must lie in [0, 1): {self.dropout}")
+        for name in ("noise_sigma_m", "noise_sigma_px"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(
+                    f"{name} must not be negative, got {getattr(self, name)}")
+        for name in ("box_size", "pixels_per_meter"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

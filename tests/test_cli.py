@@ -226,10 +226,17 @@ def test_pipeline_error_reports_json_on_stderr(tmp_path):
 def test_bad_scenario_kind_is_a_pipeline_error(tmp_path):
     wrong = tmp_path / "wrong.json"
     wrong.write_text('{"kind": "rtt", "objects": []}\n')
-    proc = run_cli("perceive", "--scenario", str(wrong),
-                   "--out", str(tmp_path / "m.csv"))
-    assert proc.returncode == 1
-    assert json.loads(proc.stderr)["error"] == "ValueError"
+    workstation = DATA / "workstation.json"
+    for command, scenario, message in [
+            ("perceive", wrong, f"scenario {wrong} is not a workstation "
+                                f"scenario"),
+            ("rtt", workstation, f"scenario {workstation} is not an rtt "
+                                 f"scenario")]:
+        proc = run_cli(command, "--scenario", str(scenario),
+                       "--out", str(tmp_path / "m.csv"))
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {"error": "ValueError",
+                                           "message": message}
 
 
 @pytest.mark.parametrize("config", [{"passthrough": ["z", 5.0, 6.0]},
@@ -506,6 +513,18 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
                  ["rtt", "--scenario", "sc.json"], "sc.json", "ValueError",
                  "'center' must be a list of 2 values, got [0]",
                  id="rtt-center"),
+    *[pytest.param({"sc.json": {**RTT, key: value}},
+                   ["rtt", "--scenario", "sc.json"], "sc.json", "ValueError",
+                   message, id=f"rtt-{key}-{value}")
+      for key, value, message in [
+          ("noise_sigma_m", -0.01,
+           "noise_sigma_m must not be negative, got -0.01"),
+          ("noise_sigma_px", -2, "noise_sigma_px must not be negative, "
+                                 "got -2.0"),
+          ("box_size", 0, "box_size must be positive, got 0.0"),
+          ("pixels_per_meter", -400.0,
+           "pixels_per_meter must be positive, got -400.0"),
+      ]],
     pytest.param({"sc.json": {**WORKSTATION, "width": "1"}},
                  ["perceive", "--scenario", "sc.json"], "sc.json",
                  "ValueError", "'width' must be a finite number, got '1'",

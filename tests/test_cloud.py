@@ -560,6 +560,23 @@ def test_ply_rejects_non_numeric_row(tmp_path):
     assert ":8:" in str(exc.value)
 
 
+@pytest.mark.parametrize("props, rows, message", [
+    ("x y z", "0 0 0\n0 nan 0\n", "points must be a finite (n, 3) array"),
+    ("x y z", "0 0 0\ninf 0 0\n", "points must be a finite (n, 3) array"),
+    ("x y z nx ny nz", "0 0 0 0 0 1\n0 0 0 0 0 2\n",
+     "normals must have unit length"),
+], ids=["nan-point", "inf-point", "long-normal"])
+def test_ply_rejects_a_bad_value_naming_the_file(tmp_path, props, rows,
+                                                 message):
+    p = tmp_path / "value.ply"
+    header = "".join(f"property float {prop}\n" for prop in props.split())
+    p.write_text(f"ply\nformat ascii 1.0\nelement vertex 2\n{header}"
+                 f"end_header\n{rows}")
+    with pytest.raises(PlyParseError) as exc:
+        load_ply(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
 # --- config ------------------------------------------------------------------
 
 def test_perception_config_from_json_partial():

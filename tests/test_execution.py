@@ -1,16 +1,21 @@
 """Component stepping, replan budgets, fault injection, trace invariants."""
 
+import itertools
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from workbot import execution
 from workbot.execution import (E_FAILURE, E_START, E_STOP, E_STOPPED,
                                E_SUCCESS, E_TRIGGER, ActionBinding,
-                               UnknownAction, component_step, execute,
-                               load_bindings, load_fault_script)
-from workbot.pddl import GroundAction, ground, parse_domain, parse_problem
+                               ExecutionTrace, TraceRecord, UnknownAction,
+                               component_step, execute, load_bindings,
+                               load_fault_script)
+from workbot.pddl import (GroundAction, PddlError, Unsolvable, ground,
+                          parse_domain, parse_problem, plan)
 
 DATA = Path("src/workbot/data")
 
@@ -311,3 +316,205 @@ def test_load_bindings_round_trip():
 
 def test_load_fault_script_coerces_keys():
     assert load_fault_script({"3": E_FAILURE}) == {3: E_FAILURE}
+
+
+# ---------------------------------------------------------------------------
+# grounding once: execute against a loop that grounds on every attempt
+
+
+def reference_execute(domain, problem, bindings, fault_script=None,
+                      max_replans=3, mode="greedy"):
+    """The executor as a loop that plans each attempt from scratch with
+    ``plan(domain, replace(problem, init=kb))``, so that it grounds the
+    problem again from every knowledge base."""
+    fault_script = fault_script or {}
+    runs = dict.fromkeys(bindings, 0)
+    kb, records, replans, plans_attempted, step = problem.init, [], 0, 0, 0
+    outcome = None
+    while outcome is None:
+        plans_attempted += 1
+        try:
+            the_plan = plan(domain, replace(problem, init=kb), mode)
+        except Unsolvable:
+            outcome = "Unsolvable"
+            break
+        outcome = "Success"
+        for act in the_plan.actions:
+            name = act.name.strip("()").split()[0]
+            binding = bindings[name]
+            status = fault_script.get(step)
+            if status is None:
+                status = binding.script[min(runs[name],
+                                            len(binding.script) - 1)]
+                runs[name] += 1
+            if status == E_SUCCESS:
+                kb = (kb - act.delete) | act.add
+            else:
+                kb = (kb - binding.failure_delete) | binding.failure_add
+                replans += 1
+            records.append(TraceRecord(step=step, action=act.name,
+                                       status=status, kb_size=len(kb),
+                                       replans=replans, kb_after=kb))
+            step += 1
+            if status == E_FAILURE:
+                outcome = ("ReplanBudgetExhausted" if replans > max_replans
+                           else None)
+                break
+    return ExecutionTrace(records=tuple(records), outcome=outcome,
+                          final_kb=kb, replans=replans,
+                          plans_attempted=plans_attempted)
+
+
+def run_both(domain, problem, bindings, **kwargs):
+    """(execute, reference) results: each a trace's JSONL, records and
+    final kb, or the type and message of the error it raised."""
+    results = []
+    for run in (execute, reference_execute):
+        try:
+            trace = run(domain, problem, bindings, **kwargs)
+        except PddlError as exc:
+            results.append((type(exc).__name__, str(exc)))
+        else:
+            results.append((trace.to_jsonl(), trace.records, trace.final_kb))
+    return results
+
+
+def bundled_bindings():
+    return load_bindings(json.loads(DATA.joinpath("bindings.json")
+                                    .read_text()))
+
+
+@pytest.mark.parametrize("mode", ["greedy", "optimal"])
+@pytest.mark.parametrize("name", ["transport_1.pddl", "transport_3.pddl"])
+def test_execute_matches_regrounding_reference_on_every_two_faults(name,
+                                                                   mode):
+    domain, problem = transport_problem(name)
+    bindings = bundled_bindings()
+    length = len(plan(domain, problem, mode).actions)
+    scripts = [{i: E_FAILURE} for i in range(length)]
+    scripts += [{i: E_FAILURE, j: E_FAILURE}
+                for i, j in itertools.combinations(range(length), 2)]
+    for faults in scripts:
+        got, want = run_both(domain, problem, bindings, fault_script=faults,
+                             mode=mode)
+        assert got == want, faults
+
+
+# `road` is static: no action adds it, so grounding prunes every drive
+# along a road that init lacks, and only a failure's `failure_add` can
+# bring one back
+ROADS_DOMAIN = """
+(define (domain roads)
+  (:requirements :strips :typing :action-costs)
+  (:types loc)
+  (:predicates (at ?l - loc) (road ?a - loc ?b - loc))
+  (:functions (dist ?a - loc ?b - loc) (total-cost))
+  (:action drive
+    :parameters (?a - loc ?b - loc)
+    :precondition (and (at ?a) (road ?a ?b))
+    :effect (and (at ?b) (not (at ?a))
+                 (increase (total-cost) (dist ?a ?b)))))
+"""
+
+
+def roads_problem(locs, roads, dists, goal):
+    domain = parse_domain(ROADS_DOMAIN, path="roads.pddl")
+    init = [f"(at {locs[0]})"] + [f"(road {a} {b})" for a, b in roads]
+    init += [f"(= (dist {a} {b}) {d})" for (a, b), d in dists.items()]
+    text = (f"(define (problem roads-1) (:domain roads)"
+            f" (:objects {' '.join(locs)} - loc)"
+            f" (:init {' '.join(init)} (= (total-cost) 0))"
+            f" (:goal (and (at {goal})))"
+            f" (:metric minimize (total-cost)))")
+    return domain, parse_problem(text, domain, path="roads-1.pddl")
+
+
+def detour_binding():
+    """A drive that fails once, closing road b-c and opening road a-c."""
+    return {"drive": ActionBinding(
+        action="drive", script=(E_FAILURE, E_SUCCESS),
+        failure_add=frozenset({("road", "a", "c")}),
+        failure_delete=frozenset({("road", "b", "c")}))}
+
+
+@pytest.mark.parametrize("mode", ["greedy", "optimal"])
+def test_a_failure_that_adds_a_static_atom_grounds_again(mode):
+    # the only way left to c is the road that the failure opened
+    dists = {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 5}
+    domain, problem = roads_problem(["a", "b", "c"],
+                                    [("a", "b"), ("b", "c")], dists, "c")
+    got, want = run_both(domain, problem, detour_binding(), mode=mode)
+    assert got == want
+    trace = execute(domain, problem, detour_binding(), mode=mode)
+    assert trace.outcome == "Success"
+    assert [r.action for r in trace.records] == ["(drive a b)",
+                                                 "(drive a c)"]
+
+
+@pytest.mark.parametrize("mode", ["greedy", "optimal"])
+def test_a_regrounding_raises_as_grounding_from_scratch_does(mode):
+    # the opened road has no distance, which only a new grounding sees
+    dists = {("a", "b"): 1, ("b", "c"): 1}
+    domain, problem = roads_problem(["a", "b", "c"],
+                                    [("a", "b"), ("b", "c")], dists, "c")
+    got, want = run_both(domain, problem, detour_binding(), mode=mode)
+    assert got == want
+    assert got == ("UndefinedFunctionValue",
+                   "(dist a c) has no value in init")
+
+
+@pytest.mark.parametrize("mode", ["greedy", "optimal"])
+def test_execute_matches_regrounding_reference_on_seeded_road_maps(mode):
+    rng = random.Random(16)
+    locs = ["a", "b", "c", "d", "e"]
+    pairs = [(x, y) for x in locs for y in locs if x != y]
+    errors = 0
+    for _ in range(150):
+        roads = [p for p in pairs if rng.random() < 0.5]
+        dists = {p: rng.randint(1, 5) for p in pairs
+                 if p in roads or rng.random() < 0.7}
+        domain, problem = roads_problem(locs, roads, dists,
+                                        rng.choice(locs[1:]))
+        bindings = {"drive": ActionBinding(
+            action="drive",
+            script=tuple(rng.choice([E_SUCCESS, E_FAILURE])
+                         for _ in range(rng.randint(1, 3))),
+            failure_add=frozenset({("road", *rng.choice(pairs))}),
+            failure_delete=frozenset({("road", *rng.choice(pairs))}))}
+        faults = {i: E_FAILURE for i in range(4) if rng.random() < 0.3}
+        got, want = run_both(domain, problem, bindings, fault_script=faults,
+                             mode=mode)
+        assert got == want
+        errors += len(got) == 2
+    # some maps raise at a regrounding, and most do not
+    assert 0 < errors < 75
+
+
+def counting_ground(monkeypatch):
+    calls = []
+
+    def counted(domain, problem):
+        calls.append(problem.init)
+        return ground(domain, problem)
+    monkeypatch.setattr(execution, "ground", counted)
+    return calls
+
+
+def test_execute_grounds_once_when_no_failure_adds_atoms(monkeypatch):
+    domain, problem = transport_problem("transport_3.pddl")
+    calls = counting_ground(monkeypatch)
+    trace = execute(domain, problem, bundled_bindings())
+    assert (trace.outcome, trace.plans_attempted) == ("Success", 2)
+    assert calls == [problem.init]
+
+
+def test_execute_grounds_again_after_a_failure_that_adds_atoms(monkeypatch):
+    domain, problem = transport_problem("transport_3.pddl")
+    bindings = bundled_bindings()
+    bindings["grasp"] = replace(bindings["grasp"], failure_add=frozenset(
+        {("perceived", "bolt")}))
+    calls = counting_ground(monkeypatch)
+    trace = execute(domain, problem, bindings)
+    assert (trace.outcome, trace.plans_attempted) == ("Success", 2)
+    assert len(calls) == 2 and calls[0] == problem.init
+    assert ("perceived", "bolt") in calls[1]

@@ -165,6 +165,21 @@ def test_gated_assignment_makes_most_allowed_pairs_before_least_cost():
     assert gated_assignment(cost, allowed) == [(0, 1), (1, 0)]
 
 
+def test_gated_assignment_prefers_more_pairs_whatever_their_cost():
+    # the two allowed pairs cost 1.6e6 together, more than a 1e6 filler
+    cost = [[0.0, 8e5], [8e5, 5.0]]
+    allowed = [[True, True], [True, False]]
+    assert gated_assignment(cost, allowed) == [(0, 1), (1, 0)]
+
+
+def test_gated_assignment_breaks_no_tie_that_a_filler_would_blur():
+    # a 1e6 filler in the solution widens the solver's tie tolerance past
+    # the 5e-4 between row 0's two columns
+    cost = [[0.5005, 0.5], [0.9, 0.9]]
+    allowed = [[True, True], [False, False]]
+    assert gated_assignment(cost, allowed) == [(0, 1)]
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 def test_gated_assignment_rectangular_both_ways(transpose):
     # both rows may take column 1; only row 0 may take another column
