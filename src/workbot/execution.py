@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from .errors import WorkbotError
 from .jsonio import decode
 from .pddl import (Atom, DomainDef, GroundAction, ProblemDef, Unsolvable,
-                   ground, search as make_plan)
+                   compile_task, ground, search as make_plan)
 
 E_START = "e_start"
 E_STOP = "e_stop"
@@ -139,22 +139,24 @@ def execute(domain: DomainDef, problem: ProblemDef,
             mode: str = "greedy") -> ExecutionTrace:
     """Plan, run each step through its component, replan on failure.
 
-    Each plan searches the actions grounded once; only a failure that adds
-    atoms (maybe ones no action adds) grounds again.  ``fault_script``
-    forces the status of specific global step indices (counted across
-    replans) without consuming the binding's own script.  The budget allows
-    max_replans replans, i.e. max_replans + 1 plans in total; exhausting
-    it, or an unsolvable replanning state, ends the trace with the
-    corresponding outcome instead of raising.
+    Each plan searches the task grounded and compiled once; only a failure
+    that adds atoms (maybe ones no action adds) does both again.
+    ``fault_script`` forces the status of specific global step indices
+    (counted across replans) without consuming the binding's own script.
+    The budget allows max_replans >= 0 replans, i.e. max_replans + 1 plans
+    in total; exhausting it, or an unsolvable replanning state, ends the
+    trace with the corresponding outcome instead of raising.
     """
     for schema in domain.actions:
         if schema.name not in bindings:
             raise UnknownAction(f"no binding for action: {schema.name}")
     fault_script = load_fault_script(fault_script or {})
+    if max_replans < 0:
+        raise ValueError(f"max_replans must be at least 0, got {max_replans}")
     # how many times each binding has run in this execution
     runs = dict.fromkeys(bindings, 0)
 
-    actions = ground(domain, problem)
+    task = compile_task(ground(domain, problem), problem.goal)
     kb = problem.init
     records: list[TraceRecord] = []
     replans = 0
@@ -165,7 +167,7 @@ def execute(domain: DomainDef, problem: ProblemDef,
     while outcome is None:
         plans_attempted += 1
         try:
-            the_plan = make_plan(actions, kb, problem.goal, mode)
+            the_plan = make_plan(task, kb, mode)
         except Unsolvable:
             outcome = OUTCOME_UNSOLVABLE
             break
@@ -188,7 +190,8 @@ def execute(domain: DomainDef, problem: ProblemDef,
             if status == E_FAILURE:
                 outcome = OUTCOME_BUDGET if replans > max_replans else None
                 if outcome is None and binding.failure_add:
-                    actions = ground(domain, replace(problem, init=kb))
+                    task = compile_task(ground(
+                        domain, replace(problem, init=kb)), problem.goal)
                 break
     return ExecutionTrace(records=tuple(records), outcome=outcome,
                           final_kb=kb, replans=replans,

@@ -3,9 +3,9 @@
 Covers a deliberately small PDDL subset: :strips, :typing,
 :negative-preconditions and :action-costs with a single total-cost fluent.
 Costs may reference static numeric functions whose values come from the
-problem init.  ``plan`` grounds a problem, then ``search``es forward over
-its ground actions, either cost-optimal (uniform-cost) or greedy on a
-goal-count heuristic; ties break on ground action names, so plans are stable.
+problem init.  ``plan`` grounds a problem, compiles it with ``compile_task``
+and ``search``es it, cost-optimal (uniform-cost) or greedy on a goal-count
+heuristic; ties break on ground action names, so plans are stable.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import WorkbotError
 
@@ -634,34 +635,39 @@ def ground(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]:
     added_predicates = {lit.name for schema in domain.actions
                         for lit in schema.add}
     unit = _unit_cost(domain)
+    constants = tuple(name for name, _ in domain.constants)
 
     out: list[GroundAction] = []
     for schema in domain.actions:
-        pools = []
-        for _, ty in schema.params:
-            pools.append(by_type.get(ty, []))
+        # compiled once per schema: an argument becomes its index into
+        # `values`, the combination followed by the domain's constants
+        slot = {name: len(schema.params) + i
+                for i, name in enumerate(constants)}
+        slot.update((var, i) for i, (var, _) in enumerate(schema.params))
+        pre = sorted(schema.precondition, key=lambda l: not l.positive)
+        lits = [(l.name, tuple(slot[a] for a in l.args))
+                for l in (*pre, *schema.add, *schema.delete)]
+        # atoms[:n_pos] are the positive preconditions, atoms[n_pos:n_pre]
+        # the negative ones, atoms[n_pre:n_add] the add effects
+        n_pos, n_pre = sum(l.positive for l in pre), len(pre)
+        n_add = n_pre + len(schema.add)
+        static = [i for i in range(n_pos)
+                  if pre[i].name not in added_predicates]
+        costs = [(fname, tuple(slot[a] for a in args))
+                 for fname, args in schema.cost_terms]
+        pools = [by_type.get(ty, []) for _, ty in schema.params]
         for combo in itertools.product(*pools):
-            binding = {var: obj
-                       for (var, _), obj in zip(schema.params, combo)}
-
-            def subst(lit: Literal) -> Atom:
-                return (lit.name,) + tuple(binding.get(a, a)
-                                           for a in lit.args)
-
-            pre_pos = frozenset(subst(l) for l in schema.precondition
-                                if l.positive)
-            pre_neg = frozenset(subst(l) for l in schema.precondition
-                                if not l.positive)
+            values = combo + constants
+            atoms = [(name, *[values[i] for i in idx]) for name, idx in lits]
+            if static and any(atoms[i] not in problem.init for i in static):
+                continue
+            pre_pos = frozenset(atoms[:n_pos])
+            pre_neg = frozenset(atoms[n_pos:n_pre])
             if pre_pos & pre_neg:
                 continue        # self-contradictory, never applicable
-            static_block = any(
-                atom not in problem.init and atom[0] not in added_predicates
-                for atom in pre_pos)
-            if static_block:
-                continue
             cost = schema.cost_constant
-            for fname, args in schema.cost_terms:
-                key = (fname, tuple(binding.get(a, a) for a in args))
+            for fname, idx in costs:
+                key = (fname, tuple([values[i] for i in idx]))
                 if key not in fn_values:
                     raise UndefinedFunctionValue(
                         f"({key[0]} {' '.join(key[1])}) has no value in init")
@@ -669,14 +675,14 @@ def ground(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]:
             if not schema.has_cost_effect and unit:
                 cost = 1.0
             if cost < 0:
+                binding = dict(zip((var for var, _ in schema.params), combo))
                 raise NegativeCost(
                     f"action {schema.name} with {binding} costs {cost}")
             name = "(" + " ".join((schema.name,) + combo) + ")"
             out.append(GroundAction(
                 name=name, pre_pos=pre_pos, pre_neg=pre_neg,
-                add=frozenset(subst(l) for l in schema.add),
-                delete=frozenset(subst(l) for l in schema.delete),
-                cost=cost))
+                add=frozenset(atoms[n_pre:n_add]),
+                delete=frozenset(atoms[n_add:]), cost=cost))
     out.sort(key=lambda a: a.name)
     return out
 
@@ -692,32 +698,26 @@ def _goal_holds(goal: tuple[Atom, ...], state: frozenset[Atom]) -> bool:
     return all(atom in state for atom in goal)
 
 
-def plan(domain: DomainDef, problem: ProblemDef,
-         mode: str = "optimal") -> Plan:
-    """Ground the problem, then ``search`` it from its init."""
-    return search(ground(domain, problem), problem.init, problem.goal, mode)
+@dataclass(frozen=True, eq=False)
+class CompiledTask:
+    """Ground actions and a goal as bitsets, to ``search`` from any init.
 
-
-def search(actions: list[GroundAction], init: frozenset[Atom],
-           goal: tuple[Atom, ...], mode: str = "optimal") -> Plan:
-    """Forward search over ground ``actions`` from ``init`` to ``goal``.
-
-    "optimal" runs uniform-cost search and returns a minimal-cost plan;
-    "greedy" runs best-first on the number of unsatisfied goal atoms and
-    returns the first plan found.  Both are deterministic: the frontier
-    orders equal-priority entries by the plan prefix, whose elements index
-    ``actions``, in the name order that ``ground`` gives them.
-
-    A state is an int with one bit per atom.  Each action is filed under
-    one of its precondition bits, so an expanded state tries only the
-    actions filed under its own bits; it tries them in ascending index
-    order, which decides the first path to a state and so greedy's plan.
-    The frontier keeps whole paths rather than parent pointers, because
-    the path is the tie-break.
+    ``bit`` numbers every atom an action or the goal mentions, in sorted
+    order.  Goal layer k holds the atoms the goal lists more than k times.
+    Its mappings are read-only, as every search of a mission shares them;
+    it compares and hashes by identity.
     """
-    if mode not in ("optimal", "greedy"):
-        raise ValueError(f"mode must be 'optimal' or 'greedy', got {mode!r}")
-    atoms = set(init).union(goal)
+    actions: tuple[GroundAction, ...]
+    bit: MappingProxyType[Atom, int]
+    filed: MappingProxyType[int, tuple[_Row, ...]]
+    unfiled: tuple[_Row, ...]
+    layers: tuple[int, ...]
+
+
+def compile_task(actions: list[GroundAction],
+                 goal: tuple[Atom, ...]) -> CompiledTask:
+    """Compile ``actions``, in ``ground``'s name order, and ``goal``."""
+    atoms = set(goal)
     for act in actions:
         atoms.update(act.pre_pos, act.pre_neg, act.add, act.delete)
     bit = {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
@@ -735,28 +735,61 @@ def search(actions: list[GroundAction], init: frozenset[Atom],
             filed.setdefault(pre & -pre, []).append(row)
         else:
             unfiled.append(row)
-    filed_bits = sum(filed)
-    tried: dict[int, list[_Row]] = {}       # state & filed_bits -> rows
-
-    # greedy counts a goal atom once per listing: layer k holds the atoms
-    # listed more than k times, and layer 0 is the goal
-    layers: list[int] = []
+    # greedy counts a goal atom once per listing, so layer 0 is the goal
+    layers: list[int] = [0]
     listings: dict[Atom, int] = {}
     for atom in goal:
         k = listings[atom] = listings.get(atom, 0) + 1
         if k > len(layers):
             layers.append(0)
         layers[k - 1] |= bit[atom]
-    goal_bits = layers[0] if layers else 0
+    return CompiledTask(
+        actions=tuple(actions), bit=MappingProxyType(bit),
+        filed=MappingProxyType({k: tuple(v) for k, v in filed.items()}),
+        unfiled=tuple(unfiled), layers=tuple(layers))
+
+
+def plan(domain: DomainDef, problem: ProblemDef,
+         mode: str = "optimal") -> Plan:
+    """Ground and compile the problem, then ``search`` it from its init."""
+    return search(compile_task(ground(domain, problem), problem.goal),
+                  problem.init, mode)
+
+
+def search(task: CompiledTask, init: frozenset[Atom],
+           mode: str = "optimal") -> Plan:
+    """Forward search over ``task`` from ``init`` to its goal.
+
+    "optimal" runs uniform-cost search and returns a minimal-cost plan;
+    "greedy" runs best-first on the number of unsatisfied goal atoms and
+    returns the first plan found.  Both are deterministic: the frontier
+    orders equal-priority entries by the plan prefix, whose elements index
+    ``task.actions``, in the name order that ``ground`` gives them.
+
+    A state is an int with one bit per atom.  An expanded state tries only
+    the rows filed under its own bits, in ascending index order, which
+    decides the first path to a state and so greedy's plan.  The frontier
+    keeps whole paths rather than parent pointers, because the path is the
+    tie-break.
+
+    An init atom without a bit is dropped from the start state, which is
+    exact: no action reads or writes it and the goal does not name it.
+    Heap entries never tie on (priority, path), so states are never
+    compared, and the rows tried do not depend on how atoms are numbered.
+    """
+    if mode not in ("optimal", "greedy"):
+        raise ValueError(f"mode must be 'optimal' or 'greedy', got {mode!r}")
+    goal_bits, filed_bits = task.layers[0], sum(task.filed)
+    tried: dict[int, list[_Row]] = {}       # state & filed_bits -> rows
 
     def unsatisfied(state: int) -> int:
         count = 0
-        for layer in layers:
+        for layer in task.layers:
             count += (layer & ~state).bit_count()
         return count
 
     optimal = mode == "optimal"
-    start = mask(init)
+    start = sum(map(task.bit.get, task.bit.keys() & init))
     # frontier entries: (priority, path indices, state, cost)
     frontier = [(0.0 if optimal else unsatisfied(start), (), start, 0.0)]
     best_cost: dict[int, float] = {start: 0.0}
@@ -767,8 +800,8 @@ def search(actions: list[GroundAction], init: frozenset[Atom],
     while frontier:
         _, path, state, cost = pop(frontier)
         if state & goal_bits == goal_bits:
-            return Plan(actions=tuple(actions[i] for i in path), cost=cost,
-                        expanded=expanded, generated=generated)
+            return Plan(actions=tuple(task.actions[i] for i in path),
+                        cost=cost, expanded=expanded, generated=generated)
         if state in closed:
             continue
         closed.add(state)
@@ -776,11 +809,11 @@ def search(actions: list[GroundAction], init: frozenset[Atom],
         key = state & filed_bits
         rows = tried.get(key)
         if rows is None:
-            rows = list(unfiled)
+            rows = list(task.unfiled)
             rest = key
             while rest:
                 low = rest & -rest
-                rows += filed[low]
+                rows += task.filed[low]
                 rest ^= low
             rows.sort()
             tried[key] = rows
@@ -798,12 +831,14 @@ def search(actions: list[GroundAction], init: frozenset[Atom],
                 best_cost[nxt] = ncost
                 push(frontier, (ncost, path + (idx,), nxt, ncost))
             else:
-                if nxt in closed or nxt in best_cost:
+                # every closed state was pushed, so best_cost holds it
+                if nxt in best_cost:
                     continue
                 best_cost[nxt] = ncost
                 push(frontier, (unsatisfied(nxt), path + (idx,), nxt, ncost))
     raise Unsolvable(
-        f"no plan reaches the goal ({len(actions)} ground actions explored)")
+        f"no plan reaches the goal ({len(task.actions)} ground actions "
+        f"explored)")
 
 
 def validate(domain: DomainDef, problem: ProblemDef,

@@ -640,6 +640,24 @@ def test_malformed_fault_script_is_a_pipeline_error(tmp_path, capsys, faults,
     assert err == {"error": "ValueError", "message": f"{path}: {message}"}
 
 
+@pytest.mark.parametrize("value", ["-1", "-7"])
+def test_negative_replan_budget_is_a_pipeline_error(tmp_path, capsys, value):
+    from workbot.cli import main
+
+    out = tmp_path / "trace.jsonl"
+    code = main(["exec", "--domain", str(DATA / "transport.pddl"),
+                 "--problem", str(DATA / "transport_3.pddl"),
+                 "--bindings", str(DATA / "bindings.json"),
+                 "--max-replans", value, "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": f"max_replans must be at least 0, got {value}"}
+
+
 def test_two_objects_in_one_gate_report_metrics(tmp_path, capsys):
     # with one object inside the other's gate, scoring must still claim each
     # confirmed track for at most one object per frame

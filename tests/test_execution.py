@@ -14,8 +14,8 @@ from workbot.execution import (E_FAILURE, E_START, E_STOP, E_STOPPED,
                                ExecutionTrace, TraceRecord, UnknownAction,
                                component_step, execute, load_bindings,
                                load_fault_script)
-from workbot.pddl import (GroundAction, PddlError, Unsolvable, ground,
-                          parse_domain, parse_problem, plan)
+from workbot.pddl import (GroundAction, PddlError, Unsolvable, compile_task,
+                          ground, parse_domain, parse_problem, plan)
 
 DATA = Path("src/workbot/data")
 
@@ -491,12 +491,19 @@ def test_execute_matches_regrounding_reference_on_seeded_road_maps(mode):
 
 
 def counting_ground(monkeypatch):
-    calls = []
+    """The init of each ``ground`` call and the goal of each
+    ``compile_task`` call that ``execute`` makes."""
+    calls = {"ground": [], "compile_task": []}
 
-    def counted(domain, problem):
-        calls.append(problem.init)
+    def counted_ground(domain, problem):
+        calls["ground"].append(problem.init)
         return ground(domain, problem)
-    monkeypatch.setattr(execution, "ground", counted)
+
+    def counted_compile(actions, goal):
+        calls["compile_task"].append(goal)
+        return compile_task(actions, goal)
+    monkeypatch.setattr(execution, "ground", counted_ground)
+    monkeypatch.setattr(execution, "compile_task", counted_compile)
     return calls
 
 
@@ -505,7 +512,7 @@ def test_execute_grounds_once_when_no_failure_adds_atoms(monkeypatch):
     calls = counting_ground(monkeypatch)
     trace = execute(domain, problem, bundled_bindings())
     assert (trace.outcome, trace.plans_attempted) == ("Success", 2)
-    assert calls == [problem.init]
+    assert calls == {"ground": [problem.init], "compile_task": [problem.goal]}
 
 
 def test_execute_grounds_again_after_a_failure_that_adds_atoms(monkeypatch):
@@ -516,5 +523,24 @@ def test_execute_grounds_again_after_a_failure_that_adds_atoms(monkeypatch):
     calls = counting_ground(monkeypatch)
     trace = execute(domain, problem, bindings)
     assert (trace.outcome, trace.plans_attempted) == ("Success", 2)
-    assert len(calls) == 2 and calls[0] == problem.init
-    assert ("perceived", "bolt") in calls[1]
+    assert len(calls["ground"]) == 2 and calls["ground"][0] == problem.init
+    assert ("perceived", "bolt") in calls["ground"][1]
+    assert calls["compile_task"] == [problem.goal] * 2
+
+
+@pytest.mark.parametrize("max_replans", [-1, -7])
+def test_execute_rejects_a_negative_replan_budget(monkeypatch, max_replans):
+    domain, problem = transport_problem("transport_3.pddl")
+    calls = counting_ground(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        execute(domain, problem, bundled_bindings(), max_replans=max_replans)
+    assert str(err.value) == (f"max_replans must be at least 0, "
+                              f"got {max_replans}")
+    assert calls == {"ground": [], "compile_task": []}
+
+
+def test_execute_accepts_a_zero_replan_budget():
+    domain, problem = transport_problem("transport_3.pddl")
+    trace = execute(domain, problem, bundled_bindings(), max_replans=0)
+    assert (trace.outcome, trace.replans, trace.plans_attempted) == (
+        "ReplanBudgetExhausted", 1, 1)

@@ -16,9 +16,10 @@ from workbot.pddl import (ArityMismatch, NegativeCost, PddlError,
                           PddlSyntaxError, Plan,
                           UndeclaredObject, UndefinedFunctionValue,
                           UnknownPredicate, UnknownType, Unsolvable,
-                          UnsupportedRequirement, format_plan, ground,
-                          parse_domain, parse_plan_text, parse_problem, plan,
-                          print_domain, print_problem, validate)
+                          UnsupportedRequirement, compile_task, format_plan,
+                          ground, parse_domain, parse_plan_text,
+                          parse_problem, plan, print_domain, print_problem,
+                          search, validate)
 
 DATA = Path("src/workbot/data")
 
@@ -216,8 +217,9 @@ def test_undefined_function_value():
     text = DATA.joinpath("transport_1.pddl").read_text()
     text = text.replace("(= (distance shelf ws) 1)", "")
     problem = parse_problem(text, domain)
-    with pytest.raises(UndefinedFunctionValue, match="distance"):
+    with pytest.raises(UndefinedFunctionValue) as err:
         ground(domain, problem)
+    assert str(err.value) == "(distance shelf ws) has no value in init"
 
 
 def test_negative_cost_rejected():
@@ -226,8 +228,10 @@ def test_negative_cost_rejected():
     text = text.replace("(= (distance shelf ws) 1)",
                         "(= (distance shelf ws) -2)")
     problem = parse_problem(text, domain)
-    with pytest.raises(NegativeCost):
+    with pytest.raises(NegativeCost) as err:
         ground(domain, problem)
+    assert str(err.value) == ("action move with {'?r': 'youbot', "
+                              "'?from': 'shelf', '?to': 'ws'} costs -2.0")
 
 
 def pddl_tokens(text):
@@ -277,9 +281,47 @@ def test_token_edits_raise_only_pddl_errors(kind, edits):
 # grounding
 
 
-def naive_ground_names(domain, problem):
+DEPOT_DOMAIN = """
+(define (domain depot)
+  (:requirements :strips :typing :action-costs :negative-preconditions)
+  (:types place truck)
+  (:constants depot - place)
+  (:predicates (at ?t - truck ?p - place) (road ?a - place ?b - place)
+               (loaded ?t - truck) (dock ?p - place))
+  (:functions (dist ?a - place ?b - place) (total-cost))
+  (:action drive
+    :parameters (?t - truck ?a - place ?b - place)
+    :precondition (and (at ?t ?a) (road ?a ?b) (not (at ?t ?b)))
+    :effect (and (at ?t ?b) (not (at ?t ?a))
+                 (increase (total-cost) (dist ?a ?b))))
+  (:action load
+    :parameters (?t - truck)
+    :precondition (and (at ?t depot) (not (loaded ?t)))
+    :effect (and (loaded ?t) (increase (total-cost) 2)))
+  (:action unload-at-depot
+    :parameters (?t - truck ?p - place)
+    :precondition (and (loaded ?t) (at ?t ?p) (road ?p depot) (dock ?p))
+    :effect (and (not (loaded ?t)) (at ?t depot) (not (at ?t ?p))
+                 (increase (total-cost) (dist ?p depot)))))
+"""
+
+# road and dock are static: only the listed roads ground drive and unload,
+# and only they have a distance, so grounding raises unless the prune comes
+# first, and (dock a) alone does not let (road a depot) through
+DEPOT_PROBLEM = """
+(define (problem depot-1) (:domain depot)
+  (:objects t1 t2 - truck a b - place)
+  (:init (at t1 depot) (at t2 a) (road depot a) (road a b) (road b depot)
+         (dock a) (dock b)
+         (= (dist depot a) 3) (= (dist a b) 2) (= (dist b depot) 4))
+  (:goal (and (loaded t2) (at t1 b))))
+"""
+
+
+def naive_ground(domain, problem):
     """Independent enumeration: every type-consistent binding, minus the two
-    documented prunes (contradictory preconditions, statically false atoms)."""
+    documented prunes (contradictory preconditions, statically false atoms),
+    as {name: (pre_pos, pre_neg, add, delete, cost)}."""
     parents = domain.type_parents()
 
     def is_a(ty, wanted):
@@ -292,31 +334,55 @@ def naive_ground_names(domain, problem):
 
     objects = list(domain.constants) + list(problem.objects)
     added = {lit.name for schema in domain.actions for lit in schema.add}
-    names = set()
+    fn_values = dict(problem.function_values)
+    unit = ":action-costs" not in domain.requirements
+    out = {}
     for schema in domain.actions:
         pools = [[o for o, ty in objects if is_a(ty, want)]
                  for _, want in schema.params]
         for combo in itertools.product(*pools):
             bind = dict(zip((v for v, _ in schema.params), combo))
-            pos = {(l.name,) + tuple(bind.get(a, a) for a in l.args)
-                   for l in schema.precondition if l.positive}
-            neg = {(l.name,) + tuple(bind.get(a, a) for a in l.args)
-                   for l in schema.precondition if not l.positive}
+
+            def atoms(lits):
+                return frozenset((l.name,) + tuple(bind.get(a, a)
+                                                   for a in l.args)
+                                 for l in lits)
+            pos = atoms(l for l in schema.precondition if l.positive)
+            neg = atoms(l for l in schema.precondition if not l.positive)
             if pos & neg:
                 continue
             if any(atom not in problem.init and atom[0] not in added
                    for atom in pos):
                 continue
-            names.add("(" + " ".join((schema.name,) + combo) + ")")
-    return names
+            cost = schema.cost_constant + sum(
+                fn_values[(fname, tuple(bind.get(a, a) for a in args))]
+                for fname, args in schema.cost_terms)
+            if unit and not schema.has_cost_effect:
+                cost = 1.0
+            name = "(" + " ".join((schema.name,) + combo) + ")"
+            out[name] = (pos, neg, atoms(schema.add), atoms(schema.delete),
+                         cost)
+    return out
 
 
 def test_ground_matches_naive_enumeration():
-    for fname in ("transport_1.pddl", "transport_3.pddl"):
-        domain, problem = problem_file(fname)
+    cases = [problem_file(f) for f in ("transport_1.pddl", "transport_3.pddl")]
+    depot = parse_domain(DEPOT_DOMAIN)
+    cases.append((depot, parse_problem(DEPOT_PROBLEM, depot)))
+    toy = parse_domain(TOY_DOMAIN)
+    cases.append((toy, parse_problem(TOY_PROBLEM, toy)))
+    for domain, problem in cases:
         actions = ground(domain, problem)
-        assert {a.name for a in actions} == naive_ground_names(domain, problem)
+        assert {a.name: (a.pre_pos, a.pre_neg, a.add, a.delete, a.cost)
+                for a in actions} == naive_ground(domain, problem)
         assert [a.name for a in actions] == sorted(a.name for a in actions)
+    # the constant fills its argument, and the static prune keeps only the
+    # listed roads
+    names = [a.name for a in ground(*cases[2])]
+    assert "(load t1)" in names and "(drive t1 a b)" in names
+    assert "(drive t1 b a)" not in names
+    assert "(unload-at-depot t1 b)" in names
+    assert "(unload-at-depot t1 a)" not in names
 
 
 def test_ground_prunes_self_moves():
@@ -501,6 +567,174 @@ def test_unsolvable_goal():
     problem = parse_problem(text, domain)
     with pytest.raises(Unsolvable):
         plan(domain, problem)
+
+
+# ---------------------------------------------------------------------------
+# compiled search against the reference
+
+
+def reference_search(actions, init, goal, mode="optimal"):
+    """A frozen copy of ``search`` as it was before it took a compiled
+    task: it numbers the atoms of init, goal and actions afresh on every
+    call, and files and layers them as ``compile_task`` does."""
+    if mode not in ("optimal", "greedy"):
+        raise ValueError(f"mode must be 'optimal' or 'greedy', got {mode!r}")
+    atoms = set(init).union(goal)
+    for act in actions:
+        atoms.update(act.pre_pos, act.pre_neg, act.add, act.delete)
+    bit = {atom: 1 << i for i, atom in enumerate(sorted(atoms))}
+
+    def mask(part):
+        return sum(map(bit.__getitem__, part))
+
+    filed = {}                  # lowest precondition bit -> rows
+    unfiled = []                # no positive precondition
+    for idx, a in enumerate(actions):
+        pre = mask(a.pre_pos)
+        row = (idx, pre, mask(a.pre_neg), ~mask(a.delete), mask(a.add),
+               a.cost)
+        if pre:
+            filed.setdefault(pre & -pre, []).append(row)
+        else:
+            unfiled.append(row)
+    filed_bits = sum(filed)
+    tried = {}                  # state & filed_bits -> rows
+
+    # greedy counts a goal atom once per listing: layer k holds the atoms
+    # listed more than k times, and layer 0 is the goal
+    layers = []
+    listings = {}
+    for atom in goal:
+        k = listings[atom] = listings.get(atom, 0) + 1
+        if k > len(layers):
+            layers.append(0)
+        layers[k - 1] |= bit[atom]
+    goal_bits = layers[0] if layers else 0
+
+    def unsatisfied(state):
+        count = 0
+        for layer in layers:
+            count += (layer & ~state).bit_count()
+        return count
+
+    optimal = mode == "optimal"
+    start = mask(init)
+    # frontier entries: (priority, path indices, state, cost)
+    frontier = [(0.0 if optimal else unsatisfied(start), (), start, 0.0)]
+    best_cost = {start: 0.0}
+    closed = set()
+    expanded = generated = 0
+    push, pop, inf = heapq.heappush, heapq.heappop, math.inf
+
+    while frontier:
+        _, path, state, cost = pop(frontier)
+        if state & goal_bits == goal_bits:
+            return Plan(actions=tuple(actions[i] for i in path), cost=cost,
+                        expanded=expanded, generated=generated)
+        if state in closed:
+            continue
+        closed.add(state)
+        expanded += 1
+        key = state & filed_bits
+        rows = tried.get(key)
+        if rows is None:
+            rows = list(unfiled)
+            rest = key
+            while rest:
+                low = rest & -rest
+                rows += filed[low]
+                rest ^= low
+            rows.sort()
+            tried[key] = rows
+        for idx, pre, neg, keep, add, step in rows:
+            if state & pre != pre or state & neg:
+                continue
+            nxt = state & keep | add
+            ncost = cost + step
+            generated += 1
+            if optimal:
+                # strict comparison: equal-cost alternatives stay in the
+                # frontier so the path tie-break picks the smallest one
+                if nxt in closed or best_cost.get(nxt, inf) < ncost:
+                    continue
+                best_cost[nxt] = ncost
+                push(frontier, (ncost, path + (idx,), nxt, ncost))
+            else:
+                if nxt in closed or nxt in best_cost:
+                    continue
+                best_cost[nxt] = ncost
+                push(frontier, (unsatisfied(nxt), path + (idx,), nxt, ncost))
+    raise Unsolvable(
+        f"no plan reaches the goal ({len(actions)} ground actions explored)")
+
+
+# an atom that no action of the transport domain reads or writes
+LOST = ("lost-tool", "t1")
+
+
+def outcome(result):
+    return result.names(), result.cost, result.expanded, result.generated
+
+
+def oracle_problems():
+    """Every seeded pinned problem, and the bundled transport problems."""
+    sizes = sorted({tuple(map(int, re.match(r"(\d+)-(\d+)x(\d+)-", key)
+                              .groups())) for key in PINNED_PLANS})
+    cases = {f"{seed}-{items}x{locations}":
+             seeded_transport(seed, items, locations)
+             for seed, items, locations in sizes}
+    for name in ("transport_1", "transport_3"):
+        cases[name] = problem_file(f"{name}.pddl")
+    return cases
+
+
+ORACLE_PROBLEMS = oracle_problems()
+
+
+@pytest.mark.parametrize("mode", ["optimal", "greedy"])
+@pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+def test_search_matches_reference_search(name, mode):
+    # from init, then from each knowledge base along the plan with an atom
+    # that no action mentions: the compiled task has no bit for it
+    domain, problem = ORACLE_PROBLEMS[name]
+    actions = ground(domain, problem)
+    task = compile_task(actions, problem.goal)
+    first = search(task, problem.init, mode)
+    assert outcome(first) == outcome(
+        reference_search(actions, problem.init, problem.goal, mode))
+    kb = problem.init
+    for act in first.actions:
+        kb = act.apply(kb)
+        got = search(task, kb | {LOST}, mode)
+        want = reference_search(actions, kb | {LOST}, problem.goal, mode)
+        assert outcome(got) == outcome(want)
+
+
+def test_one_compiled_task_serves_many_searches():
+    domain, problem = problem_file("transport_3.pddl")
+    actions = ground(domain, problem)
+    middle = problem.init
+    for act in plan(domain, problem, "greedy").actions[:5]:
+        middle = act.apply(middle)
+    inits = [problem.init, middle | {LOST}, problem.init]
+    for mode in ("optimal", "greedy"):
+        task = compile_task(actions, problem.goal)
+        shared = [outcome(search(task, init, mode)) for init in inits]
+        fresh = [outcome(search(compile_task(actions, problem.goal), init,
+                                mode)) for init in inits]
+        assert shared == fresh
+        assert shared[0] != shared[1]
+
+
+def test_compiled_task_shares_nothing_mutable():
+    domain, problem = problem_file("transport_3.pddl")
+    task = compile_task(ground(domain, problem), problem.goal)
+    assert hash(task) == hash(task) and task != compile_task([], ())
+    with pytest.raises(TypeError):
+        task.bit[LOST] = 1
+    with pytest.raises(TypeError):
+        task.filed[1] = ()
+    assert all(type(rows) is tuple for rows in task.filed.values())
 
 
 # ---------------------------------------------------------------------------
