@@ -276,6 +276,9 @@ class PerceptionConfig:
         if not self.plane_dist_thresh > 0.0:
             raise ValueError(f"plane_dist_thresh must be positive, "
                              f"got {self.plane_dist_thresh}")
+        if self.plane_max_iters < 1:
+            raise ValueError(f"plane_max_iters must be at least 1, "
+                             f"got {self.plane_max_iters}")
 
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:

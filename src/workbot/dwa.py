@@ -402,6 +402,11 @@ def run_episode(state: RobotState, goal, grid: OccupancyGrid,
     """Closed-loop drive toward the goal; stops on arrival ("reached"), on
     the step budget ("budget") or when no admissible command remains
     ("no_admissible")."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, got {max_steps}")
+    if not 0.0 <= stop_dist < math.inf:
+        raise ValueError(f"stop_dist must be finite and at least 0, "
+                         f"got {stop_dist}")
     cfg = cfg or DWAConfig()
     goal = np.asarray(goal, dtype=float).reshape(2)
     poses = [(0.0, state.x, state.y, state.theta)]

@@ -2,8 +2,9 @@
 
 ``load_json`` parses a file and checks its top-level type; ``decode`` builds
 a dataclass from a JSON object, typing each field by its annotation.
-Unknown keys are ignored, values are type-checked, and every error is a
-ValueError naming the file and the key.  Standard library only.
+A key repeated in any object is an error, unknown keys are ignored, values
+are type-checked, and every error is a ValueError naming the file and the
+key.  Standard library only.
 """
 
 from __future__ import annotations
@@ -20,12 +21,23 @@ def load_json(path, expected: type = dict):
     """Parse a JSON file whose top level must be ``expected`` (dict or list)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(obj, expected):
         kind = "object" if expected is dict else "array"
         raise ValueError(f"{path}: expected a JSON {kind}")
+    return obj
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ``json`` alone would keep a repeated key's
+    last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
     return obj
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import WorkbotError
-from .geometry import Pose
+from .geometry import Pose, frozen_array
 from .jsonio import construct, decode, load_json
 
 N_JOINTS = 5
@@ -27,8 +27,8 @@ IK_DAMPING = 0.1                   # lambda of the damped least-squares step
 DEFAULT_ROT_WEIGHTS = (1.0, 1.0, 0.2)
 FD_STEP = 1e-6                     # central-difference step, rad
 
-_ROT_WEIGHTS = np.asarray(DEFAULT_ROT_WEIGHTS, dtype=float)
-_DAMPING = (IK_DAMPING * IK_DAMPING) * np.eye(N_JOINTS)
+_ROT_WEIGHTS = frozen_array(DEFAULT_ROT_WEIGHTS)
+_DAMPING = frozen_array((IK_DAMPING * IK_DAMPING) * np.eye(N_JOINTS))
 
 
 class KinematicsError(WorkbotError):
@@ -175,7 +175,8 @@ def _pose_errors(p_target: np.ndarray, r_target: np.ndarray,
 
 
 # rows of joint offsets: q itself, then +step and -step along each joint
-_STENCIL = np.vstack([np.zeros(N_JOINTS), np.eye(N_JOINTS), -np.eye(N_JOINTS)])
+_STENCIL = frozen_array(np.vstack([np.zeros(N_JOINTS), np.eye(N_JOINTS),
+                                   -np.eye(N_JOINTS)]))
 
 
 def _stencil_errors(base, dh, p_target, r_target, q) -> np.ndarray:

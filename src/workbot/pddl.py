@@ -242,7 +242,8 @@ class ValidationResult:
 
 # --- shared readers ----------------------------------------------------------
 
-_Scope = tuple[set[str], set[str] | None]   # (objects, variables)
+# (objects, variables): each maps a declared name to its type
+_Scope = tuple[dict[str, str], dict[str, str] | None]
 
 
 def _define(text: str, path: str, kind: str):
@@ -266,6 +267,15 @@ def _sections(nodes: list, path: str, kind: str):
         if not body:
             _fail(node, path, f"empty {kind} section")
         yield _sym(body[0], path), node, body[1:]
+
+
+def _declare(table: dict, name: str, value, node, path: str,
+             what: str) -> None:
+    """Add `name -> value` to `table`, one name space of a domain or
+    problem; a name already in it is an error at `node`."""
+    if name in table:
+        _fail(node, path, f"{what} declared twice: {name}")
+    table[name] = value
 
 
 def _typed_list(nodes: list, path: str) -> list[tuple[str, str]]:
@@ -292,41 +302,26 @@ def _typed_list(nodes: list, path: str) -> list[tuple[str, str]]:
 
 
 def _typed(nodes: list, node, path: str,
-           known_types: set[str]) -> list[tuple[str, str]]:
+           types: dict[str, str | None]) -> list[tuple[str, str]]:
     """A typed list whose every type is declared; errors point at `node`."""
     pairs = _typed_list(nodes, path)
     for _, ty in pairs:
-        if ty not in known_types:
+        if ty not in types:
             _fail(node, path, f"unknown type: {ty}", UnknownType)
     return pairs
 
 
-def _objects(nodes: list, node, path: str, known_types: set[str],
-             names: set[str]) -> list[tuple[str, str]]:
-    """A typed list of constants or objects.  Domain constants and problem
-    objects share one name space, `names`: each name joins it, and a name
-    already in it is an error."""
-    pairs = _typed(nodes, node, path, known_types)
-    for obj, _ in pairs:
-        if obj in names:
-            _fail(node, path, f"object declared twice: {obj}")
-        names.add(obj)
-    return pairs
-
-
 def _type_section(nodes: list, node, path: str,
-                  types: dict[str, str]) -> None:
+                  types: dict[str, str | None]) -> None:
     """Add a `:types` section to `types` (type -> parent).  A parent may be
     declared after its subtypes, so parents are checked once the section is
     read; a type that is its own ancestor is an error."""
     section = _typed_list(nodes, path)
     for ty, parent in section:
-        if ty == ROOT_TYPE or ty in types:
-            _fail(node, path, f"type declared twice: {ty}")
-        types[ty] = parent
+        _declare(types, ty, parent, node, path, "type")
     for start, _ in section:
         seen, ty = set(), start
-        while ty != ROOT_TYPE:
+        while ty is not None:
             if ty not in types:
                 _fail(node, path, f"unknown parent type: {ty}", UnknownType)
             if ty in seen:
@@ -335,17 +330,15 @@ def _type_section(nodes: list, node, path: str,
             ty = types[ty]
 
 
-def _declarations(nodes: list, path: str, known_types: set[str],
+def _declarations(nodes: list, path: str, types: dict[str, str | None],
                   table: dict[str, tuple[str, ...]], what: str) -> None:
-    """Add each `(name ?a - t ...)` to `table` as name -> parameter types;
-    a name already in `table` is an error."""
+    """Declare each `(name ?a - t ...)` in `table` as name -> parameter
+    types."""
     for decl in nodes:
         parts = _call(decl, path)
         name = _sym(parts[0], path)
-        params = _typed(parts[1:], decl, path, known_types)
-        if name in table:
-            _fail(decl, path, f"{what} declared twice: {name}")
-        table[name] = tuple(ty for _, ty in params)
+        params = _typed(parts[1:], decl, path, types)
+        _declare(table, name, tuple(ty for _, ty in params), decl, path, what)
 
 
 def _term(node, path: str, arity: dict[str, tuple[str, ...]], what: str,
@@ -412,13 +405,11 @@ def _number(node, path: str) -> float:
 def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
     tree, name, sections = _define(text, path, "domain")
     requirements: set[str] = set()
-    types: dict[str, str] = {}
-    known_types = {ROOT_TYPE}
-    constants: list[tuple[str, str]] = []
-    constant_names: set[str] = set()
+    types: dict[str, str | None] = {ROOT_TYPE: None}
+    constants: dict[str, str] = {}
     predicates: dict[str, tuple[str, ...]] = {}
     functions: dict[str, tuple[str, ...]] = {}
-    actions: list[ActionSchema] = []
+    actions: dict[str, ActionSchema] = {}
 
     for key, node, rest in sections:
         if key == ":requirements":
@@ -430,17 +421,17 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
                 requirements.add(req)
         elif key == ":types":
             _type_section(rest, node, path, types)
-            known_types.update(types)
         elif key == ":constants":
-            constants += _objects(rest, node, path, known_types,
-                                  constant_names)
+            for obj, ty in _typed(rest, node, path, types):
+                _declare(constants, obj, ty, node, path, "object")
         elif key == ":predicates":
-            _declarations(rest, path, known_types, predicates, "predicate")
+            _declarations(rest, path, types, predicates, "predicate")
         elif key == ":functions":
-            _declarations(rest, path, known_types, functions, "function")
+            _declarations(rest, path, types, functions, "function")
         elif key == ":action":
-            actions.append(_action(node, rest, path, known_types, predicates,
-                                   functions, constant_names))
+            schema = _action(node, rest, path, types, predicates, functions,
+                             constants)
+            _declare(actions, schema.name, schema, node, path, "action")
         else:
             _fail(node, path, f"unknown domain section: {key}")
 
@@ -448,58 +439,59 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
         _fail(tree, path, f"{TOTAL_COST} must take no arguments",
               ArityMismatch)
     return DomainDef(name=name, requirements=frozenset(requirements),
-                     types=tuple(types.items()),
+                     types=tuple(types.items())[1:],
                      predicates=tuple(predicates.items()),
                      functions=tuple(functions.items()),
-                     constants=tuple(constants), actions=tuple(actions))
+                     constants=tuple(constants.items()),
+                     actions=tuple(actions.values()))
 
 
-def _action(node, rest: list, path: str, known_types: set[str],
+def _action(node, rest: list, path: str, types: dict[str, str | None],
             predicates: dict[str, tuple[str, ...]],
             functions: dict[str, tuple[str, ...]],
-            constant_names: set[str]) -> ActionSchema:
+            constants: dict[str, str]) -> ActionSchema:
     if not rest:
         _fail(node, path, ":action needs a name")
     name = _sym(rest[0], path)
-    params: tuple[tuple[str, str], ...] = ()
-    scope: _Scope = (constant_names, set())
-    precondition: list[Literal] = []
+    keys: dict[str, object] = {}
+    for i in range(1, len(rest), 2):
+        key = _sym(rest[i], path)
+        if i + 1 >= len(rest):
+            _fail(rest[i], path, f"{key} needs a value")
+        if key not in (":parameters", ":precondition", ":effect"):
+            _fail(rest[i], path, f"unknown action section: {key}")
+        _declare(keys, key, rest[i + 1], rest[i], path, "action section")
+
+    params: dict[str, str] = {}
+    if ":parameters" in keys:
+        value = keys[":parameters"]
+        for var, ty in _typed(_items(value, path), value, path, types):
+            if not var.startswith("?"):
+                _fail(value, path, f"parameter must start with '?': {var}")
+            _declare(params, var, ty, value, path, "parameter")
+    scope: _Scope = (constants, params)
+
+    def conjuncts(key: str) -> list:
+        return _conjuncts(keys[key], path) if key in keys else []
+
+    precondition = [_literal(part, path, predicates, scope)
+                    for part in conjuncts(":precondition")]
     adds: list[Literal] = []
     deletes: list[Literal] = []
     cost_constant = 0.0
     cost_terms: list[tuple[str, tuple[str, ...]]] = []
     has_cost = False
+    for eff in conjuncts(":effect"):
+        if _head(eff, path) == "increase":
+            constant, terms = _increase(eff, path, functions, scope)
+            cost_constant += constant
+            cost_terms += terms
+            has_cost = True
+            continue
+        lit = _literal(eff, path, predicates, scope)
+        (adds if lit.positive else deletes).append(Literal(lit.name, lit.args))
 
-    for i in range(1, len(rest), 2):
-        key = _sym(rest[i], path)
-        if i + 1 >= len(rest):
-            _fail(rest[i], path, f"{key} needs a value")
-        value = rest[i + 1]
-        if key == ":parameters":
-            params = tuple(_typed(_items(value, path), value, path,
-                                  known_types))
-            for var, _ in params:
-                if not var.startswith("?"):
-                    _fail(value, path, f"parameter must start with '?': {var}")
-            scope = (constant_names, {var for var, _ in params})
-        elif key == ":precondition":
-            precondition = [_literal(part, path, predicates, scope)
-                            for part in _conjuncts(value, path)]
-        elif key == ":effect":
-            for eff in _conjuncts(value, path):
-                if _head(eff, path) == "increase":
-                    constant, terms = _increase(eff, path, functions, scope)
-                    cost_constant += constant
-                    cost_terms += terms
-                    has_cost = True
-                    continue
-                lit = _literal(eff, path, predicates, scope)
-                (adds if lit.positive else deletes).append(
-                    Literal(lit.name, lit.args))
-        else:
-            _fail(rest[i], path, f"unknown action section: {key}")
-
-    return ActionSchema(name=name, params=params,
+    return ActionSchema(name=name, params=tuple(params.items()),
                         precondition=tuple(precondition),
                         add=tuple(adds), delete=tuple(deletes),
                         cost_constant=cost_constant,
@@ -533,15 +525,14 @@ def parse_problem(text: str, domain: DomainDef,
     tree, name, sections = _define(text, path, "problem")
     predicates = dict(domain.predicates)
     functions = dict(domain.functions)
-    known_types = {ROOT_TYPE} | {ty for ty, _ in domain.types}
+    types: dict[str, str | None] = {ROOT_TYPE: None, **domain.type_parents()}
     domain_name = ""
-    objects: list[tuple[str, str]] = []
-    names = {obj for obj, _ in domain.constants}
-    scope: _Scope = (names, None)
+    objects = dict(domain.constants)    # then the problem's :objects
+    scope: _Scope = (objects, None)
     init: set[Atom] = set()
-    fn_values: dict[tuple[str, tuple[str, ...]], float] = {}
+    fn_values: dict[str, tuple] = {}    # "(fn args)" -> ((fn, args), value)
     goal: list[Atom] = []
-    has_goal = False
+    once: dict[str, object] = {}        # sections a problem has at most once
     metric = False
 
     for key, node, rest in sections:
@@ -553,7 +544,8 @@ def parse_problem(text: str, domain: DomainDef,
                 _fail(node, path, f"problem is for domain {domain_name!r}, "
                                   f"expected {domain.name!r}")
         elif key == ":objects":
-            objects += _objects(rest, node, path, known_types, names)
+            for obj, ty in _typed(rest, node, path, types):
+                _declare(objects, obj, ty, node, path, "object")
         elif key == ":init":
             for fact in rest:
                 if _head(fact, path) == "=":
@@ -561,16 +553,18 @@ def parse_problem(text: str, domain: DomainDef,
                     if len(parts) != 3:
                         _fail(fact, path, "(= (fn args) value) expected")
                     term = _term(parts[1], path, functions, "function", scope)
-                    fn_values[term] = _number(parts[2], path)
+                    value = _number(parts[2], path)
+                    _declare(fn_values, _fmt_literal(Literal(*term)),
+                             (term, value), fact, path, "function value")
                     continue
                 lit = _literal(fact, path, predicates, scope)
                 if not lit.positive:
                     _fail(fact, path, "negative literals not allowed in init")
                 init.add(lit.atom())
         elif key == ":goal":
+            _declare(once, key, node, node, path, "section")
             if len(rest) != 1:
                 _fail(node, path, "(:goal <conjunction>) expected")
-            has_goal = True
             for part in _conjuncts(rest[0], path):
                 lit = _literal(part, path, predicates, scope)
                 if not lit.positive:
@@ -586,12 +580,13 @@ def parse_problem(text: str, domain: DomainDef,
         else:
             _fail(node, path, f"unknown problem section: {key}")
 
-    if not has_goal:
+    if ":goal" not in once:
         _fail(tree, path, "problem has no (:goal ...) section")
-    fn_values.pop((TOTAL_COST, ()), None)
+    fn_values.pop(f"({TOTAL_COST})", None)
     return ProblemDef(name=name, domain_name=domain_name,
-                      objects=tuple(objects), init=frozenset(init),
-                      function_values=tuple(sorted(fn_values.items())),
+                      objects=tuple(objects.items())[len(domain.constants):],
+                      init=frozenset(init),
+                      function_values=tuple(sorted(fn_values.values())),
                       goal=tuple(goal), metric=metric)
 
 
@@ -599,21 +594,13 @@ def parse_problem(text: str, domain: DomainDef,
 
 def _objects_by_type(domain: DomainDef,
                      problem: ProblemDef) -> dict[str, list[str]]:
-    parents = domain.type_parents()
-
-    def ancestors(ty: str):
-        while True:
-            yield ty
-            if ty == ROOT_TYPE:
-                return
-            ty = parents.get(ty, ROOT_TYPE)
-
-    table: dict[str, list[str]] = {ROOT_TYPE: []}
-    for ty in parents:
-        table[ty] = []
+    """Each type's objects, sorted, walking up to the root's None parent."""
+    parents = {ROOT_TYPE: None, **domain.type_parents()}
+    table: dict[str, list[str]] = {ty: [] for ty in parents}
     for obj, ty in itertools.chain(domain.constants, problem.objects):
-        for anc in ancestors(ty):
-            table.setdefault(anc, []).append(obj)
+        while ty is not None:
+            table[ty].append(obj)
+            ty = parents[ty]
     for members in table.values():
         members.sort()
     return table

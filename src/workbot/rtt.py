@@ -207,9 +207,9 @@ class SortConfig:
 IOU_MIN = 0.3
 # Kalman noise in pixel units per frame, on the state [u, v, s, r, du, dv, ds]:
 # process noise Q, measurement noise R and the covariance P0 of a new track
-_Q = np.diag([1.0] * 4 + [10.0] * 3)
-_R = np.eye(4)
-_P0 = np.diag([10.0] * 4 + [1000.0] * 3)
+_Q = frozen_array(np.diag([1.0] * 4 + [10.0] * 3))
+_R = frozen_array(np.eye(4))
+_P0 = frozen_array(np.diag([10.0] * 4 + [1000.0] * 3))
 
 
 def _measurement(det: Detection2D) -> np.ndarray:

@@ -446,9 +446,33 @@ SHELF_WS = "(= (distance shelf ws) 1)"
     ("transport.pddl", "(:types robot item location)",
      "(:types a - a robot item location)",
      "PddlSyntaxError", "7:3: type hierarchy has a cycle: a"),
+    ("transport.pddl", "?from - location ?to - location",
+     "?from - location ?from - location",
+     "PddlSyntaxError", "19:17: parameter declared twice: ?from"),
+    ("transport.pddl", "  (:action perceive",
+     "  (:action move :parameters ())\n  (:action perceive",
+     "PddlSyntaxError", "24:3: action declared twice: move"),
+    ("transport.pddl", "(increase (total-cost) 1)))\n)",
+     "(increase (total-cost) 1))\n    :parameters (?x - robot))\n)",
+     "PddlSyntaxError", "41:5: action section declared twice: :parameters"),
+    ("transport.pddl", "    :effect (and (perceived ?o)",
+     "    :precondition (and)\n    :effect (and (perceived ?o)",
+     "PddlSyntaxError", "27:5: action section declared twice: :precondition"),
+    ("transport.pddl", "    :effect (and (perceived ?o)",
+     "    :effect (and)\n    :effect (and (perceived ?o)",
+     "PddlSyntaxError", "28:5: action section declared twice: :effect"),
+    ("transport_1.pddl", SHELF_WS, f"{SHELF_WS} {SHELF_WS}",
+     "PddlSyntaxError",
+     "14:31: function value declared twice: (distance shelf ws)"),
+    ("transport_1.pddl", "(:goal", "(:goal (and))\n  (:goal",
+     "PddlSyntaxError", "17:3: section declared twice: :goal"),
 ], ids=["init-nan", "init-inf", "init-overflow", "increase-nan",
         "duplicate-function", "undeclared-constant", "init-variable",
-        "deep-nesting", "duplicate-object", "type-cycle", "type-own-parent"])
+        "deep-nesting", "duplicate-object", "type-cycle", "type-own-parent",
+        "duplicate-parameter", "duplicate-action",
+        "duplicate-parameters-key", "duplicate-precondition-key",
+        "duplicate-effect-key", "duplicate-function-value",
+        "duplicate-goal"])
 def test_pddl_error_is_located_json(tmp_path, capsys, file, old, new, error,
                                     message):
     from workbot.cli import main
@@ -508,6 +532,7 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
            "plane_angle_tol must be in (0, pi/2], got 2.0"),
           ("plane_dist_thresh", -0.005,
            "plane_dist_thresh must be positive, got -0.005"),
+          ("plane_max_iters", 0, "plane_max_iters must be at least 1, got 0"),
       ]],
     pytest.param({"sc.json": {**RTT, "center": [0]}},
                  ["rtt", "--scenario", "sc.json"], "sc.json", "ValueError",
@@ -545,6 +570,14 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
     pytest.param({**MAP, "map.pgm": "P2 0 0 255\n"}, DWA, "map.pgm",
                  "GridParseError", "map must be at least 1x1, got 0x0",
                  id="empty-map"),
+    pytest.param({**MAP, "cfg.json": '{"dt": 0.1, "dt": 0.2}'},
+                 [*DWA, "--config", "cfg.json"], "cfg.json", "ValueError",
+                 "key 'dt' appears twice in one object",
+                 id="dwa-config-repeated-key"),
+    pytest.param({"sc.json": json.dumps(RTT)[:-1] + ', "seed": 7}'},
+                 ["rtt", "--scenario", "sc.json"], "sc.json", "ValueError",
+                 "key 'seed' appears twice in one object",
+                 id="rtt-repeated-seed"),
 ])
 def test_malformed_input_file_is_a_pipeline_error(tmp_path, capsys, files,
                                                   argv, bad, error, message):
@@ -600,6 +633,28 @@ def test_non_finite_flag_values_are_a_pipeline_error(tmp_path, capsys, argv,
         "error": "ValueError",
         "message": f"{flag} expects {n} comma-separated finite numbers, "
                    f"got {value!r}"}
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-steps", "-5", "max_steps must be at least 0, got -5"),
+    ("--stop-dist", "-1", "stop_dist must be finite and at least 0, got -1.0"),
+    ("--stop-dist", "inf", "stop_dist must be finite and at least 0, got inf"),
+    ("--stop-dist", "nan", "stop_dist must be finite and at least 0, got nan"),
+])
+def test_bad_episode_limits_are_a_pipeline_error(tmp_path, capsys, flag,
+                                                 value, message):
+    from workbot.cli import main
+
+    out = tmp_path / "poses.csv"
+    code = main(["dwa", "--map", str(DATA / "cluttered.pgm"),
+                 "--start", "1,1,0", "--goal", "5,5", flag, value,
+                 "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError",
+                                        "message": message}
 
 
 def test_unsupported_requirement_names_the_domain(tmp_path, capsys):

@@ -368,6 +368,29 @@ def test_episode_stops_on_the_step_budget():
     assert result.steps == 10
 
 
+@pytest.mark.parametrize("limits, message", [
+    ({"max_steps": -1}, "max_steps must be at least 0, got -1"),
+    ({"stop_dist": -0.1}, "stop_dist must be finite and at least 0, got -0.1"),
+    ({"stop_dist": math.inf},
+     "stop_dist must be finite and at least 0, got inf"),
+    ({"stop_dist": math.nan},
+     "stop_dist must be finite and at least 0, got nan"),
+])
+def test_episode_rejects_a_bad_budget_or_stop_distance(limits, message):
+    with pytest.raises(ValueError) as exc:
+        run_episode(RobotState(1.0, 1.0, 0.0), np.array([5.0, 5.0]),
+                    empty_grid(), **limits)
+    assert str(exc.value) == message
+
+
+def test_episode_with_no_step_budget_takes_no_step():
+    grid = empty_grid()
+    near, far = (run_episode(RobotState(1.0, 1.0, 0.0), np.array(goal), grid,
+                             max_steps=0) for goal in ((1.05, 1.0), (5.0, 5.0)))
+    assert (near.stop, near.steps) == ("reached", 0)
+    assert (far.stop, far.steps) == ("budget", 0)
+
+
 def test_episode_stops_when_no_command_is_admissible():
     cells = np.full((20, 20), OCCUPIED, dtype=np.uint8)
     cells[9:11, 9:11] = FREE

@@ -3,6 +3,7 @@ bundled JSON input through its loader."""
 
 import dataclasses
 import json
+import re
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,6 +96,9 @@ def test_decode_rejects_a_non_object():
     ("[1]", dict, "expected a JSON object"),
     ('{"a": 1}', list, "expected a JSON array"),
     ("{nope", dict, "Expecting property name"),
+    ('{"a": {"b": 1, "b": 1}}', dict, "key 'b' appears twice in one object"),
+    ('[{"a": 1}, {"a": 1, "a": 2}]', list,
+     "key 'a' appears twice in one object"),
 ])
 def test_load_json_names_the_file(tmp_path, text, expected, message):
     path = tmp_path / "in.json"
@@ -182,6 +186,26 @@ def test_bundled_inputs_load(fuzz_dir, name):
     path = _input_path(fuzz_dir, name)
     path.write_text(json.dumps(doc))
     loader(path)
+
+
+def _repeat_first_key(doc) -> str:
+    """``doc`` as JSON text whose first object lists its first key twice."""
+    if isinstance(doc, list):
+        rows = [_repeat_first_key(doc[0])] + [json.dumps(v) for v in doc[1:]]
+        return "[" + ", ".join(rows) + "]"
+    key, value = next(iter(doc.items()))
+    return f"{{{json.dumps(key)}: {json.dumps(value)}, " + json.dumps(doc)[1:]
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_every_input_rejects_a_repeated_key(fuzz_dir, name):
+    doc, loader = INPUTS[name]
+    path = _input_path(fuzz_dir, name)
+    path.write_text(_repeat_first_key(doc))
+    with pytest.raises(ValueError) as exc:
+        loader(path)
+    assert re.fullmatch(f"{re.escape(str(path))}: key '[^']+' appears twice "
+                        f"in one object", str(exc.value))
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))

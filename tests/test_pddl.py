@@ -146,6 +146,53 @@ def test_constants_and_objects_share_one_name_space():
         parse_domain(twice)
 
 
+TOY_FN_PROBLEM = TOY_PROBLEM.replace("(clear b))", "(clear b) (= (total-cost) 0))")
+
+
+@pytest.mark.parametrize("kind, old, new, message", [
+    ("domain", "?a - block ?b - block)\n    :pre",
+     "?a - block ?a - block)\n    :pre", "8:17: parameter declared twice: ?a"),
+    ("domain", "(:action stack", "(:action stack :parameters ())\n  (:action stack",
+     "8:3: action declared twice: stack"),
+    ("domain", "    :precondition", "    :parameters (?a - block)\n    :precondition",
+     "9:5: action section declared twice: :parameters"),
+    ("domain", "    :effect", "    :precondition (clear ?a)\n    :effect",
+     "10:5: action section declared twice: :precondition"),
+    ("domain", "    :effect", "    :effect (clear ?a)\n    :effect",
+     "11:5: action section declared twice: :effect"),
+    ("problem", "(= (total-cost) 0)", "(= (total-cost) 0) (= (total-cost) 1)",
+     "5:49: function value declared twice: (total-cost)"),
+    ("problem", "(:goal", "(:goal (and))\n  (:goal",
+     "7:3: section declared twice: :goal"),
+], ids=["parameter", "action", "parameters", "precondition", "effect",
+        "function-value", "goal"])
+def test_repeated_declaration_is_a_located_syntax_error(kind, old, new,
+                                                        message):
+    domain = parse_domain(TOY_COST_DOMAIN)
+    parse_problem(TOY_FN_PROBLEM, domain)   # the unbroken files parse
+    text = TOY_COST_DOMAIN if kind == "domain" else TOY_FN_PROBLEM
+    assert text.count(old) == 1
+    bad = text.replace(old, new)
+    with pytest.raises(PddlSyntaxError) as exc:
+        if kind == "domain":
+            parse_domain(bad, path="bad.pddl")
+        else:
+            parse_problem(bad, domain, path="bad.pddl")
+    assert str(exc.value) == f"bad.pddl:{message}"
+
+
+def test_action_keys_may_come_in_any_order():
+    reordered = TOY_DOMAIN.replace(
+        """    :parameters (?a - block ?b - block)
+    :precondition (and (clear ?a) (clear ?b))
+    :effect (and (stacked ?a ?b) (not (clear ?b)))""",
+        """    :effect (and (stacked ?a ?b) (not (clear ?b)))
+    :precondition (and (clear ?a) (clear ?b))
+    :parameters (?a - block ?b - block)""")
+    assert reordered != TOY_DOMAIN
+    assert parse_domain(reordered) == parse_domain(TOY_DOMAIN)
+
+
 def test_unknown_predicate():
     text = """
     (define (domain d)

@@ -3,7 +3,8 @@
 A value copies every array it is given into a read-only array of its own:
 the caller's array stays writable, later edits to it do not reach the
 value, and nothing can edit the value's arrays in place.  The guard below
-keeps the table complete as new value types appear.
+keeps the table complete as new value types appear.  Module-level arrays
+are read-only too.
 """
 
 import dataclasses
@@ -120,3 +121,19 @@ def test_every_frozen_array_holder_is_checked_or_exempt():
     checked = {f"{cls.__module__}.{cls.__qualname__}" for cls in VALUES}
     assert holders - checked == set(EXEMPT)
     assert checked <= holders
+
+
+def test_module_arrays_are_read_only():
+    # module-level arrays are shared by every caller, so none may change
+    arrays = {}
+    for info in pkgutil.iter_modules(workbot.__path__):
+        module = importlib.import_module(f"workbot.{info.name}")
+        arrays.update((f"{module.__name__}.{name}", value)
+                      for name, value in vars(module).items()
+                      if isinstance(value, np.ndarray))
+    assert {"workbot.rtt._Q", "workbot.rtt._R", "workbot.rtt._P0",
+            "workbot.kinematics._ROT_WEIGHTS", "workbot.kinematics._DAMPING",
+            "workbot.kinematics._STENCIL"} <= arrays.keys()
+    for arr in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1.0
