@@ -127,7 +127,7 @@ class Plane:
         if not math.isfinite(ln) or ln == 0.0:
             raise ValueError("plane normal must be a nonzero finite vector")
         n = n / ln
-        off = float(self.offset) / ln if ln != 1.0 else float(self.offset)
+        off = float(self.offset) / ln
         sign = canonical_sign(n, _PLANE_AXES)
         object.__setattr__(self, "normal", frozen_array(sign * n))
         object.__setattr__(self, "offset", sign * off)
@@ -270,15 +270,42 @@ class PerceptionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each stage's own rule, checked at load; leaf 0 skips downsampling
+        if not (self.leaf >= 0.0 and math.isfinite(self.leaf)):
+            raise ValueError(f"leaf must be finite and not negative, "
+                             f"got {self.leaf}")
+        if self.passthrough is not None:
+            axis, lo, hi = self.passthrough
+            if str(axis).lower() not in _AXES or not lo <= hi:
+                raise ValueError(f"passthrough must be (axis x, y or z, lo, "
+                                 f"hi) with lo <= hi, got {self.passthrough}")
+        if self.normals_k < 3:
+            raise ValueError(f"normals_k must be at least 3, "
+                             f"got {self.normals_k}")
         if not 0.0 < self.plane_angle_tol <= math.pi / 2.0:
             raise ValueError(f"plane_angle_tol must be in (0, pi/2], "
                              f"got {self.plane_angle_tol}")
+        if not 0.0 < math.hypot(*self.plane_ref_axis) < math.inf:
+            raise ValueError(f"plane_ref_axis must be a nonzero finite "
+                             f"vector, got {self.plane_ref_axis}")
         if not self.plane_dist_thresh > 0.0:
             raise ValueError(f"plane_dist_thresh must be positive, "
                              f"got {self.plane_dist_thresh}")
         if self.plane_max_iters < 1:
             raise ValueError(f"plane_max_iters must be at least 1, "
                              f"got {self.plane_max_iters}")
+        if not 0.0 <= self.prism_h_min < self.prism_h_max:
+            raise ValueError(f"prism_h_min must be in [0, prism_h_max = "
+                             f"{self.prism_h_max}), got {self.prism_h_min}")
+        if not self.cluster_tol > 0.0:
+            raise ValueError(f"cluster_tol must be positive, "
+                             f"got {self.cluster_tol}")
+        if not 1 <= self.cluster_min_size <= self.cluster_max_size:
+            raise ValueError(f"cluster_min_size must be in [1, "
+                             f"cluster_max_size = {self.cluster_max_size}], "
+                             f"got {self.cluster_min_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:

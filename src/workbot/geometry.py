@@ -99,7 +99,3 @@ class Pose:
         m[:3, :3] = self.rotation()
         m[:3, 3] = self.position
         return m
-
-    def transform(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation().T + self.position

@@ -192,6 +192,8 @@ class DomainDef:
 
 @dataclass(frozen=True)
 class ProblemDef:
+    """A parsed problem.  ``goal`` keeps its atoms in the order they are
+    listed; a repeated atom means the same as one listing."""
     name: str
     domain_name: str
     objects: tuple[tuple[str, str], ...]
@@ -681,24 +683,20 @@ def ground(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]:
 _Row = tuple[int, int, int, int, int, float]
 
 
-def _goal_holds(goal: tuple[Atom, ...], state: frozenset[Atom]) -> bool:
-    return all(atom in state for atom in goal)
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledTask:
     """Ground actions and a goal as bitsets, to ``search`` from any init.
 
     ``bit`` numbers every atom an action or the goal mentions, in sorted
-    order.  Goal layer k holds the atoms the goal lists more than k times.
-    Its mappings are read-only, as every search of a mission shares them;
-    it compares and hashes by identity.
+    order, and ``goal`` is the mask of the goal's atoms.  Its mappings are
+    read-only, as every search of a mission shares them; it compares and
+    hashes by identity.
     """
     actions: tuple[GroundAction, ...]
     bit: MappingProxyType[Atom, int]
     filed: MappingProxyType[int, tuple[_Row, ...]]
     unfiled: tuple[_Row, ...]
-    layers: tuple[int, ...]
+    goal: int
 
 
 def compile_task(actions: list[GroundAction],
@@ -722,18 +720,10 @@ def compile_task(actions: list[GroundAction],
             filed.setdefault(pre & -pre, []).append(row)
         else:
             unfiled.append(row)
-    # greedy counts a goal atom once per listing, so layer 0 is the goal
-    layers: list[int] = [0]
-    listings: dict[Atom, int] = {}
-    for atom in goal:
-        k = listings[atom] = listings.get(atom, 0) + 1
-        if k > len(layers):
-            layers.append(0)
-        layers[k - 1] |= bit[atom]
     return CompiledTask(
         actions=tuple(actions), bit=MappingProxyType(bit),
         filed=MappingProxyType({k: tuple(v) for k, v in filed.items()}),
-        unfiled=tuple(unfiled), layers=tuple(layers))
+        unfiled=tuple(unfiled), goal=mask(frozenset(goal)))
 
 
 def plan(domain: DomainDef, problem: ProblemDef,
@@ -748,10 +738,11 @@ def search(task: CompiledTask, init: frozenset[Atom],
     """Forward search over ``task`` from ``init`` to its goal.
 
     "optimal" runs uniform-cost search and returns a minimal-cost plan;
-    "greedy" runs best-first on the number of unsatisfied goal atoms and
-    returns the first plan found.  Both are deterministic: the frontier
-    orders equal-priority entries by the plan prefix, whose elements index
-    ``task.actions``, in the name order that ``ground`` gives them.
+    "greedy" runs best-first on the number of distinct unsatisfied goal
+    atoms and returns the first plan found.  Both are deterministic: the
+    frontier orders equal-priority entries by the plan prefix, whose
+    elements index ``task.actions``, in the name order that ``ground`` gives
+    them.
 
     A state is an int with one bit per atom.  An expanded state tries only
     the rows filed under its own bits, in ascending index order, which
@@ -766,19 +757,13 @@ def search(task: CompiledTask, init: frozenset[Atom],
     """
     if mode not in ("optimal", "greedy"):
         raise ValueError(f"mode must be 'optimal' or 'greedy', got {mode!r}")
-    goal_bits, filed_bits = task.layers[0], sum(task.filed)
+    goal_bits, filed_bits = task.goal, sum(task.filed)
     tried: dict[int, list[_Row]] = {}       # state & filed_bits -> rows
-
-    def unsatisfied(state: int) -> int:
-        count = 0
-        for layer in task.layers:
-            count += (layer & ~state).bit_count()
-        return count
-
     optimal = mode == "optimal"
     start = sum(map(task.bit.get, task.bit.keys() & init))
     # frontier entries: (priority, path indices, state, cost)
-    frontier = [(0.0 if optimal else unsatisfied(start), (), start, 0.0)]
+    frontier = [(0.0 if optimal else (goal_bits & ~start).bit_count(), (),
+                 start, 0.0)]
     best_cost: dict[int, float] = {start: 0.0}
     closed: set[int] = set()
     expanded = generated = 0
@@ -822,7 +807,8 @@ def search(task: CompiledTask, init: frozenset[Atom],
                 if nxt in best_cost:
                     continue
                 best_cost[nxt] = ncost
-                push(frontier, (unsatisfied(nxt), path + (idx,), nxt, ncost))
+                push(frontier, ((goal_bits & ~nxt).bit_count(),
+                                path + (idx,), nxt, ncost))
     raise Unsolvable(
         f"no plan reaches the goal ({len(task.actions)} ground actions "
         f"explored)")
@@ -843,7 +829,7 @@ def validate(domain: DomainDef, problem: ProblemDef,
         if act is None or not act.applicable(state):
             return ValidationResult(ok=False, failed_at=i)
         state = act.apply(state)
-    if not _goal_holds(problem.goal, state):
+    if not state.issuperset(problem.goal):
         return ValidationResult(ok=False, failed_at="goal")
     return ValidationResult(ok=True)
 

@@ -533,6 +533,24 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
           ("plane_dist_thresh", -0.005,
            "plane_dist_thresh must be positive, got -0.005"),
           ("plane_max_iters", 0, "plane_max_iters must be at least 1, got 0"),
+          ("leaf", -1, "leaf must be finite and not negative, got -1.0"),
+          ("normals_k", 2, "normals_k must be at least 3, got 2"),
+          ("passthrough", ["w", 0, 1], "passthrough must be (axis x, y or "
+           "z, lo, hi) with lo <= hi, got ('w', 0.0, 1.0)"),
+          ("passthrough", ["z", 1, 0], "passthrough must be (axis x, y or "
+           "z, lo, hi) with lo <= hi, got ('z', 1.0, 0.0)"),
+          ("prism_h_min", 0.5,
+           "prism_h_min must be in [0, prism_h_max = 0.4), got 0.5"),
+          ("prism_h_max", 0.005,
+           "prism_h_min must be in [0, prism_h_max = 0.005), got 0.01"),
+          ("cluster_tol", 0, "cluster_tol must be positive, got 0.0"),
+          ("cluster_min_size", 0, "cluster_min_size must be in [1, "
+           "cluster_max_size = 20000], got 0"),
+          ("cluster_max_size", 10, "cluster_min_size must be in [1, "
+           "cluster_max_size = 10], got 25"),
+          ("plane_ref_axis", [0, 0, 0], "plane_ref_axis must be a nonzero "
+           "finite vector, got (0.0, 0.0, 0.0)"),
+          ("seed", -1, "seed must be non-negative, got -1"),
       ]],
     pytest.param({"sc.json": {**RTT, "center": [0]}},
                  ["rtt", "--scenario", "sc.json"], "sc.json", "ValueError",

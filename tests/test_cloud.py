@@ -590,7 +590,15 @@ def test_perception_config_from_json_partial():
     ("plane_angle_tol", 0.0), ("plane_angle_tol", -0.1),
     ("plane_angle_tol", math.pi / 2.0 + 1e-9), ("plane_angle_tol", math.nan),
     ("plane_dist_thresh", 0.0), ("plane_dist_thresh", -0.005),
-    ("plane_dist_thresh", math.nan)])
+    ("plane_dist_thresh", math.nan),
+    ("leaf", -0.001), ("leaf", math.inf), ("leaf", math.nan),
+    ("normals_k", 2), ("passthrough", ("w", 0.0, 1.0)),
+    ("passthrough", ("x", 0.5, 0.4)), ("passthrough", ("y", math.nan, 1.0)),
+    ("prism_h_min", -0.01), ("prism_h_min", 0.4), ("prism_h_min", math.nan),
+    ("cluster_tol", 0.0), ("cluster_tol", -0.02), ("cluster_tol", math.nan),
+    ("cluster_min_size", 0), ("cluster_min_size", 20001),
+    ("plane_ref_axis", (0.0, 0.0, 0.0)),
+    ("plane_ref_axis", (math.nan, 0.0, 1.0)), ("seed", -1)])
 def test_perception_config_rejects_bad_ransac_settings(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         PerceptionConfig(**{field: value})

@@ -579,18 +579,27 @@ def test_greedy_keeps_the_lower_index_of_two_ways_to_one_state(detour,
     assert (optimal.names(), optimal.cost) == (("(drive)",), 1.0)
 
 
-def test_greedy_counts_a_repeated_goal_atom_twice():
+def test_a_repeated_goal_atom_counts_once():
     domain = parse_domain("""
         (define (domain two) (:requirements :strips)
           (:predicates (a) (b))
           (:action make-a :parameters () :effect (a))
           (:action make-b :parameters () :effect (b)))""")
-    problem = parse_problem("(define (problem t) (:domain two) (:init)"
-                            " (:goal (and (b) (b) (a))))", domain)
-    # (b) is worth two goal atoms, so greedy makes it first although
-    # (make-a) sorts first
-    assert plan(domain, problem, mode="greedy").names() == ("(make-b)",
-                                                            "(make-a)")
+    repeated, single = (
+        parse_problem("(define (problem t) (:domain two) (:init)"
+                      f" (:goal (and {goal})))", domain)
+        for goal in ("(b) (b) (a)", "(b) (a)"))
+    # a goal is a set of atoms: listing (b) twice changes nothing, so
+    # greedy makes (a) first, as (make-a) sorts first
+    greedy = plan(domain, repeated, mode="greedy")
+    assert outcome(greedy) == outcome(plan(domain, single, mode="greedy"))
+    assert greedy.names() == ("(make-a)", "(make-b)")
+    actions = ground(domain, repeated)
+    assert (compile_task(actions, repeated.goal).goal
+            == compile_task(actions, single.goal).goal)
+    assert validate(domain, repeated, greedy).ok
+    text = print_problem(repeated)
+    assert print_problem(parse_problem(text, domain)) == text
 
 
 def test_plan_counts_expanded_and_generated_states():
