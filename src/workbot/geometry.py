@@ -35,10 +35,21 @@ def frozen_array(value, dtype=float, shape=None) -> np.ndarray:
 
 
 def unit(v) -> np.ndarray:
+    """v scaled to length 1.  When the sum of squares overflows or
+    underflows, v is first divided by its largest |component|, so a finite
+    nonzero vector always has a direction; a zero or non-finite one raises
+    ValueError."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("zero vector has no direction")
+    if not np.isfinite(v).all():
+        raise ValueError(f"non-finite vector has no direction: {v}")
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(v))
+    if not 0.0 < n < math.inf:
+        largest = float(np.abs(v).max())
+        if largest == 0.0:
+            raise ValueError("zero vector has no direction")
+        v = v / largest
+        n = float(np.linalg.norm(v))
     return v / n
 
 

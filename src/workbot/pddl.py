@@ -280,14 +280,27 @@ def _declare(table: dict, name: str, value, node, path: str,
     table[name] = value
 
 
-def _typed_list(nodes: list, path: str) -> list[tuple[str, str]]:
-    """Parse `a b - t c - u d` into [(a,t),(b,t),(c,u),(d,object)]."""
+def _require(declared: frozenset[str], requirement: str, node, path: str,
+             what: str) -> None:
+    """A domain uses `what` at `node`, which it may only with `requirement`
+    among its `declared` requirements."""
+    if requirement not in declared:
+        _fail(node, path, f"{what} needs requirement {requirement}")
+
+
+def _typed_list(nodes: list, path: str,
+                declared: frozenset[str] = SUPPORTED_REQUIREMENTS
+                ) -> list[tuple[str, str]]:
+    """Parse `a b - t c - u d` into [(a,t),(b,t),(c,u),(d,object)].  A
+    `- <type>` needs :typing among the `declared` requirements (a problem
+    is not checked)."""
     out: list[tuple[str, str]] = []
     pending: list[str] = []
     i = 0
     while i < len(nodes):
         text = _sym(nodes[i], path)
         if text == "-":
+            _require(declared, ":typing", nodes[i], path, "typed list")
             if i + 1 >= len(nodes):
                 _fail(nodes[i], path, "dangling '-' in typed list")
             if not pending:
@@ -303,10 +316,11 @@ def _typed_list(nodes: list, path: str) -> list[tuple[str, str]]:
     return out
 
 
-def _typed(nodes: list, node, path: str,
-           types: dict[str, str | None]) -> list[tuple[str, str]]:
+def _typed(nodes: list, node, path: str, types: dict[str, str | None],
+           declared: frozenset[str] = SUPPORTED_REQUIREMENTS
+           ) -> list[tuple[str, str]]:
     """A typed list whose every type is declared; errors point at `node`."""
-    pairs = _typed_list(nodes, path)
+    pairs = _typed_list(nodes, path, declared)
     for _, ty in pairs:
         if ty not in types:
             _fail(node, path, f"unknown type: {ty}", UnknownType)
@@ -333,13 +347,14 @@ def _type_section(nodes: list, node, path: str,
 
 
 def _declarations(nodes: list, path: str, types: dict[str, str | None],
-                  table: dict[str, tuple[str, ...]], what: str) -> None:
+                  table: dict[str, tuple[str, ...]], what: str,
+                  declared: frozenset[str]) -> None:
     """Declare each `(name ?a - t ...)` in `table` as name -> parameter
     types."""
     for decl in nodes:
         parts = _call(decl, path)
         name = _sym(parts[0], path)
-        params = _typed(parts[1:], decl, path, types)
+        params = _typed(parts[1:], decl, path, types, declared)
         _declare(table, name, tuple(ty for _, ty in params), decl, path, what)
 
 
@@ -404,8 +419,24 @@ def _number(node, path: str) -> float:
 
 # --- domain parsing ----------------------------------------------------------
 
+def _declared_requirements(tree) -> frozenset[str]:
+    """The symbols of every `(:requirements ...)` section, read ahead of
+    the loop over sections because a section may use a requirement that a
+    later one declares; the loop still checks each requirement in place."""
+    return frozenset(item.text for node in tree[3:]
+                     if isinstance(node, list) and len(node) > 1
+                     and not isinstance(node[1], list)
+                     and node[1].text == ":requirements"
+                     for item in node[2:] if not isinstance(item, list))
+
+
 def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
+    """A domain definition.  A part that needs a requirement the domain does
+    not declare is a located PddlSyntaxError: `:types` and `- <type>` need
+    :typing, a `(not ...)` precondition :negative-preconditions, and
+    `:functions` and `increase` :action-costs."""
     tree, name, sections = _define(text, path, "domain")
+    declared = _declared_requirements(tree)
     requirements: set[str] = set()
     types: dict[str, str | None] = {ROOT_TYPE: None}
     constants: dict[str, str] = {}
@@ -422,17 +453,21 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
                                                  req.lstrip(":"))
                 requirements.add(req)
         elif key == ":types":
+            _require(declared, ":typing", node, path, ":types section")
             _type_section(rest, node, path, types)
         elif key == ":constants":
-            for obj, ty in _typed(rest, node, path, types):
+            for obj, ty in _typed(rest, node, path, types, declared):
                 _declare(constants, obj, ty, node, path, "object")
         elif key == ":predicates":
-            _declarations(rest, path, types, predicates, "predicate")
+            _declarations(rest, path, types, predicates, "predicate",
+                          declared)
         elif key == ":functions":
-            _declarations(rest, path, types, functions, "function")
+            _require(declared, ":action-costs", node, path,
+                     ":functions section")
+            _declarations(rest, path, types, functions, "function", declared)
         elif key == ":action":
             schema = _action(node, rest, path, types, predicates, functions,
-                             constants)
+                             constants, declared)
             _declare(actions, schema.name, schema, node, path, "action")
         else:
             _fail(node, path, f"unknown domain section: {key}")
@@ -451,7 +486,8 @@ def parse_domain(text: str, path: str = "<domain>") -> DomainDef:
 def _action(node, rest: list, path: str, types: dict[str, str | None],
             predicates: dict[str, tuple[str, ...]],
             functions: dict[str, tuple[str, ...]],
-            constants: dict[str, str]) -> ActionSchema:
+            constants: dict[str, str],
+            declared: frozenset[str]) -> ActionSchema:
     if not rest:
         _fail(node, path, ":action needs a name")
     name = _sym(rest[0], path)
@@ -467,7 +503,8 @@ def _action(node, rest: list, path: str, types: dict[str, str | None],
     params: dict[str, str] = {}
     if ":parameters" in keys:
         value = keys[":parameters"]
-        for var, ty in _typed(_items(value, path), value, path, types):
+        for var, ty in _typed(_items(value, path), value, path, types,
+                              declared):
             if not var.startswith("?"):
                 _fail(value, path, f"parameter must start with '?': {var}")
             _declare(params, var, ty, value, path, "parameter")
@@ -476,8 +513,13 @@ def _action(node, rest: list, path: str, types: dict[str, str | None],
     def conjuncts(key: str) -> list:
         return _conjuncts(keys[key], path) if key in keys else []
 
-    precondition = [_literal(part, path, predicates, scope)
-                    for part in conjuncts(":precondition")]
+    precondition = []
+    for part in conjuncts(":precondition"):
+        lit = _literal(part, path, predicates, scope)
+        if not lit.positive:
+            _require(declared, ":negative-preconditions", part, path,
+                      "negative precondition")
+        precondition.append(lit)
     adds: list[Literal] = []
     deletes: list[Literal] = []
     cost_constant = 0.0
@@ -485,6 +527,7 @@ def _action(node, rest: list, path: str, types: dict[str, str | None],
     has_cost = False
     for eff in conjuncts(":effect"):
         if _head(eff, path) == "increase":
+            _require(declared, ":action-costs", eff, path, "increase effect")
             constant, terms = _increase(eff, path, functions, scope)
             cost_constant += constant
             cost_terms += terms

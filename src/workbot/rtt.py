@@ -1,5 +1,9 @@
 """Rotating-table tracking: 2D SORT-style tracking, 3D nearest-neighbour
 association, circular motion estimation and background change detection.
+
+Both trackers pair by one rule, ``gated_assignment``, on one cost matrix
+per frame: SORT on 1 - IoU with IoU >= IOU_MIN, 3D association on the
+distance from each track's last point within a gate.
 """
 
 from __future__ import annotations
@@ -67,17 +71,23 @@ class Detection2D:
                 self.cx + self.w / 2.0, self.cy + self.h / 2.0)
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two (x1, y1, x2, y2) boxes, in [0, 1]."""
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def iou(a, b) -> np.ndarray:
+    """Intersection over union of (x1, y1, x2, y2) boxes, in [0, 1].
+
+    The last axis holds the corners and the leading axes broadcast, so
+    ``iou(preds[:, None], boxes)`` is the (tracks x detections) matrix in one
+    call; boxes that do not overlap, touching ones included, score 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
     inter = iw * ih
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+    return np.divide(inter, union, out=np.zeros(inter.shape),
+                     where=np.minimum(iw, ih) > 0.0)
 
 
 # --- Hungarian assignment ---------------------------------------------------
@@ -299,9 +309,9 @@ class SortTracker:
         matches: list[tuple[int, int]] = []
         unmatched_dets = set(range(len(detections)))
         if self.tracks and detections:
-            preds = [tr.predicted_box() for tr in self.tracks]
-            boxes = [d.corners() for d in detections]
-            ious = np.array([[iou(p, b) for b in boxes] for p in preds])
+            preds = np.array([tr.predicted_box() for tr in self.tracks])
+            boxes = np.array([d.corners() for d in detections])
+            ious = iou(preds[:, None], boxes)
             for ti, dj in gated_assignment(1.0 - ious, ious >= IOU_MIN):
                 tr = self.tracks[ti]
                 kalman_update(tr, detections[dj])
@@ -363,35 +373,22 @@ class Association:
 def associate_nn_3d(tracks: list[Track3D],
                     points: list[tuple[float, np.ndarray]],
                     gate: float) -> Association:
-    """Greedy globally-nearest pairing under a distance gate.
-
-    Repeatedly commits the smallest remaining track-point distance while it
-    does not exceed the gate (ties broken by track then point index), appends
-    matched points to track histories, and reports the leftovers.
+    """Pair tracks with points by ``gated_assignment`` on the distances from
+    each track's last point: as many pairs within the gate as possible, then
+    the least total distance.  Matched points are appended to their tracks'
+    histories in track order, and the leftovers are reported.
     """
-    candidates = []
-    for ti, tr in enumerate(tracks):
-        base = tr.last_point
-        for pj, (_, p) in enumerate(points):
-            d = float(np.linalg.norm(np.asarray(p, dtype=float) - base))
-            if d <= gate:
-                candidates.append((d, ti, pj))
-    candidates.sort()
-    used_t: set[int] = set()
-    used_p: set[int] = set()
-    pairs = []
-    for d, ti, pj in candidates:
-        if ti in used_t or pj in used_p:
-            continue
-        t, p = points[pj]
-        tracks[ti].append(t, p)
-        pairs.append((ti, pj))
-        used_t.add(ti)
-        used_p.add(pj)
-    unmatched_t = tuple(i for i in range(len(tracks)) if i not in used_t)
-    unmatched_p = tuple(j for j in range(len(points)) if j not in used_p)
-    return Association(pairs=tuple(pairs), unmatched_tracks=unmatched_t,
-                       unmatched_points=unmatched_p)
+    ends = np.array([tr.last_point for tr in tracks]).reshape(len(tracks), 3)
+    pts = np.array([p for _, p in points], dtype=float).reshape(len(points), 3)
+    dist = np.linalg.norm(pts - ends[:, None], axis=-1)
+    pairs = gated_assignment(dist, dist <= gate)
+    for ti, pj in pairs:
+        tracks[ti].append(*points[pj])
+    left_t = set(range(len(tracks))) - {ti for ti, _ in pairs}
+    left_p = set(range(len(points))) - {pj for _, pj in pairs}
+    return Association(pairs=tuple(pairs),
+                       unmatched_tracks=tuple(sorted(left_t)),
+                       unmatched_points=tuple(sorted(left_p)))
 
 
 # --- circular motion --------------------------------------------------------

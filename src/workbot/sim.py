@@ -328,7 +328,9 @@ def _score(claims: list[list[int | None]], truth: RttTruth, track_count: int,
     for k, seq in enumerate(claims):
         observed = [c for c in seq if c is not None]
         switches += sum(1 for a, b in zip(observed, observed[1:]) if a != b)
-        dominant = max(set(observed), key=observed.count) if observed else None
+        # the most frequent claimant; among equals, the smallest id
+        dominant = (max(sorted(set(observed)), key=observed.count)
+                    if observed else None)
         for i, c in enumerate(seq):
             if truth.present[i, k]:
                 total += 1
@@ -347,8 +349,10 @@ def evaluate_sort(frames2: list[RttFrame2],
     The Kalman model steps by the stream's frame interval.  Each frame,
     objects claim confirmed tracks one to one: the assignment of least
     total pixel distance between true positions and reported box centres,
-    pairs farther apart than one box edge excluded.  Metrics: id_switches,
-    assoc_accuracy, track_count, omega_rel_err.
+    pairs farther apart than one box edge excluded.  An object's claims are
+    correct when they name its dominant claimant: the track that claims it
+    in the most frames, the smallest id among equals.  Metrics:
+    id_switches, assoc_accuracy, track_count, omega_rel_err.
     """
     n_obj = truth.positions.shape[1]
     claims: list[list[int | None]] = [[] for _ in range(n_obj)]
@@ -362,23 +366,20 @@ def evaluate_sort(frames2: list[RttFrame2],
     gate = truth.box_px
     for i, frame in enumerate(frames2):
         step = tracker.step(list(frame.detections))
-        centers = []
-        for rep in step.confirmed:
-            x1, y1, x2, y2 = rep.box
-            centers.append((rep.track_id, (x1 + x2) / 2.0, (y1 + y2) / 2.0))
-            all_ids.add(rep.track_id)
-        truth_px = (truth.positions[i, :, :2] - truth.center) * scale
-        dist = np.array([[math.hypot(cx - gx, cy - gy) for _, cx, cy in centers]
-                         for gx, gy in truth_px]).reshape(n_obj, len(centers))
-        claimed = {k: centers[j]
-                   for k, j in gated_assignment(dist, dist <= gate)}
+        ids = [rep.track_id for rep in step.confirmed]
+        all_ids.update(ids)
+        cx = np.array([(r.box[0] + r.box[2]) / 2.0 for r in step.confirmed])
+        cy = np.array([(r.box[1] + r.box[3]) / 2.0 for r in step.confirmed])
+        gx, gy = ((truth.positions[i] - truth.center) * scale).T
+        dist = np.hypot(cx - gx[:, None], cy - gy[:, None])
+        claimed = dict(gated_assignment(dist, dist <= gate))
         for k in range(n_obj):
-            claims[k].append(claimed[k][0] if k in claimed else None)
-        for tid, cx, cy in claimed.values():
-            traces.setdefault(tid, []).append(
+            claims[k].append(ids[claimed[k]] if k in claimed else None)
+        for j in claimed.values():
+            traces.setdefault(ids[j], []).append(
                 (float(truth.times[i]),
-                 truth.center[0] + cx / scale,
-                 truth.center[1] + cy / scale))
+                 truth.center[0] + cx[j] / scale,
+                 truth.center[1] + cy[j] / scale))
     longest = None
     if traces:
         longest = Track3D(id=-1)
@@ -389,7 +390,7 @@ def evaluate_sort(frames2: list[RttFrame2],
 
 def evaluate_nn3d(frames3: list[RttFrame3],
                   truth: RttTruth) -> dict[str, float]:
-    """Run greedy 3D association over a point stream and score it.
+    """Run gated 3D association over a point stream and score it.
 
     Unmatched points found new tracks; each matched point's track id is the
     claim for that point's ground-truth object.

@@ -258,6 +258,26 @@ def test_perceive_and_place_share_one_segmentation(tmp_path, capsys, config):
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param({"plane_ref_axis": [0, 0, 1e308]},
+                 id="perceive-config-plane_ref_axis-huge"),
+])
+def test_perceive_config_along_the_default_axis_changes_nothing(
+        tmp_path, capsys, config):
+    from workbot.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    outputs = []
+    for i, extra in enumerate([[], ["--config", str(cfg)]]):
+        out = tmp_path / f"metrics{i}.csv"
+        code = main(["perceive", "--scenario", str(DATA / "workstation.json"),
+                     *extra, "--out", str(out)])
+        assert code == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command, flag", [
     ("perceive", "--config"), ("place", "--config"), ("dwa", "--config"),
     ("grasp", "--object"), ("exec", "--bindings"), ("exec", "--faults"),
@@ -466,13 +486,16 @@ SHELF_WS = "(= (distance shelf ws) 1)"
      "14:31: function value declared twice: (distance shelf ws)"),
     ("transport_1.pddl", "(:goal", "(:goal (and))\n  (:goal",
      "PddlSyntaxError", "17:3: section declared twice: :goal"),
+    ("transport.pddl", ":action-costs :negative-preconditions)",
+     ":action-costs)", "PddlSyntaxError", "20:38: negative precondition "
+     "needs requirement :negative-preconditions"),
 ], ids=["init-nan", "init-inf", "init-overflow", "increase-nan",
         "duplicate-function", "undeclared-constant", "init-variable",
         "deep-nesting", "duplicate-object", "type-cycle", "type-own-parent",
         "duplicate-parameter", "duplicate-action",
         "duplicate-parameters-key", "duplicate-precondition-key",
         "duplicate-effect-key", "duplicate-function-value",
-        "duplicate-goal"])
+        "duplicate-goal", "undeclared-requirement"])
 def test_pddl_error_is_located_json(tmp_path, capsys, file, old, new, error,
                                     message):
     from workbot.cli import main

@@ -215,6 +215,60 @@ TOY_COST_DOMAIN = TOY_DOMAIN.replace(
     "(not (clear ?b))", "(not (clear ?b)) (increase (total-cost) 1)")
 
 
+REQUIREMENT_DOMAIN = """(define (domain r)
+  (:requirements :strips :typing :negative-preconditions :action-costs)
+  (:types block)
+  (:constants table - block)
+  (:predicates (clear ?b - block) (on ?a - block ?b - block))
+  (:functions (total-cost))
+  (:action stack
+    :parameters (?a - block ?b - block)
+    :precondition (and (clear ?b) (not (on ?a ?b)))
+    :effect (and (on ?a ?b) (not (clear ?b)) (increase (total-cost) 1))))
+"""
+
+UNTYPED = [("(:types block)\n  ", ""), (" - block", " - object")]
+
+
+@pytest.mark.parametrize("dropped, edits, message", [
+    (":typing", [], "3:3: :types section needs requirement :typing"),
+    (":typing", UNTYPED, "3:21: typed list needs requirement :typing"),
+    (":typing", [*UNTYPED, ("(:constants table - object)\n  ", "")],
+     "3:26: typed list needs requirement :typing"),
+    (":typing", [*UNTYPED, ("(:constants table - object)\n  ", ""),
+                 ("(clear ?b - object) (on ?a - object ?b - object)",
+                  "(clear ?b) (on ?a ?b)")],
+     "6:21: typed list needs requirement :typing"),
+    (":negative-preconditions", [], "9:35: negative precondition needs "
+                                    "requirement :negative-preconditions"),
+    (":action-costs", [], "6:3: :functions section needs requirement "
+                          ":action-costs"),
+    (":action-costs", [("(:functions (total-cost))\n  ", "")],
+     "9:46: increase effect needs requirement :action-costs"),
+], ids=["types-section", "typed-constant", "typed-predicate",
+        "typed-parameter", "negative-precondition", "functions-section",
+        "increase-effect"])
+def test_undeclared_requirement_is_a_located_syntax_error(dropped, edits,
+                                                          message):
+    parse_domain(REQUIREMENT_DOMAIN)   # the unbroken domain parses
+    text = REQUIREMENT_DOMAIN.replace(f" {dropped}", "", 1)
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(PddlSyntaxError) as exc:
+        parse_domain(text, path="bad.pddl")
+    assert str(exc.value) == f"bad.pddl:{message}"
+
+
+def test_requirements_may_come_after_the_sections_that_use_them():
+    line = ("  (:requirements :strips :typing :negative-preconditions "
+            ":action-costs)\n")
+    assert line in REQUIREMENT_DOMAIN
+    moved = REQUIREMENT_DOMAIN.replace(line, "").replace(
+        "  (:action stack", line + "  (:action stack")
+    assert parse_domain(moved) == parse_domain(REQUIREMENT_DOMAIN)
+
+
 @pytest.mark.parametrize("text", [
     "(define)",
     "(define (domain d) (:predicates ()))",

@@ -1,6 +1,7 @@
 """2D/3D tracking, assignment, circular-motion estimation and triggers."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from workbot.rtt import (CollinearPoints, Detection2D, DimensionMismatch,
                          ZeroTimeSpan, associate_nn_3d, change_trigger,
                          estimate_motion, fit_circle, gated_assignment,
                          hungarian, iou, predict_arrival)
+from workbot.sim import RttObject, RttScenario, gen_rtt_stream
 
 
 def det(t, cx, cy, w=20.0, h=20.0, score=0.9):
@@ -37,6 +39,37 @@ def test_iou_half_overlap_is_one_third():
 
 def test_iou_touching_edges_is_zero():
     assert iou((0, 0, 1, 1), (1, 0, 2, 1)) == 0.0
+
+
+def scalar_iou(a, b):
+    """The one-pair rule ``iou`` had before it broadcast, frozen."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union
+
+
+def test_iou_matrix_equals_the_scalar_rule_bit_for_bit():
+    rng = np.random.default_rng(4)
+    lo = rng.uniform(0.0, 100.0, (60, 2))
+    boxes = np.hstack([lo, lo + rng.uniform(0.5, 40.0, (60, 2))])
+    # touching on an edge and at a corner, nested, and far away
+    extra = np.array([[0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 2.0, 1.0],
+                      [1.0, 1.0, 2.0, 2.0], [0.25, 0.25, 0.5, 0.5],
+                      [500.0, 500.0, 501.0, 502.0]])
+    boxes = np.vstack([boxes, extra])
+    got = iou(boxes[:, None], boxes)
+    want = np.array([[scalar_iou(a, b) for b in boxes.tolist()]
+                     for a in boxes.tolist()])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.all(np.diag(got) == 1.0)           # identical boxes
+    assert np.count_nonzero(got == 0.0) > len(boxes)   # disjoint pairs
 
 
 # --- hungarian ---------------------------------------------------------------
@@ -292,6 +325,32 @@ def test_sort_covariance_stays_symmetric_positive_diagonal():
         assert np.all(np.diag(track.cov) > 0)
 
 
+def twenty_object_stream(seed):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 20)
+    sc = RttScenario(objects=tuple(RttObject(f"obj{k}", float(a))
+                                   for k, a in enumerate(angles)),
+                     duration=5.0, dropout=0.1, seed=seed)
+    return gen_rtt_stream(sc)[1]
+
+
+# SHA-256 of repr(step) over every frame, recorded when each IoU was still
+# computed pair by pair: the (tracks x detections) matrix path must agree
+SORT_20_DIGESTS = {
+    11: "b23ae8bbe17506d773baf9c46bcbd34c5c522b1a27a8ee4d7e3e887a178b9153",
+    12: "0a4311d18d4e309165922577127a5e3863d726768bac2a7775c7f36b1614be42",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SORT_20_DIGESTS))
+def test_sort_steps_on_twenty_objects_are_pinned(seed):
+    tracker = SortTracker(SortConfig())
+    digest = hashlib.sha256()
+    for frame in twenty_object_stream(seed):
+        digest.update(repr(tracker.step(list(frame.detections))).encode())
+    assert digest.hexdigest() == SORT_20_DIGESTS[seed]
+
+
 def test_sort_innovation_non_increasing_after_burn_in():
     cfg = SortConfig()
     tracker = SortTracker(cfg)
@@ -351,6 +410,28 @@ def test_nn3d_three_way_equals_minsum_oracle():
                    np.linalg.norm(tracks[i].history[0][1] - pts[perm[i]])
                    for i in range(3)))
     assert got == {(i, best[i]) for i in range(3)}
+
+
+def test_nn3d_makes_every_pair_the_gate_allows():
+    # nearest first would pair track 1 with point 0 (0.04 m) and leave
+    # point 1 out of track 0's gate; both points can be matched instead
+    tracks = [track_at(0, 0.0, [0, 0, 0]), track_at(1, 0.0, [0.1, 0, 0])]
+    pts = [(0.1, np.array([0.06, 0, 0])), (0.1, np.array([0.19, 0, 0]))]
+    assoc = associate_nn_3d(tracks, pts, gate=0.1)
+    assert assoc.pairs == ((0, 0), (1, 1))
+    assert assoc.unmatched_tracks == () and assoc.unmatched_points == ()
+    assert [tr.last_point[0] for tr in tracks] == [0.06, 0.19]
+
+
+def test_nn3d_with_no_tracks_or_no_points():
+    tr = track_at(0, 0.0, [0, 0, 0])
+    assoc = associate_nn_3d([], [(0.1, np.zeros(3))], gate=0.1)
+    assert (assoc.pairs, assoc.unmatched_tracks, assoc.unmatched_points) == (
+        (), (), (0,))
+    assoc = associate_nn_3d([tr], [], gate=0.1)
+    assert (assoc.pairs, assoc.unmatched_tracks, assoc.unmatched_points) == (
+        (), (0,), ())
+    assert len(tr.history) == 1
 
 
 def test_nn3d_rejects_non_monotonic_time():

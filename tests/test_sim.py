@@ -251,6 +251,19 @@ def test_tracker_metrics_are_pinned(tracker, dropout):
     assert metrics == PINNED_METRICS[tracker, dropout]
 
 
+def test_score_breaks_a_tie_of_claimants_by_the_smallest_id():
+    # ids 9 and 1 each claim the object twice; 1 is its dominant claimant
+    # whatever the layout of a set of the two
+    truth = sim.RttTruth(omega=0.5, center=(0.0, 0.0), radius=0.35,
+                         labels=("a",), times=np.arange(4) / 15.0,
+                         angles=np.zeros((4, 1)),
+                         positions=np.zeros((4, 1, 2)),
+                         present=np.array([[True], [True], [True], [False]]))
+    metrics = sim._score([[9, 1, 1, 9]], truth, 2, None, 4)
+    assert metrics["assoc_accuracy"] == 2 / 3
+    assert metrics["id_switches"] == 2.0
+
+
 def test_evaluate_sort_steps_by_the_stream_frame_interval(monkeypatch):
     sc = replace(load_scenario(RTT), frame_rate=30.0, duration=20.0,
                  omega=1.5)
