@@ -292,8 +292,8 @@ def _typed_list(nodes: list, path: str,
                 declared: frozenset[str] = SUPPORTED_REQUIREMENTS
                 ) -> list[tuple[str, str]]:
     """Parse `a b - t c - u d` into [(a,t),(b,t),(c,u),(d,object)].  A
-    `- <type>` needs :typing among the `declared` requirements (a problem
-    is not checked)."""
+    `- <type>` needs :typing among the `declared` requirements; a `:types`
+    section, which needs :typing itself, passes none."""
     out: list[tuple[str, str]] = []
     pending: list[str] = []
     i = 0
@@ -317,8 +317,7 @@ def _typed_list(nodes: list, path: str,
 
 
 def _typed(nodes: list, node, path: str, types: dict[str, str | None],
-           declared: frozenset[str] = SUPPORTED_REQUIREMENTS
-           ) -> list[tuple[str, str]]:
+           declared: frozenset[str]) -> list[tuple[str, str]]:
     """A typed list whose every type is declared; errors point at `node`."""
     pairs = _typed_list(nodes, path, declared)
     for _, ty in pairs:
@@ -589,7 +588,8 @@ def parse_problem(text: str, domain: DomainDef,
                 _fail(node, path, f"problem is for domain {domain_name!r}, "
                                   f"expected {domain.name!r}")
         elif key == ":objects":
-            for obj, ty in _typed(rest, node, path, types):
+            for obj, ty in _typed(rest, node, path, types,
+                                  domain.requirements):
                 _declare(objects, obj, ty, node, path, "object")
         elif key == ":init":
             for fact in rest:
@@ -893,12 +893,18 @@ def _fmt_number(value: float) -> str:
 
 
 def _fmt_typed(pairs) -> str:
+    """`a - t b - u ...`; a list whose every name has the root type prints
+    bare names, which parse to `object` with or without :typing (a bare name
+    before a typed one would take that type, so a mixed list keeps every
+    `- object`)."""
+    if all(ty == ROOT_TYPE for _, ty in pairs):
+        return " ".join(name for name, _ in pairs)
     return " ".join(f"{name} - {ty}" for name, ty in pairs)
 
 
 def _fmt_declaration(name: str, tys) -> str:
-    params = [f"?a{i} - {ty}" for i, ty in enumerate(tys)]
-    return "(" + " ".join([name] + params) + ")"
+    params = _fmt_typed([(f"?a{i}", ty) for i, ty in enumerate(tys)])
+    return f"({name} {params})" if params else f"({name})"
 
 
 def _fmt_literal(lit: Literal) -> str:

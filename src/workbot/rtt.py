@@ -66,10 +66,6 @@ class Detection2D:
         if not (0.0 <= self.score <= 1.0):
             raise ValueError(f"score outside [0, 1]: {self.score}")
 
-    def corners(self) -> tuple[float, float, float, float]:
-        return (self.cx - self.w / 2.0, self.cy - self.h / 2.0,
-                self.cx + self.w / 2.0, self.cy + self.h / 2.0)
-
 
 def iou(a, b) -> np.ndarray:
     """Intersection over union of (x1, y1, x2, y2) boxes, in [0, 1].
@@ -80,14 +76,16 @@ def iou(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    ax1, ay1, ax2, ay2 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bx1, by1, bx2, by2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
-    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    # (width, height) of the overlap and of each box
+    overlap = (np.minimum(a[..., 2:], b[..., 2:])
+               - np.maximum(a[..., :2], b[..., :2]))
+    size_a = a[..., 2:] - a[..., :2]
+    size_b = b[..., 2:] - b[..., :2]
+    inter = overlap[..., 0] * overlap[..., 1]
+    union = (size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1]
+             - inter)
     return np.divide(inter, union, out=np.zeros(inter.shape),
-                     where=np.minimum(iw, ih) > 0.0)
+                     where=overlap.min(axis=-1) > 0.0)
 
 
 # --- Hungarian assignment ---------------------------------------------------
@@ -149,6 +147,16 @@ def _augment(i: int, tight: list, col_row: list, seen: set) -> bool:
     return False
 
 
+def _checked_cost(cost) -> np.ndarray:
+    """``cost`` as a float matrix whose entries are all finite."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise ValueError("cost must be a 2D matrix")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost entries must be finite")
+    return cost
+
+
 def hungarian(cost) -> dict[int, int]:
     """Minimum-total-cost maximum assignment of rows to columns.
 
@@ -157,14 +165,10 @@ def hungarian(cost) -> dict[int, int]:
     ascending order, each to the smallest column index that still permits an
     optimal completion.
     """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a 2D matrix")
+    cost = _checked_cost(cost)
     rows, cols = cost.shape
     if rows == 0 or cols == 0:
         return {}
-    if not np.isfinite(cost).all():
-        raise ValueError("cost entries must be finite")
     n = max(rows, cols)
     square = np.zeros((n, n))
     square[:rows, :cols] = cost
@@ -194,11 +198,19 @@ def gated_assignment(cost, allowed) -> list[tuple[int, int]]:
     assignments can differ by, so ``hungarian`` first makes as many allowed
     pairs as it can and then the cheapest such set.  A forbidden pair the
     solver still makes to fill a row or column is dropped.
+
+    When no row and no column has two allowed pairs, the allowed pairs are
+    the one maximum matching and no solver runs; the matrix is checked as
+    ``hungarian`` would check it either way.
     """
     cost = np.asarray(cost, dtype=float)
     allowed = np.asarray(allowed, dtype=bool)
     spread = 2.0 * min(cost.shape) * np.abs(cost[allowed]).max(initial=0.0)
-    assigned = hungarian(np.where(allowed, cost, 1.0 + spread))
+    filled = _checked_cost(np.where(allowed, cost, 1.0 + spread))
+    rows, cols = (ix.tolist() for ix in allowed.nonzero())
+    if len(set(rows)) == len(rows) == len(set(cols)):
+        return list(zip(rows, cols))
+    assigned = hungarian(filled)
     return [(r, c) for r, c in sorted(assigned.items()) if allowed[r, c]]
 
 
@@ -220,51 +232,38 @@ IOU_MIN = 0.3
 _Q = frozen_array(np.diag([1.0] * 4 + [10.0] * 3))
 _R = frozen_array(np.eye(4))
 _P0 = frozen_array(np.diag([10.0] * 4 + [1000.0] * 3))
+_I7 = frozen_array(np.eye(7))
 
 
-def _measurement(det: Detection2D) -> np.ndarray:
-    return np.array([det.cx, det.cy, det.w * det.h, det.w / det.h])
+def _corners(centre: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """(x1, y1, x2, y2) rows of boxes given by (n, 2) centres and sizes."""
+    half = size / 2.0
+    return np.concatenate([centre - half, centre + half], axis=1)
 
 
-def _state_box(state: np.ndarray) -> tuple[float, float, float, float]:
-    s = max(float(state[2]), 1e-9)
-    r = max(float(state[3]), 1e-9)
-    w = math.sqrt(s * r)
-    h = math.sqrt(s / r)
-    cx, cy = float(state[0]), float(state[1])
-    return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+def _boxes(state: np.ndarray) -> np.ndarray:
+    """The box of each state row [u, v, s, r, ...], area and aspect floored."""
+    s = np.maximum(state[:, 2], 1e-9)
+    r = np.maximum(state[:, 3], 1e-9)
+    size = np.empty((len(state), 2))
+    np.multiply(s, r, out=size[:, 0])
+    np.divide(s, r, out=size[:, 1])
+    return _corners(state[:, :2], np.sqrt(size, out=size))
 
 
-@dataclass
-class Track2D:
-    """State [u, v, s, r, du, dv, ds]: box centre, area, aspect and their rates."""
-
-    id: int
-    state: np.ndarray
-    cov: np.ndarray
-    hits: int = 1
-    age_since_update: int = 0
-
-    def predicted_box(self) -> tuple[float, float, float, float]:
-        return _state_box(self.state)
-
-
-def kalman_update(track: Track2D, det: Detection2D) -> np.ndarray:
-    """Measurement update; returns the innovation vector.  The measurement
-    is the first four state entries, so H is applied by slicing."""
-    innovation = _measurement(det) - track.state[:4]
-    k = track.cov[:, :4] @ np.linalg.inv(track.cov[:4, :4] + _R)
-    track.state = track.state + k @ innovation
-    i_kh = np.eye(7)
-    i_kh[:, :4] -= k
-    track.cov = i_kh @ track.cov
-    return innovation
-
-
-def _new_track(track_id: int, det: Detection2D) -> Track2D:
-    state = np.zeros(7)
-    state[:4] = _measurement(det)
-    return Track2D(id=track_id, state=state, cov=_P0.copy())
+def _kalman_update(state: np.ndarray, cov: np.ndarray,
+                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measurement update of stacked tracks, (m, 7) states and (m, 7, 7)
+    covariances, by (m, 4) measurements [u, v, s, r]: the new states,
+    covariances and the innovations.  The measurement is the first four
+    state entries, so H is applied by slicing."""
+    innovation = z - state[:, :4]
+    gain = cov[:, :, :4] @ np.linalg.inv(cov[:, :4, :4] + _R)
+    i_kh = np.empty(cov.shape)
+    i_kh[:] = _I7
+    i_kh[:, :, :4] -= gain
+    return (state + (gain @ innovation[..., None])[..., 0], i_kh @ cov,
+            innovation)
 
 
 @dataclass(frozen=True)
@@ -286,12 +285,19 @@ class SortTracker:
 
     Track ids increase monotonically and are never reused; tracks vanish once
     unmatched for more than ``max_age`` steps and are reported only after
-    ``min_hits`` associations.
+    ``min_hits`` associations.  Row i of ``state`` (n, 7), ``cov`` (n, 7, 7),
+    ``ids``, ``hits`` and ``ages`` (steps since the last match) is one
+    track, oldest first; the state is [u, v, s, r, du, dv, ds], the box
+    centre, area, aspect and their rates.
     """
 
     def __init__(self, cfg: SortConfig | None = None):
         self.cfg = cfg or SortConfig()
-        self.tracks: list[Track2D] = []
+        self.state = np.zeros((0, 7))
+        self.cov = np.zeros((0, 7, 7))
+        self.ids = np.zeros(0, dtype=int)
+        self.hits = np.zeros(0, dtype=int)
+        self.ages = np.zeros(0, dtype=int)
         self._next_id = 0
         # constant-velocity transition: u, v and s move by their rates per frame
         self._f = np.eye(7)
@@ -299,41 +305,55 @@ class SortTracker:
 
     def step(self, detections: list[Detection2D]) -> SortStep:
         cfg, f = self.cfg, self._f
-        for tr in self.tracks:
-            if tr.state[2] + tr.state[6] * cfg.dt <= 0.0:
-                tr.state[6] = 0.0          # the box area must stay positive
-            tr.state = f @ tr.state
-            tr.cov = f @ tr.cov @ f.T + _Q
-            tr.age_since_update += 1
+        x, p = self.state, self.cov
+        x[x[:, 2] + x[:, 6] * cfg.dt <= 0.0, 6] = 0.0   # area stays positive
+        # per-row products, bit-equal to f @ x and f @ p @ f.T track by track
+        x = (f @ x[..., None])[..., 0]
+        p = f @ p @ f.T + _Q
+        ids, hits, ages = self.ids, self.hits.copy(), self.ages + 1
 
-        matches: list[tuple[int, int]] = []
-        unmatched_dets = set(range(len(detections)))
-        if self.tracks and detections:
-            preds = np.array([tr.predicted_box() for tr in self.tracks])
-            boxes = np.array([d.corners() for d in detections])
-            ious = iou(preds[:, None], boxes)
-            for ti, dj in gated_assignment(1.0 - ious, ious >= IOU_MIN):
-                tr = self.tracks[ti]
-                kalman_update(tr, detections[dj])
-                tr.hits += 1
-                tr.age_since_update = 0
-                matches.append((tr.id, dj))
-                unmatched_dets.discard(dj)
+        # per detection: the measurement [u, v, s, r], then the box size
+        raw = np.array([(d.cx, d.cy, d.w * d.h, d.w / d.h, d.w, d.h)
+                        for d in detections], dtype=float).reshape(-1, 6)
+        z = raw[:, :4]
+        id_list = ids.tolist()
+        pairs: list[tuple[int, int]] = []
+        if id_list and detections:
+            ious = iou(_boxes(x)[:, None], _corners(raw[:, :2], raw[:, 4:]))
+            pairs = gated_assignment(1.0 - ious, ious >= IOU_MIN)
+        matches = [(id_list[ti], dj) for ti, dj in pairs]
+        unmatched = np.ones(len(detections), dtype=bool)
+        if pairs:
+            rows, cols = np.array(pairs).T
+            x[rows], p[rows], _ = _kalman_update(x[rows], p[rows], z[cols])
+            hits[rows] += 1
+            ages[rows] = 0
+            unmatched[cols] = False
 
-        new_ids = []
-        for dj in sorted(unmatched_dets):
-            tr = _new_track(self._next_id, detections[dj])
-            self._next_id += 1
-            self.tracks.append(tr)
-            new_ids.append(tr.id)
-            matches.append((tr.id, dj))
+        born = unmatched.nonzero()[0]
+        new_ids = list(range(self._next_id, self._next_id + len(born)))
+        if new_ids:
+            self._next_id += len(new_ids)
+            matches += zip(new_ids, born.tolist())
+            fresh = np.zeros((len(born), 7))
+            fresh[:, :4] = z[born]
+            x = np.concatenate([x, fresh])
+            p = np.concatenate([p, np.broadcast_to(_P0, (len(born), 7, 7))])
+            ids = np.concatenate([ids, new_ids])
+            hits = np.concatenate([hits, np.ones(len(born), dtype=int)])
+            ages = np.concatenate([ages, np.zeros(len(born), dtype=int)])
 
-        removed = [tr.id for tr in self.tracks if tr.age_since_update > cfg.max_age]
-        self.tracks = [tr for tr in self.tracks
-                       if tr.age_since_update <= cfg.max_age]
+        keep = ages <= cfg.max_age
+        removed = ids[~keep].tolist()
+        if removed:
+            x, p, ids = x[keep], p[keep], ids[keep]
+            hits, ages = hits[keep], ages[keep]
+        self.state, self.cov, self.ids = x, p, ids
+        self.hits, self.ages = hits, ages
 
-        confirmed = tuple(TrackReport(tr.id, tr.predicted_box())
-                          for tr in self.tracks if tr.hits >= cfg.min_hits)
+        shown = hits >= cfg.min_hits
+        confirmed = tuple(map(TrackReport, ids[shown].tolist(),
+                              map(tuple, _boxes(x[shown]).tolist())))
         return SortStep(confirmed=confirmed, matches=tuple(matches),
                         new_ids=tuple(new_ids), removed_ids=tuple(removed))
 

@@ -228,6 +228,14 @@ REQUIREMENT_DOMAIN = """(define (domain r)
 """
 
 UNTYPED = [("(:types block)\n  ", ""), (" - block", " - object")]
+UNTYPED_PREDICATES = [*UNTYPED, ("(:constants table - object)\n  ", ""),
+                      ("(clear ?b - object) (on ?a - object ?b - object)",
+                       "(clear ?b) (on ?a ?b)")]
+TYPED_OBJECT_PROBLEM = """(define (problem p) (:domain r)
+  (:objects a - object)
+  (:init (clear a))
+  (:goal (and (clear a))))
+"""
 
 
 @pytest.mark.parametrize("dropped, edits, message", [
@@ -235,10 +243,12 @@ UNTYPED = [("(:types block)\n  ", ""), (" - block", " - object")]
     (":typing", UNTYPED, "3:21: typed list needs requirement :typing"),
     (":typing", [*UNTYPED, ("(:constants table - object)\n  ", "")],
      "3:26: typed list needs requirement :typing"),
-    (":typing", [*UNTYPED, ("(:constants table - object)\n  ", ""),
-                 ("(clear ?b - object) (on ?a - object ?b - object)",
-                  "(clear ?b) (on ?a ?b)")],
+    (":typing", UNTYPED_PREDICATES,
      "6:21: typed list needs requirement :typing"),
+    # the domain parses untyped, and then its problem may not type an object
+    (":typing", [*UNTYPED_PREDICATES, ("(?a - object ?b - object)",
+                                       "(?a ?b)")],
+     "2:15: typed list needs requirement :typing"),
     (":negative-preconditions", [], "9:35: negative precondition needs "
                                     "requirement :negative-preconditions"),
     (":action-costs", [], "6:3: :functions section needs requirement "
@@ -246,17 +256,19 @@ UNTYPED = [("(:types block)\n  ", ""), (" - block", " - object")]
     (":action-costs", [("(:functions (total-cost))\n  ", "")],
      "9:46: increase effect needs requirement :action-costs"),
 ], ids=["types-section", "typed-constant", "typed-predicate",
-        "typed-parameter", "negative-precondition", "functions-section",
-        "increase-effect"])
+        "typed-parameter", "typed-object", "negative-precondition",
+        "functions-section", "increase-effect"])
 def test_undeclared_requirement_is_a_located_syntax_error(dropped, edits,
                                                           message):
-    parse_domain(REQUIREMENT_DOMAIN)   # the unbroken domain parses
+    domain = parse_domain(REQUIREMENT_DOMAIN)   # the unbroken pair parses
+    parse_problem(TYPED_OBJECT_PROBLEM, domain)
     text = REQUIREMENT_DOMAIN.replace(f" {dropped}", "", 1)
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
     with pytest.raises(PddlSyntaxError) as exc:
-        parse_domain(text, path="bad.pddl")
+        domain = parse_domain(text, path="bad.pddl")
+        parse_problem(TYPED_OBJECT_PROBLEM, domain, path="bad.pddl")
     assert str(exc.value) == f"bad.pddl:{message}"
 
 
@@ -887,6 +899,45 @@ def test_print_parse_fixpoint():
         p1 = print_problem(problem)
         p2 = print_problem(parse_problem(p1, domain))
         assert p1 == p2
+
+
+def test_print_parse_fixpoint_without_typing():
+    # untyped names print bare, which a domain without :typing accepts
+    domain = parse_domain("""
+        (define (domain plain) (:requirements :strips)
+          (:constants home)
+          (:predicates (at ?x ?y) (free))
+          (:action go :parameters (?a ?b) :precondition (at ?a ?b)
+            :effect (and (free) (not (at ?a ?b)))))""")
+    problem = parse_problem("(define (problem p) (:domain plain)"
+                            " (:objects a b) (:init (at a home))"
+                            " (:goal (free)))", domain)
+    text = print_domain(domain)
+    assert "- object" not in text
+    assert print_domain(parse_domain(text)) == text
+    p1 = print_problem(problem)
+    assert "(:objects a b)" in p1
+    assert print_problem(parse_problem(p1, parse_domain(text))) == p1
+
+
+def test_print_keeps_object_before_a_typed_name():
+    # a bare `a` before `b - crate` would parse as a crate
+    domain = parse_domain("""
+        (define (domain mixed) (:requirements :strips :typing)
+          (:types crate)
+          (:predicates (on ?x - object ?y - crate))
+          (:action put :parameters (?a - object ?b - crate)
+            :effect (on ?a ?b)))""")
+    problem = parse_problem("(define (problem p) (:domain mixed)"
+                            " (:objects a - object b - crate) (:init)"
+                            " (:goal (on a b)))", domain)
+    text = print_domain(domain)
+    assert "(on ?a0 - object ?a1 - crate)" in text
+    assert ":parameters (?a - object ?b - crate)" in text
+    assert print_domain(parse_domain(text)) == text
+    p1 = print_problem(problem)
+    assert "(:objects a - object b - crate)" in p1
+    assert parse_problem(p1, domain).objects == problem.objects
 
 
 def test_format_and_parse_plan_round_trip():

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workbot.rtt import (CollinearPoints, Detection2D, DimensionMismatch,
-                         NonMonotonicTimestamp, RoiOutOfBounds, RoiRect,
-                         SortConfig, SortTracker, TableStationary, Track3D,
+from workbot import rtt as rttmod
+from workbot.rtt import (IOU_MIN, CollinearPoints, Detection2D,
+                         DimensionMismatch, NonMonotonicTimestamp,
+                         RoiOutOfBounds, RoiRect, SortConfig, SortStep,
+                         SortTracker, TableStationary, Track3D, TrackReport,
                          ZeroTimeSpan, associate_nn_3d, change_trigger,
                          estimate_motion, fit_circle, gated_assignment,
                          hungarian, iou, predict_arrival)
@@ -183,6 +185,87 @@ def best_gated(cost, allowed):
     return -best[0], best[1]
 
 
+def solver_gated(cost, allowed):
+    """``gated_assignment`` as it was before it skipped the solver, frozen:
+    every matrix goes through ``hungarian``."""
+    cost = np.asarray(cost, dtype=float)
+    allowed = np.asarray(allowed, dtype=bool)
+    spread = 2.0 * min(cost.shape) * np.abs(cost[allowed]).max(initial=0.0)
+    assigned = hungarian(np.where(allowed, cost, 1.0 + spread))
+    return [(r, c) for r, c in sorted(assigned.items()) if allowed[r, c]]
+
+
+@st.composite
+def gated_problems(draw):
+    """Cost and allowed matrices up to 6 x 6, either side possibly empty.
+    Costs come in near-ties; the gate is a partial permutation, a random
+    mask or all False."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    near_ties = st.sampled_from([0.5, 0.5 + 1e-12, 0.5 - 1e-10, 0.0, 1.0])
+    entry = near_ties | st.floats(-10.0, 10.0)
+    cost = np.array(draw(st.lists(entry, min_size=rows * cols,
+                                  max_size=rows * cols)),
+                    dtype=float).reshape(rows, cols)
+    allowed = np.zeros((rows, cols), dtype=bool)
+    kind = draw(st.sampled_from(["permutation", "mask", "none"]))
+    if kind == "permutation":
+        k = draw(st.integers(0, min(rows, cols)))
+        allowed[draw(st.permutations(range(rows)))[:k],
+                draw(st.permutations(range(cols)))[:k]] = True
+    elif kind == "mask":
+        allowed[:] = np.array(draw(st.lists(st.booleans(),
+                                            min_size=rows * cols,
+                                            max_size=rows * cols)),
+                              dtype=bool).reshape(rows, cols)
+    return cost, allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(gated_problems())
+def test_gated_assignment_equals_the_solver_and_skips_it_on_a_permutation(
+        problem):
+    cost, allowed = problem
+    solved = []
+
+    def spy(matrix):
+        solved.append(matrix)
+        return hungarian(matrix)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rttmod, "hungarian", spy)
+        pairs = gated_assignment(cost, allowed)
+    assert pairs == solver_gated(cost, allowed)
+    assert all(type(r) is int and type(c) is int for r, c in pairs)
+    # most allowed pairs in any one row or column
+    most = max(allowed.sum(axis=0).max(initial=0),
+               allowed.sum(axis=1).max(initial=0))
+    assert len(solved) == (0 if most <= 1 else 1)
+
+
+@pytest.mark.parametrize("cost, allowed", [
+    # an infinite gate over an infinite cost
+    ([[math.inf]], [[True]]),
+    ([[math.inf, 1.0], [1.0, 0.5]], [[True, False], [False, True]]),
+    # a NaN cost inside the gate
+    ([[math.nan, 1.0]], [[True, False]]),
+])
+def test_gated_assignment_rejects_a_matrix_the_solver_rejects(cost, allowed):
+    for assign in (gated_assignment, solver_gated):
+        with pytest.raises(ValueError, match="cost entries must be finite"):
+            assign(cost, allowed)
+
+
+@pytest.mark.parametrize("assign", [gated_assignment, solver_gated])
+def test_gated_assignment_spread_that_overflows(assign):
+    # finite costs whose spread overflows make the forbidden filler infinite
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="cost entries must be finite"):
+            assign([[1e308, 0.0], [0.0, 1e308]], np.eye(2, dtype=bool))
+    # with every pair allowed no filler enters the matrix
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert assign([[1e308]], [[True]]) == [(0, 0)]
+
+
 def test_gated_assignment_drops_the_pair_forced_on_a_forbidden_row():
     # row 1 may pair with nothing, yet the square solve gives it column 1
     cost = [[0.1, 0.2], [0.5, 0.5]]
@@ -287,8 +370,8 @@ def test_sort_matched_track_age_resets():
     tracker.step([det(0.0, 50, 50)])
     step = tracker.step([det(cfg.dt, 50, 50)])
     assert step.matches == ((0, 0),)
-    track = tracker.tracks[0]
-    assert track.age_since_update == 0
+    assert tracker.ids.tolist() == [0]
+    assert tracker.ages[0] == 0
 
 
 def test_sort_stale_track_removed_after_max_age():
@@ -320,18 +403,23 @@ def test_sort_covariance_stays_symmetric_positive_diagonal():
         t = k * cfg.dt
         tracker.step([det(t, 50 + 60 * t + rng.normal(0, 1),
                           40 + rng.normal(0, 1))])
-    for track in tracker.tracks:
-        np.testing.assert_allclose(track.cov, track.cov.T, atol=1e-9)
-        assert np.all(np.diag(track.cov) > 0)
+    assert tracker.cov.shape == (1, 7, 7)
+    for cov in tracker.cov:
+        np.testing.assert_allclose(cov, cov.T, atol=1e-9)
+        assert np.all(np.diag(cov) > 0)
+
+
+def object_stream(seed, objects, dropout):
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * math.pi, objects)
+    sc = RttScenario(objects=tuple(RttObject(f"obj{k}", float(a))
+                                   for k, a in enumerate(angles)),
+                     duration=5.0, dropout=dropout, seed=seed)
+    return gen_rtt_stream(sc)[1]
 
 
 def twenty_object_stream(seed):
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, 20)
-    sc = RttScenario(objects=tuple(RttObject(f"obj{k}", float(a))
-                                   for k, a in enumerate(angles)),
-                     duration=5.0, dropout=0.1, seed=seed)
-    return gen_rtt_stream(sc)[1]
+    return object_stream(seed, 20, 0.1)
 
 
 # SHA-256 of repr(step) over every frame, recorded when each IoU was still
@@ -351,29 +439,116 @@ def test_sort_steps_on_twenty_objects_are_pinned(seed):
     assert digest.hexdigest() == SORT_20_DIGESTS[seed]
 
 
-def test_sort_innovation_non_increasing_after_burn_in():
+def test_sort_innovation_non_increasing_after_burn_in(monkeypatch):
     cfg = SortConfig()
     tracker = SortTracker(cfg)
-    norms = []
-    orig_update = None
-    from workbot import rtt as rttmod
     captured = []
-    orig_update = rttmod.kalman_update
+    update = rttmod._kalman_update
 
-    def spy(track, d):
-        innovation = orig_update(track, d)
-        captured.append(float(np.linalg.norm(innovation[:2])))
-        return innovation
+    def spy(state, cov, z):
+        out = update(state, cov, z)
+        captured.extend(np.linalg.norm(out[2][:, :2], axis=1).tolist())
+        return out
 
-    rttmod.kalman_update = spy
-    try:
-        for k in range(30):
-            t = k * cfg.dt
-            tracker.step([det(t, 50 + 80 * t, 40 + 30 * t)])
-    finally:
-        rttmod.kalman_update = orig_update
+    monkeypatch.setattr(rttmod, "_kalman_update", spy)
+    for k in range(30):
+        t = k * cfg.dt
+        tracker.step([det(t, 50 + 80 * t, 40 + 30 * t)])
+    # the first frame starts the track; each later one updates it once
+    assert len(captured) == 29
     tail = captured[5:]
     assert all(b <= a + 1e-6 for a, b in zip(tail, tail[1:]))
+
+
+def measurement(d):
+    return np.array([d.cx, d.cy, d.w * d.h, d.w / d.h])
+
+
+class PerTrackSort:
+    """The tracker as it was before its tracks became rows of arrays, frozen:
+    one Python object per track, predicted, matched and updated in turn."""
+
+    class Track:
+        def __init__(self, track_id, det):
+            self.id, self.hits, self.age_since_update = track_id, 1, 0
+            self.state = np.zeros(7)
+            self.state[:4] = measurement(det)
+            self.cov = np.diag([10.0] * 4 + [1000.0] * 3)
+
+        def predicted_box(self):
+            s = max(float(self.state[2]), 1e-9)
+            r = max(float(self.state[3]), 1e-9)
+            w, h = math.sqrt(s * r), math.sqrt(s / r)
+            cx, cy = float(self.state[0]), float(self.state[1])
+            return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.tracks = []
+        self.next_id = 0
+        self.f = np.eye(7)
+        self.f[0, 4] = self.f[1, 5] = self.f[2, 6] = cfg.dt
+        self.q = np.diag([1.0] * 4 + [10.0] * 3)
+
+    @staticmethod
+    def kalman_update(track, det):
+        innovation = measurement(det) - track.state[:4]
+        k = track.cov[:, :4] @ np.linalg.inv(track.cov[:4, :4] + np.eye(4))
+        track.state = track.state + k @ innovation
+        i_kh = np.eye(7)
+        i_kh[:, :4] -= k
+        track.cov = i_kh @ track.cov
+
+    def step(self, detections):
+        cfg, f = self.cfg, self.f
+        for tr in self.tracks:
+            if tr.state[2] + tr.state[6] * cfg.dt <= 0.0:
+                tr.state[6] = 0.0
+            tr.state = f @ tr.state
+            tr.cov = f @ tr.cov @ f.T + self.q
+            tr.age_since_update += 1
+        matches = []
+        unmatched = set(range(len(detections)))
+        if self.tracks and detections:
+            preds = np.array([tr.predicted_box() for tr in self.tracks])
+            boxes = np.array([(d.cx - d.w / 2.0, d.cy - d.h / 2.0,
+                               d.cx + d.w / 2.0, d.cy + d.h / 2.0)
+                              for d in detections])
+            ious = iou(preds[:, None], boxes)
+            for ti, dj in solver_gated(1.0 - ious, ious >= IOU_MIN):
+                tr = self.tracks[ti]
+                self.kalman_update(tr, detections[dj])
+                tr.hits += 1
+                tr.age_since_update = 0
+                matches.append((tr.id, dj))
+                unmatched.discard(dj)
+        new_ids = []
+        for dj in sorted(unmatched):
+            tr = self.Track(self.next_id, detections[dj])
+            self.next_id += 1
+            self.tracks.append(tr)
+            new_ids.append(tr.id)
+            matches.append((tr.id, dj))
+        removed = [tr.id for tr in self.tracks
+                   if tr.age_since_update > cfg.max_age]
+        self.tracks = [tr for tr in self.tracks
+                       if tr.age_since_update <= cfg.max_age]
+        confirmed = tuple(TrackReport(tr.id, tr.predicted_box())
+                          for tr in self.tracks if tr.hits >= cfg.min_hits)
+        return SortStep(confirmed=confirmed, matches=tuple(matches),
+                        new_ids=tuple(new_ids), removed_ids=tuple(removed))
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1, 0.3])
+@pytest.mark.parametrize("objects", [3, 20])
+def test_sort_steps_equal_the_per_track_tracker_bit_for_bit(objects, dropout):
+    for seed in (5, 6):
+        frames = object_stream(seed, objects, dropout)
+        arrays = SortTracker(SortConfig())
+        per_track = PerTrackSort(SortConfig())
+        for frame in frames:
+            dets = list(frame.detections)
+            assert repr(arrays.step(dets)) == repr(per_track.step(dets))
 
 
 # --- associate_nn_3d ---------------------------------------------------------
