@@ -98,7 +98,7 @@ def cmd_perceive(args) -> int:
         cloudmod.save_ply(cloud, args.cloud_out)
     work, plane, _, clusters = placemod.segment_workstation(cloud, cfg)
     normal_err = math.degrees(math.acos(min(1.0, abs(float(
-        np.dot(plane.normal, truth.plane.normal))))))
+        cloudmod._rowdot(plane.normal, truth.plane.normal))))))
     offset_err = abs(abs(plane.offset) - abs(truth.plane.offset))
     tree = cKDTree(cloud.points)
     purities = []

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import WorkbotError
-from .geometry import canonical_sign, frozen_array, unit
+from .geometry import canonical_sign, frozen_array, length, unit
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 # a plane normal points toward positive z, ties broken on y, then x
@@ -31,6 +31,22 @@ _BOUNDARY_EPS = 1e-12
 # RANSAC candidates built per batch: the default 500 iterations fit in one
 # block, and a larger max_iters does not grow the batch arrays
 _PLANE_BLOCK = 512
+# RANSAC candidates whose inliers one pair of BLAS products counts
+_COUNT_BLOCK = 8
+
+# float64 unit roundoff; gamma(n) = n u / (1 - n u) bounds the relative
+# rounding error of an n-term dot product summed in any order, with or
+# without fused multiply-adds (Higham, "Accuracy and Stability of Numerical
+# Algorithms", 2nd ed., section 3.1)
+_U = float(np.finfo(float).eps) / 2.0
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1.0 - n * _U)
+
+
+# Newton steps toward the smallest eigenvalue of a neighbourhood covariance
+_EIG_ITERS = 15
 
 
 class CloudError(WorkbotError):
@@ -123,7 +139,7 @@ class Plane:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3)
-        ln = float(np.linalg.norm(n))
+        ln = length(n)
         if not math.isfinite(ln) or ln == 0.0:
             raise ValueError("plane normal must be a nonzero finite vector")
         n = n / ln
@@ -144,8 +160,8 @@ class PlaneBasis:
 
     def __post_init__(self):
         o, u, v = (frozen_array(a, shape=3) for a in (self.origin, self.u, self.v))
-        if (abs(np.linalg.norm(u) - 1.0) > 1e-9 or abs(np.linalg.norm(v) - 1.0) > 1e-9
-                or abs(float(np.dot(u, v))) > 1e-9):
+        if (abs(length(u) - 1.0) > 1e-9 or abs(length(v) - 1.0) > 1e-9
+                or abs(float(_rowdot(u, v))) > 1e-9):
             raise ValueError("basis axes must be orthonormal")
         for name, val in (("origin", o), ("u", u), ("v", v)):
             object.__setattr__(self, name, val)
@@ -156,11 +172,11 @@ class PlaneBasis:
 
     def project(self, points) -> np.ndarray:
         rel = np.asarray(points, dtype=float) - self.origin
-        return np.stack([rel @ self.u, rel @ self.v], axis=-1)
+        return np.stack([_rowdot(rel, self.u), _rowdot(rel, self.v)], axis=-1)
 
     def heights(self, points) -> np.ndarray:
         rel = np.asarray(points, dtype=float) - self.origin
-        return rel @ self.normal
+        return _rowdot(rel, self.normal)
 
     def to_world(self, uv) -> np.ndarray:
         uv = np.asarray(uv, dtype=float)
@@ -223,9 +239,16 @@ class Polygon2:
         return float(dist[0]) if uv.ndim == 1 else dist
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # dot over the last axis, bit-equal to 1-D x @ y and so to np.linalg.norm
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _rowdot(a, b) -> np.ndarray:
+    """Dot product over the last axis, summed in index order by elementwise
+    float64 operations: the same bits under every BLAS kernel and SIMD
+    target, where a matmul's order and fused multiply-adds vary."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        total = total + a[..., i] * b[..., i]
+    return total
 
 
 def _signed_area(verts: np.ndarray) -> float:
@@ -346,7 +369,9 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     """Per-point normals from the k-nearest-neighbour covariance.
 
     The normal is the eigenvector of the smallest covariance eigenvalue,
-    sign-flipped to face the sensor origin.
+    sign-flipped to face the sensor origin.  Covariance and eigenvector are
+    elementwise float64 arithmetic in a fixed order, so the normals are the
+    same bits under every BLAS kernel and SIMD target.
     """
     n = len(cloud)
     if k < 3:
@@ -356,20 +381,122 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     # sliding-midpoint splits answer the same queries faster on clustered scans
     tree = cKDTree(cloud.points, balanced_tree=False)
     _, nn = tree.query(cloud.points, k=k)
-    neigh = cloud.points[nn]
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    evals, evecs = np.linalg.eigh(cov)
-    flat = evals[:, 2] <= DEGENERATE_EIG
+    return PointCloud(cloud.points,
+                      normals=_neighbourhood_normals(cloud.points, nn))
+
+
+def _neighbourhood_normals(points: np.ndarray, nn: np.ndarray) -> np.ndarray:
+    """Unit normals, facing the origin, of the neighbourhoods listed by the
+    rows of ``nn`` (indices into ``points``).  Raises DegenerateNeighborhood
+    for a neighbourhood whose largest covariance eigenvalue is at most
+    DEGENERATE_EIG."""
+    k = nn.shape[1]
+    # (3, k, n): coordinate i of every point's j-th neighbour is one
+    # contiguous row
+    coords = np.ascontiguousarray(points.T)[:, nn.T]
+    x, y, z = coords - _sum_neighbours(coords)[:, None, :] / k
+    cov = [_sum_neighbours(p) / k for p in (x * x, y * y, z * z,
+                                            x * y, x * z, y * z)]
+    normals, largest = _smallest_eigenvectors(*cov)
+    flat = largest <= DEGENERATE_EIG
     if np.any(flat):
         bad = int(np.nonzero(flat)[0][0])
         raise DegenerateNeighborhood(
             f"neighbourhood of point {bad} has no spatial extent")
-    normals = evecs[:, :, 0].copy()
-    toward_sensor = np.einsum("ni,ni->n", normals, cloud.points) > 0.0
-    normals[toward_sensor] *= -1.0
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(cloud.points, normals=normals)
+    normals[_rowdot(normals, points) > 0.0] *= -1.0
+    return normals
+
+
+def _sum_neighbours(a: np.ndarray) -> np.ndarray:
+    # the sum over axis -2, one row at a time in index order
+    total = a[..., 0, :].copy()
+    for j in range(1, a.shape[-2]):
+        total += a[..., j, :]
+    return total
+
+
+def _smallest_eigenvectors(a, b, c, d, e, f) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvectors (n, 3) of the smallest eigenvalue, and the largest
+    eigenvalues (n,), of the symmetric positive semi-definite matrices
+    A = [[a, d, e], [d, b, f], [e, f, c]], given entry by entry as (n,)
+    arrays.
+
+    Only + - * / and sqrt, elementwise.  The smallest eigenvalue is the
+    smallest root of the characteristic cubic, reached by Newton's method
+    from 0, which climbs monotonically for a PSD matrix.  (Smith, CACM 1961,
+    gives the roots in closed form, but through arccos and cos, whose bits
+    differ between libm and SIMD builds.)  The eigenvector is the longest
+    cross product of two rows of A - lambda I (Kopp, IJMPC 2008).  Where
+    A - lambda I is of rank 1 or less to within rounding, as for a
+    line-like or isotropic neighbourhood, every unit vector orthogonal to
+    its longest row is an eigenvector of lambda, and one of those is
+    returned.
+    """
+    trace = a + b + c
+    scale = np.where(trace > 0.0, trace, 1.0)
+    # eigenvalues in [0, 1]: no overflow in the cubic, and one tolerance
+    a, b, c, d, e, f = (v / scale for v in (a, b, c, d, e, f))
+    t = a + b + c
+    s = (a * b - d * d) + (b * c - f * f) + (a * c - e * e)
+    det = a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e)
+    # with a, b, c >= 0: the sums of the terms' magnitudes, which bound the
+    # rounding error of the cubic and its coefficients
+    ad, ae = np.abs(d), np.abs(e)
+    s_abs = (a * b + d * d) + (b * c + f * f) + (a * c + e * e)
+    det_abs = (a * (b * c + f * f) + ad * (ad * c + np.abs(e * f))
+               + ae * (np.abs(d * f) + b * ae))
+    lam = np.zeros_like(t)
+    active = np.arange(t.size)
+    for _ in range(_EIG_ITERS):
+        x, tt, ss = lam[active], t[active], s[active]
+        p = ((x - tt) * x + ss) * x - det[active]
+        dp = (3.0 * x - 2.0 * tt) * x + ss
+        noise = 16.0 * _U * (((x + tt) * x + s_abs[active]) * x
+                             + det_abs[active])
+        # below the root p < 0 < p'; a row stops once p is rounding noise
+        go = (p < -noise) & (dp > 0.0)
+        active = active[go]
+        lam[active] = x[go] - p[go] / dp[go]
+        if not active.size:
+            break
+    # the middle and largest eigenvalues have sum t - lam and product
+    # s - lam (t - lam)
+    rest = t - lam
+    gap2 = rest * rest - 4.0 * (s - lam * rest)
+    largest = (rest + np.sqrt(np.maximum(gap2, 0.0))) / 2.0 * scale
+
+    rows = np.stack([np.stack(r, axis=-1) for r in ((a - lam, d, e),
+                                                    (d, b - lam, f),
+                                                    (e, f, c - lam))], axis=1)
+    crosses = np.stack([np.cross(rows[:, i], rows[:, j])
+                        for i, j in ((0, 1), (0, 2), (1, 2))], axis=1)
+    lengths2 = _rowdot(crosses, crosses)
+    idx = np.arange(t.size)
+    best = np.argmax(lengths2, axis=1)
+    normals = crosses[idx, best]
+    len2 = lengths2[idx, best]
+    # a cross product shorter than sqrt(u) carries rounding noise of relative
+    # size sqrt(u) or more; A - lambda I is then within sqrt(u) of rank 1,
+    # and a vector orthogonal to its longest row is at least as accurate
+    weak = len2 <= _U
+    normals[~weak] /= np.sqrt(len2[~weak])[:, None]
+    if np.any(weak):
+        normals[weak] = _normal_to_longest_row(rows[weak])
+    return normals, largest
+
+
+def _normal_to_longest_row(mat: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the longest row of each (3, 3) matrix of
+    ``mat``: the row crossed with the axis it leans on least; (0, 0, 1)
+    where the matrix is zero."""
+    idx = np.arange(len(mat))
+    row = mat[idx, np.argmax(_rowdot(mat, mat), axis=1)]
+    axis = np.eye(3)[np.argmin(np.abs(row), axis=1)]
+    w = np.cross(row, axis)
+    # scaled by the largest component first, so tiny rows do not underflow
+    big = np.abs(w).max(axis=1, keepdims=True)
+    w = np.where(big > 0.0, w / np.where(big > 0.0, big, 1.0), [0.0, 0.0, 1.0])
+    return w / np.sqrt(_rowdot(w, w))[:, None]
 
 
 def segment_plane(cloud: PointCloud,
@@ -382,8 +509,8 @@ def segment_plane(cloud: PointCloud,
 
     Candidates come from 3-point samples; a point is an inlier when its
     plane distance is at most dist_thresh and its own normal agrees with
-    the plane normal (up to sign) within angle_tol.  Returns the admissible
-    candidate with the most inliers.
+    the plane normal (up to sign) within angle_tol, both measured by
+    ``_rowdot``.  Returns the admissible candidate with the most inliers.
 
     Every iteration draws its sample, whatever its candidate turns out to
     be, so the random stream depends only on rng_seed and max_iters.  Of
@@ -399,12 +526,7 @@ def segment_plane(cloud: PointCloud,
         raise ValueError("plane segmentation requires per-point normals")
     ref = unit(ref_axis)
     cos_tol = math.cos(angle_tol)
-
-    def inliers(normal, offset):
-        dist = np.abs(pts @ normal + offset)
-        aligned = np.abs(cloud.normals @ normal) >= cos_tol
-        return (dist <= dist_thresh) & aligned
-
+    counter = _InlierCounter(cloud, dist_thresh, cos_tol)
     rng = np.random.default_rng(rng_seed)
     best_count = 0
     best_plane: tuple[np.ndarray, float] | None = None
@@ -418,27 +540,94 @@ def segment_plane(cloud: PointCloud,
         normals = normals[solid] / norms[solid, None]
         offsets = -_rowdot(normals, a[solid])
         upright = np.abs(_rowdot(normals, ref)) >= cos_tol
-        for normal, offset in zip(normals[upright], offsets[upright].tolist()):
-            count = np.count_nonzero(inliers(normal, offset))
-            if count > best_count:
-                best_count = count
-                best_plane = (normal, offset)
+        normals, offsets = normals[upright], offsets[upright]
+        for i in range(0, len(normals), _COUNT_BLOCK):
+            counts = counter.counts(normals[i:i + _COUNT_BLOCK],
+                                    offsets[i:i + _COUNT_BLOCK])
+            j = int(np.argmax(counts))
+            if counts[j] > best_count:
+                best_count = int(counts[j])
+                best_plane = (normals[i + j], float(offsets[i + j]))
     if best_plane is None or best_count < 3:
         raise NoAdmissiblePlane(
             f"no plane within {math.degrees(angle_tol):.1f} deg of the reference "
             f"axis gathered at least 3 inliers")
     normal, offset = best_plane
-    mask = inliers(normal, offset)
+    mask = counter.mask(normal, offset)
     return Plane(normal=normal, offset=offset,
                  inliers=np.nonzero(mask)[0].astype(np.intp))
+
+
+class _InlierCounter:
+    """Inlier counts of candidate planes over one cloud, equal to those of
+    ``mask``, the rule in elementwise float64 arithmetic.
+
+    A block of up to _COUNT_BLOCK candidates takes one BLAS product for its
+    signed plane distances p . n + offset (the points carry a fourth
+    coordinate 1) and one for its normal alignments q . n.  BLAS may sum
+    these in any order and fuse multiply-adds, yet any order rounds a
+    distance within gamma(4) (|p|_1 + |offset|) of the exact value and an
+    alignment within gamma(3) |q|_1 (for |n_i| <= 1), so BLAS and ``mask``
+    differ by less than twice that.  The margin is twice that again, plus
+    4 u dist_thresh for the rounding of the moved thresholds.  A point
+    decided the same with the thresholds moved out and in by the margin is
+    decided the same by ``mask``; a candidate with a point that is not is
+    counted by ``mask`` itself.
+    """
+
+    def __init__(self, cloud: PointCloud, dist_thresh: float, cos_tol: float):
+        self.points, self.normals = cloud.points, cloud.normals
+        self.dist_thresh, self.cos_tol = dist_thresh, cos_tol
+        n = len(cloud)
+        self.points_1 = np.ones((4, n))
+        self.points_1[:3] = self.points.T
+        self.normals_t = np.ascontiguousarray(self.normals.T)
+        self.p1 = float(np.abs(self.points).sum(axis=1).max())
+        self.cos_margin = (4.0 * _gamma(3)
+                           * float(np.abs(self.normals).sum(axis=1).max()))
+        self.dist = np.empty((_COUNT_BLOCK, n))
+        self.align = np.empty((_COUNT_BLOCK, n))
+        self.strict = np.empty((_COUNT_BLOCK, n), dtype=bool)
+        self.loose = np.empty((_COUNT_BLOCK, n), dtype=bool)
+        self.near = np.empty((_COUNT_BLOCK, n), dtype=bool)
+
+    def mask(self, normal: np.ndarray, offset: float) -> np.ndarray:
+        dist = np.abs(_rowdot(self.points, normal) + offset)
+        aligned = np.abs(_rowdot(self.normals, normal)) >= self.cos_tol
+        return (dist <= self.dist_thresh) & aligned
+
+    def counts(self, normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Inlier counts of at most _COUNT_BLOCK candidates."""
+        m = len(normals)
+        dist, align = self.dist[:m], self.align[:m]
+        strict, loose, near = self.strict[:m], self.loose[:m], self.near[:m]
+        np.matmul(np.column_stack([normals, offsets]), self.points_1, out=dist)
+        np.abs(dist, out=dist)
+        np.matmul(normals, self.normals_t, out=align)
+        np.abs(align, out=align)
+        margin = (4.0 * _gamma(4) * (self.p1 + np.abs(offsets))
+                  + 4.0 * _U * self.dist_thresh)[:, None]
+        t, c, mc = self.dist_thresh, self.cos_tol, self.cos_margin
+        np.less_equal(dist, t - margin, out=strict)
+        np.greater_equal(align, c + mc, out=near)
+        strict &= near
+        np.less_equal(dist, t + margin, out=loose)
+        np.greater_equal(align, c - mc, out=near)
+        loose &= near
+        out = np.empty(m, dtype=np.intp)
+        for j, (normal, offset) in enumerate(zip(normals, offsets.tolist())):
+            out[j] = np.count_nonzero(strict[j])
+            if np.count_nonzero(loose[j]) != out[j]:
+                out[j] = np.count_nonzero(self.mask(normal, offset))
+        return out
 
 
 def _plane_basis(plane: Plane, pts: np.ndarray) -> PlaneBasis:
     n = plane.normal
     centroid = pts.mean(axis=0)
-    origin = centroid - (float(n @ centroid) + plane.offset) * n
-    seed_axis = np.eye(3)[int(np.argmin(np.abs(n)))]
-    u = unit(seed_axis - float(seed_axis @ n) * n)
+    origin = centroid - (float(_rowdot(n, centroid)) + plane.offset) * n
+    axis = int(np.argmin(np.abs(n)))
+    u = unit(np.eye(3)[axis] - n[axis] * n)
     v = np.cross(n, u)
     return PlaneBasis(origin=origin, u=u, v=v)
 

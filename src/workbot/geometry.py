@@ -34,6 +34,17 @@ def frozen_array(value, dtype=float, shape=None) -> np.ndarray:
     return a
 
 
+def length(v) -> float:
+    """Euclidean length of a small vector, its squares summed in index
+    order in float64: the same bits on every CPU, where the BLAS dot behind
+    ``np.linalg.norm`` varies its order and its fused multiply-adds.  Inf
+    when the sum of squares overflows."""
+    total = 0.0
+    for x in np.asarray(v, dtype=float).ravel().tolist():
+        total += x * x
+    return math.sqrt(total)
+
+
 def unit(v) -> np.ndarray:
     """v scaled to length 1.  When the sum of squares overflows or
     underflows, v is first divided by its largest |component|, so a finite
@@ -42,14 +53,13 @@ def unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError(f"non-finite vector has no direction: {v}")
-    with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(v))
+    n = length(v)
     if not 0.0 < n < math.inf:
         largest = float(np.abs(v).max())
         if largest == 0.0:
             raise ValueError("zero vector has no direction")
         v = v / largest
-        n = float(np.linalg.norm(v))
+        n = length(v)
     return v / n
 
 

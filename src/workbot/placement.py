@@ -115,7 +115,8 @@ def workstation_model(cloud: PointCloud,
     for cl in clusters:
         uv = polygon.basis.project(work.points[cl.indices])
         center = uv.mean(axis=0)
-        radius = float(np.max(np.linalg.norm(uv - center, axis=1)))
+        rel = uv - center
+        radius = float(np.max(np.sqrt(_rowdot(rel, rel))))
         obstacles.append(Obstacle2(center=center, radius=radius))
     return plane, polygon, obstacles
 

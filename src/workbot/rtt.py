@@ -205,7 +205,11 @@ def gated_assignment(cost, allowed) -> list[tuple[int, int]]:
     """
     cost = np.asarray(cost, dtype=float)
     allowed = np.asarray(allowed, dtype=bool)
-    spread = 2.0 * min(cost.shape) * np.abs(cost[allowed]).max(initial=0.0)
+    # a Python float, which overflows to inf without a numpy warning
+    spread = 2.0 * min(cost.shape) * float(
+        np.abs(cost[allowed]).max(initial=0.0))
+    if not (math.isfinite(spread) or allowed.all()):
+        raise ValueError("cost entries must be finite")
     filled = _checked_cost(np.where(allowed, cost, 1.0 + spread))
     rows, cols = (ix.tolist() for ix in allowed.nonzero())
     if len(set(rows)) == len(rows) == len(set(cols)):

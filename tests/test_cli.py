@@ -776,8 +776,9 @@ def test_two_objects_in_one_gate_report_metrics(tmp_path, capsys):
 
 # sha256 of each artifact, sidecar and stdout in tests/data/cli_digests.json,
 # recorded with numpy 2.4.6 and scipy 1.17.1 on one x86-64 Linux host, as
-# the SORT metric and DWA command pins are; re-recording them is a change to
-# the artifacts and needs its own CHANGES.md entry
+# the SORT metric and DWA command pins are (test_cpu_dispatch.py holds the
+# perceive entries under other BLAS and SIMD kernels); re-recording them is
+# a change to the artifacts and needs its own CHANGES.md entry
 CLI_DIGESTS = Path("tests/data/cli_digests.json").resolve()
 WORKSTATION = str(DATA / "workstation.json")
 CHAIN = str(DATA / "chain_5dof.json")

@@ -14,7 +14,8 @@ from workbot.cloud import (
     _PLANE_BLOCK, DegenerateInliers, DegenerateNeighborhood,
     InvertedHeightRange, InvertedRange, NoAdmissiblePlane, NonPositiveLeaf,
     PerceptionConfig, Plane, PlaneBasis, PlyParseError, PointCloud, Polygon2,
-    TooFewPoints, convex_hull, estimate_normals, euclidean_cluster,
+    TooFewPoints, _InlierCounter, _neighbourhood_normals,
+    _smallest_eigenvectors, convex_hull, estimate_normals, euclidean_cluster,
     extract_prism, load_ply, passthrough, save_ply, segment_plane,
     voxel_downsample)
 from workbot.geometry import unit
@@ -127,21 +128,116 @@ def test_normals_degenerate_neighborhood_raises():
 
 
 def test_normals_match_a_brute_force_neighbour_oracle():
-    # neighbours from a stable sort of the full distance matrix, then the
-    # same covariance and eigh steps: the library's k-d tree must find the
-    # same neighbours in the same order
+    # neighbours from a stable sort of the full distance matrix: the
+    # library's k-d tree must find the same neighbours in the same order,
+    # and so give the bytes its closed form gives on them
     rng = np.random.default_rng(8)
     pts = rng.uniform(-0.3, 0.3, (400, 3)) + [0.0, 0.0, 0.7]
     k = 10
     gap = pts[:, None, :] - pts[None, :, :]
     nn = np.argsort((gap ** 2).sum(axis=2), axis=1, kind="stable")[:, :k]
+    got = estimate_normals(PointCloud(pts), k=k).normals
+    assert got.tobytes() == _neighbourhood_normals(pts, nn).tobytes()
+    # the same eigenvectors as LAPACK's eigh, up to sign, within the
+    # closed form's error bound, and facing the origin
     neigh = pts[nn]
     centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    want = np.linalg.eigh(cov)[1][:, :, 0].copy()
-    want[np.einsum("ni,ni->n", want, pts) > 0.0] *= -1.0
-    want /= np.linalg.norm(want, axis=1, keepdims=True)
-    got = estimate_normals(PointCloud(pts), k=k).normals
+    evals, evecs = np.linalg.eigh(np.einsum("nki,nkj->nij", centered,
+                                            centered) / k)
+    assert_eigenvectors_within_the_gap_bound(got, evals, evecs[:, :, 0])
+    assert np.all(np.einsum("ni,ni->n", got, pts) <= 0.0)
+
+
+def assert_eigenvectors_within_the_gap_bound(got, evals, want):
+    """sin of the angle between got and want is at most 32 u / g**2, where
+    g = (lambda_mid - lambda_min) / trace: rounding moves the root of the
+    characteristic cubic by about u / g, and the eigenvector by that over g
+    again."""
+    g = (evals[:, 1] - evals[:, 0]) / evals.sum(axis=1)
+    sin = np.linalg.norm(np.cross(got, want), axis=1)
+    u = np.finfo(float).eps / 2.0
+    assert np.all(sin <= 32.0 * u / g ** 2)
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0.0,
+                               atol=4.0 * u)
+
+
+def symmetric(rows):
+    """The six entries a, b, c, d, e, f of [[a, d, e], [d, b, f], [e, f, c]]
+    for each 3 x 3 matrix of rows, as (n,) arrays."""
+    m = np.asarray(rows, dtype=float).reshape(-1, 3, 3)
+    return (m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 0, 1], m[:, 0, 2],
+            m[:, 1, 2])
+
+
+def assert_parallel(got, want):
+    want = np.asarray(want, dtype=float) / np.linalg.norm(want)
+    assert abs(abs(float(got @ want)) - 1.0) <= 1e-15, (got, want)
+
+
+@pytest.mark.parametrize("diag, axis", [
+    ((3.0, 2.0, 1.0), 2), ((1.0, 3.0, 2.0), 0), ((2.0, 1.0, 3.0), 1),
+    ((5.0, 5.0, 0.0), 2), ((0.0, 7.0, 7.0), 0)])
+def test_closed_form_on_diagonal_matrices_and_permuted_axes(diag, axis):
+    normals, largest = _smallest_eigenvectors(*symmetric(np.diag(diag)))
+    assert np.abs(normals[0]).tolist() == np.eye(3)[axis].tolist()
+    assert largest[0] == pytest.approx(max(diag), rel=1e-15)
+
+
+def test_closed_form_on_an_exactly_planar_matrix():
+    # eigenvalues 0, 1 and 2: lambda_min is exactly 0, with (1, -1, 0)
+    rows = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    normals, largest = _smallest_eigenvectors(*symmetric(rows))
+    assert_parallel(normals[0], [1.0, -1.0, 0.0])
+    assert largest[0] == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-14, 1e-9, 1e-3])
+def test_closed_form_on_line_like_matrices(spread):
+    # lambda_min = lambda_mid: every unit vector orthogonal to the line is a
+    # smallest eigenvector, and no NaN or warning may come of it
+    rng = np.random.default_rng(13)
+    v = np.vstack([np.eye(3), rng.normal(size=(2000, 3))])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    line = v[:, :, None] * v[:, None, :]
+    normals, largest = _smallest_eigenvectors(
+        *symmetric(line + spread * (np.eye(3) - line)))
+    assert np.isfinite(normals).all()
+    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0,
+                               rtol=0.0, atol=1e-15)
+    # a few sqrt(u): Newton's method converges only linearly to a double
+    # root, and the closed form trades its cross products for the line
+    # where they are shorter than sqrt(u)
+    assert np.abs(np.einsum("ni,ni->n", normals, v)).max() <= 1e-7
+    np.testing.assert_allclose(largest, 1.0, rtol=1e-12)
+
+
+def test_closed_form_on_an_isotropic_matrix():
+    # every unit vector is an eigenvector; the triple root slows Newton's
+    # method to a linear rate, so the largest eigenvalue, which only the
+    # degeneracy check reads, is rougher here
+    normals, largest = _smallest_eigenvectors(*symmetric(2.0 * np.eye(3)))
+    assert float(normals[0] @ normals[0]) == pytest.approx(1.0, abs=1e-15)
+    assert largest[0] == pytest.approx(2.0, rel=1e-2)
+
+
+def test_closed_form_matches_eigh_on_seeded_covariances():
+    rng = np.random.default_rng(21)
+    spread = rng.normal(size=(500, 6, 3)) * rng.uniform(0.0, 1.0, (500, 1, 3))
+    spread = spread @ np.linalg.qr(rng.normal(size=(500, 3, 3)))[0]
+    cov = np.einsum("nki,nkj->nij", spread, spread)
+    normals, largest = _smallest_eigenvectors(*symmetric(cov))
+    evals, evecs = np.linalg.eigh(cov)
+    assert_eigenvectors_within_the_gap_bound(normals, evals, evecs[:, :, 0])
+    np.testing.assert_allclose(largest, evals[:, 2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("power", [-16, 60])
+def test_normals_do_not_depend_on_the_scale(power):
+    # scaling by a power of two is exact, and so is every step after it
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-0.3, 0.3, (300, 3)) + [0.0, 0.0, 0.7]
+    want = estimate_normals(PointCloud(pts)).normals
+    got = estimate_normals(PointCloud(pts * 2.0 ** power)).normals
     assert got.tobytes() == want.tobytes()
 
 
@@ -195,6 +291,13 @@ def test_segment_plane_deterministic_given_seed():
     assert a.offset == b.offset
 
 
+def dot3(a, b):
+    """Dot product over the last axis, x then y then z, in elementwise
+    float64: the arithmetic the library defines its plane tests by."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 def reference_segment_plane(cloud, dist_thresh=0.005, ref_axis=(0.0, 0.0, 1.0),
                             angle_tol=math.radians(10.0), max_iters=500,
                             rng_seed=0):
@@ -210,15 +313,15 @@ def reference_segment_plane(cloud, dist_thresh=0.005, ref_axis=(0.0, 0.0, 1.0),
     for _ in range(max_iters):
         i, j, k = rng.choice(n, size=3, replace=False)
         normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        norm = float(np.linalg.norm(normal))
+        norm = math.sqrt(dot3(normal, normal))
         if norm < 1e-12:
             continue
         normal = normal / norm
-        offset = -float(normal @ pts[i])
-        if abs(float(normal @ ref)) < cos_tol:
+        offset = -float(dot3(normal, pts[i]))
+        if abs(float(dot3(normal, ref))) < cos_tol:
             continue
-        dist = np.abs(pts @ normal + offset)
-        aligned = np.abs(cloud.normals @ normal) >= cos_tol
+        dist = np.abs(dot3(pts, normal) + offset)
+        aligned = np.abs(dot3(cloud.normals, normal)) >= cos_tol
         mask = (dist <= dist_thresh) & aligned
         count = int(mask.sum())
         if count > best_count:
@@ -301,6 +404,35 @@ def test_segment_plane_memory_does_not_grow_with_max_iters():
     # the next block is drawn while the last one's arrays are still alive
     two = peak_bytes(2 * _PLANE_BLOCK)
     assert peak_bytes(8 * _PLANE_BLOCK) < 1.5 * two
+
+
+@pytest.mark.parametrize("tilt", [(0.0, 0.0, 1.0), (0.1, -0.2, 1.0)])
+def test_inlier_counts_match_the_rule_within_rounding_of_the_thresholds(tilt):
+    # points whose plane distance or normal alignment lies within a few ulps
+    # of the thresholds, where a BLAS product cannot settle them
+    normal = unit(tilt)
+    side = unit(np.cross(normal, [1.0, 0.0, 0.0]))
+    offset = -0.7
+    rng = np.random.default_rng(12)
+    base = rng.uniform(-0.3, 0.3, (200, 2)) @ np.array(
+        [side, np.cross(normal, side)]) - offset * normal
+    dist_thresh, cos_tol = 0.005, math.cos(math.radians(10.0))
+    step = np.linspace(-1e-15, 1e-15, 200)[:, None]
+    pts = np.vstack([base + (dist_thresh + step) * normal,
+                     base - (dist_thresh + step) * normal, base])
+    tilted = math.sqrt(1.0 - cos_tol ** 2) * side
+    nrm = np.vstack([np.tile(normal, (400, 1)),
+                     (cos_tol + step) * normal + tilted])
+    cloud = PointCloud(pts, normals=nrm)
+    dist = np.abs(dot3(cloud.points, normal) + offset)
+    align = np.abs(dot3(cloud.normals, normal))
+    want = np.count_nonzero((dist <= dist_thresh) & (align >= cos_tol))
+    # the rule splits both bands
+    assert 0 < np.count_nonzero(dist[:400] <= dist_thresh) < 400
+    assert 0 < np.count_nonzero(align[400:] >= cos_tol) < 200
+    counter = _InlierCounter(cloud, dist_thresh, cos_tol)
+    got = counter.counts(np.array([normal, -normal]), np.array([offset, -offset]))
+    assert got.tolist() == [want, want]
 
 
 def test_segment_plane_failures_match_the_reference():

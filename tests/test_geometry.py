@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from workbot.geometry import unit
+from workbot.geometry import length, unit
 
 
 def test_unit_of_an_ordinary_vector_divides_by_its_norm():
     v = np.array([3.0, -4.0, 12.0])
-    assert unit(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+    assert unit(v).tobytes() == (v / 13.0).tobytes()
+
+
+def test_length_sums_the_squares_in_index_order():
+    rng = np.random.default_rng(4)
+    for v in rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-3, 3, (200, 3)):
+        x, y, z = v.tolist()
+        assert length(v) == math.sqrt(x * x + y * y + z * z)
+    assert length((1e200, 0.0, 1e200)) == math.inf
 
 
 def test_unit_of_a_huge_vector_keeps_its_direction():
