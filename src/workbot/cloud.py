@@ -81,10 +81,6 @@ class InvertedHeightRange(CloudError):
     pass
 
 
-class PlyParseError(CloudError):
-    pass
-
-
 @dataclass(frozen=True)
 class Point3:
     x: float
@@ -697,95 +693,7 @@ def euclidean_cluster(cloud: PointCloud, subset,
     return clusters
 
 
-# --- ASCII PLY I/O ---------------------------------------------------------
-
-_PLY_PROPS = ("x", "y", "z", "nx", "ny", "nz")
-
-
-def load_ply(path) -> PointCloud:
-    """Read an ASCII PLY vertex cloud; rejects binary files and unknown properties."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    name = str(path)
-
-    def fail(lineno: int, msg: str):
-        raise PlyParseError(f"{name}:{lineno}: {msg}")
-
-    if not lines or lines[0].strip() != "ply":
-        fail(1, "missing 'ply' magic")
-    count = None
-    props: list[str] = []
-    data_start = None
-    saw_format = False
-    for lineno, raw in enumerate(lines[1:], start=2):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if tokens[0] == "comment":
-            continue
-        if tokens[0] == "format":
-            if tokens[1:] != ["ascii", "1.0"]:
-                fail(lineno, f"unsupported format {' '.join(tokens[1:])!r}; "
-                             "only 'ascii 1.0' is accepted")
-            saw_format = True
-        elif tokens[0] == "element":
-            if len(tokens) != 3 or tokens[1] != "vertex":
-                fail(lineno, f"unsupported element {' '.join(tokens[1:])!r}")
-            if count is not None:
-                fail(lineno, "duplicate vertex element")
-            try:
-                count = int(tokens[2])
-            except ValueError:
-                count = -1
-            if count < 0:
-                fail(lineno, f"bad vertex count {tokens[2]!r}")
-        elif tokens[0] == "property":
-            if len(tokens) != 3 or tokens[1] != "float":
-                fail(lineno, f"unsupported property declaration {raw.strip()!r}")
-            if tokens[2] not in _PLY_PROPS:
-                fail(lineno, f"unknown property {tokens[2]!r}")
-            props.append(tokens[2])
-        elif tokens[0] == "end_header":
-            data_start = lineno
-            break
-        else:
-            fail(lineno, f"unexpected header line {raw.strip()!r}")
-    if data_start is None:
-        fail(len(lines), "missing end_header")
-    if not saw_format:
-        fail(data_start, "missing format declaration")
-    if count is None:
-        fail(data_start, "missing vertex element")
-    expected = list(_PLY_PROPS[:len(props)])
-    if props != expected or len(props) not in (3, 6):
-        raise PlyParseError(
-            f"{name}:{data_start}: properties must be x y z [nx ny nz] in order")
-    # rows are kept as read, not allocated by the declared count, which the
-    # file may overstate without bound
-    rows = []
-    lineno = data_start
-    for raw in lines[data_start:]:
-        lineno += 1
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(rows) >= count:
-            fail(lineno, "more data rows than declared vertices")
-        if len(tokens) != len(props):
-            fail(lineno, f"expected {len(props)} values, got {len(tokens)}")
-        try:
-            rows.append([float(t) for t in tokens])
-        except ValueError:
-            fail(lineno, f"bad float in data row {raw.strip()!r}")
-    if len(rows) != count:
-        fail(lineno, f"declared {count} vertices but found {len(rows)}")
-    values = np.array(rows, dtype=float).reshape(count, len(props))
-    normals = values[:, 3:6] if len(props) == 6 else None
-    try:
-        return PointCloud(values[:, :3], normals=normals)
-    except ValueError as exc:
-        raise PlyParseError(f"{name}: {exc}") from None
-
+# --- ASCII PLY output ------------------------------------------------------
 
 def save_ply(cloud: PointCloud, path) -> None:
     with_normals = cloud.normals is not None

@@ -92,8 +92,17 @@ class OccupancyGrid:
             raise ValueError("cells must be Free, Occupied or Unknown")
         if not (self.resolution > 0.0):
             raise ValueError(f"resolution must be positive, got {self.resolution}")
+        origin = frozen_array(self.origin, shape=2)
+        # Python floats overflow to inf without a RuntimeWarning
+        (ox, oy), res = origin.tolist(), float(self.resolution)
+        w, h = cells.shape[1] * res, cells.shape[0] * res
+        if not all(map(math.isfinite, (ox, oy, ox + w, oy + h,
+                                       math.hypot(w, h)))):
+            raise ValueError(
+                f"origin and extent must be finite, got origin ({ox}, {oy}) "
+                f"and {cells.shape[1]} x {cells.shape[0]} cells of {res}")
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "origin", frozen_array(self.origin, shape=2))
+        object.__setattr__(self, "origin", origin)
 
     @property
     def height(self) -> int:

@@ -186,9 +186,6 @@ class DomainDef:
     def type_parents(self) -> dict[str, str]:
         return dict(self.types)
 
-    def predicate_arity(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.predicates)
-
 
 @dataclass(frozen=True)
 class ProblemDef:
@@ -982,14 +979,3 @@ def format_plan(plan_obj: Plan) -> str:
     lines = [a.name for a in plan_obj.actions]
     lines.append(f"; cost = {_fmt_number(plan_obj.cost)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_plan_text(text: str) -> list[str]:
-    """Action names from a plan file; blank and comment lines are skipped."""
-    names = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith(";"):
-            continue
-        names.append(_normalize_name(line))
-    return names

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cloud import Cluster, DEGENERATE_EIG, PointCloud
 from .errors import WorkbotError
-from .geometry import Pose, canonical_sign, frozen_array
+from .geometry import Pose, canonical_sign
 
 Source = Literal["2d", "3d"]
 
@@ -62,22 +62,6 @@ class Inventory:
     @staticmethod
     def of(*labels: str) -> "Inventory":
         return Inventory(frozenset(labels))
-
-
-@dataclass(frozen=True, eq=False)
-class ObjectHypothesis:
-    label: str
-    confidence: float
-    pose: Pose
-    extents: np.ndarray
-
-    def __post_init__(self):
-        ext = frozen_array(self.extents, shape=3)
-        if np.any(ext < 0.0) or np.any(np.diff(ext) > 1e-12):
-            raise ValueError("extents must be non-negative and descending")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence outside [0, 1]: {self.confidence}")
-        object.__setattr__(self, "extents", ext)
 
 
 NEUTRAL_SCORE = 0.5
@@ -133,17 +117,3 @@ def fuse(scores3d: ObjectScores, scores2d: ObjectScores,
         raise NoAdmissibleLabel("all fused scores are zero over the inventory")
     winner = max(sorted(fused), key=lambda l: fused[l])
     return winner, fused[winner] / total
-
-
-def neutral_scores(source: Source) -> ObjectScores:
-    """A provider output that biases no label (useful when one sensor is absent)."""
-    return ObjectScores(scores={"__neutral__": NEUTRAL_SCORE}, source=source)
-
-
-def build_hypothesis(cloud: PointCloud, cluster: Cluster,
-                     scores3d: ObjectScores, scores2d: ObjectScores,
-                     inventory: Inventory) -> ObjectHypothesis:
-    label, confidence = fuse(scores3d, scores2d, inventory)
-    pose, extents = pca_pose(cloud, cluster)
-    return ObjectHypothesis(label=label, confidence=confidence,
-                            pose=pose, extents=extents)

@@ -53,10 +53,6 @@ class SceneObject:
         else:
             raise ValueError(f"unknown shape: {self.shape}")
 
-    @property
-    def top_height(self) -> float:
-        return self.size[2] if self.shape == "box" else self.height
-
 
 @dataclass(frozen=True)
 class WorkstationScenario:

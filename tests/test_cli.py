@@ -608,6 +608,14 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
                  DWA, "map.json", "ValueError",
                  "resolution must be positive, got 0.0",
                  id="sidecar-zero-resolution"),
+    # a finite resolution whose map extent overflows
+    pytest.param({"map.pgm": "P2 3 3 255\n255 255 255\n255 0 255\n"
+                             "255 255 255\n",
+                  "map.json": {"resolution": 1e308, "origin": [0, 0]}},
+                 DWA, "map.json", "ValueError",
+                 "origin and extent must be finite, got origin (0.0, 0.0) "
+                 "and 3 x 3 cells of 1e+308",
+                 id="sidecar-resolution-overflows"),
     pytest.param({**MAP, "map.pgm": "P2 0 0 255\n"}, DWA, "map.pgm",
                  "GridParseError", "map must be at least 1x1, got 0x0",
                  id="empty-map"),

@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from workbot.cloud import (
     _PLANE_BLOCK, DegenerateInliers, DegenerateNeighborhood,
     InvertedHeightRange, InvertedRange, NoAdmissiblePlane, NonPositiveLeaf,
-    PerceptionConfig, Plane, PlaneBasis, PlyParseError, PointCloud, Polygon2,
-    TooFewPoints, _InlierCounter, _neighbourhood_normals,
-    _smallest_eigenvectors, convex_hull, estimate_normals, euclidean_cluster,
-    extract_prism, load_ply, passthrough, save_ply, segment_plane,
-    voxel_downsample)
+    PerceptionConfig, Plane, PlaneBasis, PointCloud, Polygon2, TooFewPoints,
+    _InlierCounter, _neighbourhood_normals, _smallest_eigenvectors,
+    convex_hull, estimate_normals, euclidean_cluster, extract_prism,
+    passthrough, save_ply, segment_plane, voxel_downsample)
 from workbot.geometry import unit
 from workbot.jsonio import decode
 from workbot.sim import gen_workstation, load_scenario
@@ -636,77 +635,23 @@ def test_cluster_empty_subset():
     assert euclidean_cluster(grid_cloud(), np.array([], dtype=int)) == []
 
 
-# --- PLY I/O -----------------------------------------------------------------
+# --- PLY output --------------------------------------------------------------
 
 def test_ply_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     cloud = estimate_normals(PointCloud(rng.normal(size=(40, 3))), k=5)
     path = tmp_path / "cloud.ply"
     save_ply(cloud, path)
-    back = load_ply(path)
-    np.testing.assert_allclose(back.points, cloud.points, atol=0)
-    np.testing.assert_allclose(back.normals, cloud.normals, atol=0)
-
-
-def test_ply_rejects_bad_magic(tmp_path):
-    p = tmp_path / "bad.ply"
-    p.write_text("plx\nformat ascii 1.0\nend_header\n")
-    with pytest.raises(PlyParseError) as exc:
-        load_ply(p)
-    assert ":1:" in str(exc.value)
-
-
-def test_ply_rejects_wrong_vertex_count(tmp_path):
-    p = tmp_path / "short.ply"
-    p.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
-                 "property float x\nproperty float y\nproperty float z\n"
-                 "end_header\n0 0 0\n1 1 1\n")
-    with pytest.raises(PlyParseError):
-        load_ply(p)
-
-
-@pytest.mark.parametrize("count, rows, message", [
-    ("-1", "0 0 0\n", ":3: bad vertex count '-1'"),
-    # a count that no allocation could hold is found short, not allocated
-    ("99999999999999", "0 0 0\n",
-     ":8: declared 99999999999999 vertices but found 1"),
-], ids=["negative", "beyond-memory"])
-def test_ply_rejects_a_bad_header_count_with_its_location(tmp_path, count,
-                                                           rows, message):
-    p = tmp_path / "count.ply"
-    p.write_text(f"ply\nformat ascii 1.0\nelement vertex {count}\n"
-                 "property float x\nproperty float y\nproperty float z\n"
-                 f"end_header\n{rows}")
-    with pytest.raises(PlyParseError) as exc:
-        load_ply(p)
-    assert str(exc.value) == f"{p}{message}"
-
-
-def test_ply_rejects_non_numeric_row(tmp_path):
-    p = tmp_path / "junk.ply"
-    p.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
-                 "property float x\nproperty float y\nproperty float z\n"
-                 "end_header\n0 zero 0\n")
-    with pytest.raises(PlyParseError) as exc:
-        load_ply(p)
-    assert ":8:" in str(exc.value)
-
-
-@pytest.mark.parametrize("props, rows, message", [
-    ("x y z", "0 0 0\n0 nan 0\n", "points must be a finite (n, 3) array"),
-    ("x y z", "0 0 0\ninf 0 0\n", "points must be a finite (n, 3) array"),
-    ("x y z nx ny nz", "0 0 0 0 0 1\n0 0 0 0 0 2\n",
-     "normals must have unit length"),
-], ids=["nan-point", "inf-point", "long-normal"])
-def test_ply_rejects_a_bad_value_naming_the_file(tmp_path, props, rows,
-                                                 message):
-    p = tmp_path / "value.ply"
-    header = "".join(f"property float {prop}\n" for prop in props.split())
-    p.write_text(f"ply\nformat ascii 1.0\nelement vertex 2\n{header}"
-                 f"end_header\n{rows}")
-    with pytest.raises(PlyParseError) as exc:
-        load_ply(p)
-    assert str(exc.value) == f"{p}: {message}"
+    lines = path.read_text(encoding="ascii").splitlines()
+    header = lines[:lines.index("end_header") + 1]
+    assert header == ["ply", "format ascii 1.0", "element vertex 40",
+                      *(f"property float {p}"
+                        for p in ("x", "y", "z", "nx", "ny", "nz")),
+                      "end_header"]
+    back = np.array([[float(t) for t in line.split()]
+                     for line in lines[len(header):]])
+    np.testing.assert_array_equal(back[:, :3], cloud.points)
+    np.testing.assert_array_equal(back[:, 3:], cloud.normals)
 
 
 # --- config ------------------------------------------------------------------

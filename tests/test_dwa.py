@@ -1,11 +1,15 @@
 """Window arithmetic, arc rollouts vs a fine Euler oracle, grid round trips."""
 
 import hashlib
+import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from workbot.dwa import (FREE, OCCUPIED, UNKNOWN, DWAConfig, GridParseError,
@@ -548,6 +552,71 @@ def test_pgm_comments_are_ignored(tmp_path):
     assert grid.cells[0, 1] == FREE
 
 
+# numbers up to the largest finite float, as JSON or PGM text would give them
+_BIG = st.one_of(st.floats(-1e308, 1e308), st.integers(-10**308, 10**308),
+                 st.sampled_from([1e308, -1e308, 5e-324]))
+_PGM_TOKENS = st.one_of(
+    st.sampled_from(["P2", "P5", "0", "128", "255", "77", "-1", "1_0", "x",
+                     "nan", "#", " ", "\n"]),
+    st.integers(-2, 6).map(str), _BIG.map(str))
+_JSON_TOKENS = st.one_of(
+    st.sampled_from(["1e309", "-1e309", "NaN", "Infinity", "null", "true",
+                     '"', ",", "[", "]", "{", "}", ":", " "]),
+    _BIG.map(json.dumps))
+_MAP = "P2\n# map\n3 3\n255\n255 255 128\n255 0 255\n255 255 255\n"
+
+
+def _edited(text, edits):
+    for at, cut, insert in edits:
+        at %= len(text) + 1
+        text = text[:at] + insert + text[at + cut:]
+    return text
+
+
+@st.composite
+def _map_files(draw):
+    """PGM and sidecar text: the sidecar's values are drawn, and a third of
+    the examples each edit the PGM text or the sidecar text, where an edit
+    cuts up to three characters at a position and inserts a token."""
+    resolution = draw(st.one_of(st.floats(1e-3, 1.0), _BIG))
+    origin = draw(st.lists(_BIG, min_size=2, max_size=2))
+    texts = {"pgm": _MAP, "sidecar": json.dumps({"resolution": resolution,
+                                                 "origin": origin})}
+    target = draw(st.sampled_from(["values", "pgm", "sidecar"]))
+    if target != "values":
+        tokens = _PGM_TOKENS if target == "pgm" else _JSON_TOKENS
+        edit = st.tuples(st.integers(0, 10**6), st.integers(0, 3),
+                         st.one_of(st.just(""), tokens))
+        texts[target] = _edited(texts[target],
+                                draw(st.lists(edit, min_size=1, max_size=4)))
+    return texts["pgm"], texts["sidecar"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_map(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "map.pgm"
+
+
+@settings(deadline=None)
+@given(files=_map_files())
+def test_load_pgm_raises_only_errors_that_name_its_files(fuzz_map, files):
+    sidecar = fuzz_map.with_suffix(".json")
+    fuzz_map.write_text(files[0])
+    sidecar.write_text(files[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = load_pgm(fuzz_map)
+        except GridParseError as exc:
+            assert str(exc).startswith(f"{fuzz_map}: ")
+            return
+        except ValueError as exc:
+            assert str(exc).startswith((f"{fuzz_map}: ", f"{sidecar}: "))
+            return
+        lo, hi = grid.extent()
+        assert np.isfinite([*lo, *hi, grid.diagonal()]).all()
+
+
 def test_config_from_json_ignores_unknown_keys():
     cfg = decode(DWAConfig, {"v_max": 0.5, "nonsense": 1}, "cfg.json")
     assert cfg.v_max == 0.5
@@ -568,3 +637,17 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="resolution"):
         OccupancyGrid(cells=np.zeros((2, 2), dtype=np.uint8),
                       resolution=0.0, origin=np.zeros(2))
+    # 3 x 2 cells: the extent, the origin plus the extent, or the diagonal
+    # overflows, and the check itself must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for resolution, origin in [
+                (1e308, (0.0, 0.0)), (np.float64(1e308), (0.0, 0.0)),
+                (math.inf, (0.0, 0.0)), (0.1, (math.nan, 0.0)),
+                (0.1, (0.0, -math.inf)), (1e307, (1.7e308, 0.0)),
+                (5e307, (-1e308, -1e308))]:
+            with pytest.raises(ValueError,
+                               match="origin and extent must be finite"):
+                OccupancyGrid(cells=np.zeros((3, 2), dtype=np.uint8),
+                              resolution=resolution, origin=np.array(origin))
+

@@ -17,9 +17,8 @@ from workbot.pddl import (ArityMismatch, NegativeCost, PddlError,
                           UndeclaredObject, UndefinedFunctionValue,
                           UnknownPredicate, UnknownType, Unsolvable,
                           UnsupportedRequirement, compile_task, format_plan,
-                          ground, parse_domain, parse_plan_text,
-                          parse_problem, plan, print_domain, print_problem,
-                          search, validate)
+                          ground, parse_domain, parse_problem, plan,
+                          print_domain, print_problem, search, validate)
 
 DATA = Path("src/workbot/data")
 
@@ -64,7 +63,7 @@ def test_parse_bundled_domain():
     assert domain.name == "transport"
     assert {a.name for a in domain.actions} == {"move", "perceive", "grasp",
                                                 "place"}
-    assert domain.predicate_arity()["holding"] == ("robot", "item")
+    assert dict(domain.predicates)["holding"] == ("robot", "item")
 
 
 def test_syntax_error_carries_location():
@@ -945,9 +944,4 @@ def test_format_and_parse_plan_round_trip():
     result = plan(domain, problem)
     text = format_plan(result)
     assert text.endswith("; cost = 5\n")
-    assert parse_plan_text(text) == list(result.names())
-
-
-def test_parse_plan_text_skips_noise():
-    text = "; a comment\n\n(MOVE  youbot ws shelf)\n"
-    assert parse_plan_text(text) == ["(move youbot ws shelf)"]
+    assert text.splitlines()[:-1] == list(result.names())

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from workbot.cloud import Cluster, Point3, PointCloud
 from workbot.recognition import (DegenerateCluster, Inventory,
-                                 NoAdmissibleLabel, ObjectScores,
-                                 build_hypothesis, fuse, neutral_scores,
+                                 NoAdmissibleLabel, ObjectScores, fuse,
                                  pca_pose)
 
 
@@ -146,7 +145,9 @@ def test_fusion_requires_matching_sources():
 
 def test_fusion_with_neutral_sensor_keeps_other_ranking():
     s3 = ObjectScores({"A": 0.9, "B": 0.1}, "3d")
-    label, _ = fuse(s3, neutral_scores("2d"), Inventory.of("A", "B"))
+    # a 2D map that scores no inventory label biases none of them
+    neutral = ObjectScores({"__neutral__": 0.5}, "2d")
+    label, _ = fuse(s3, neutral, Inventory.of("A", "B"))
     assert label == "A"
 
 
@@ -172,17 +173,3 @@ def test_score_validation():
     with pytest.raises(ValueError):
         ObjectScores({"A": 0.5}, "rgb")
 
-
-# --- build_hypothesis --------------------------------------------------------
-
-def test_build_hypothesis_combines_both_paths():
-    rng = np.random.default_rng(8)
-    pts = rng.normal(0, [0.05, 0.02, 0.01], (60, 3))
-    cloud, cl = cluster_of(pts)
-    hyp = build_hypothesis(cloud, cl,
-                           ObjectScores({"cup": 0.9, "bolt": 0.2}, "3d"),
-                           ObjectScores({"cup": 0.8, "bolt": 0.1}, "2d"),
-                           Inventory.of("cup", "bolt"))
-    assert hyp.label == "cup"
-    assert hyp.extents[0] >= hyp.extents[1] >= hyp.extents[2]
-    assert 0.0 <= hyp.confidence <= 1.0

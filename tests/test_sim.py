@@ -73,7 +73,8 @@ def test_object_points_stay_near_their_object():
             limit = obj.radius
         assert xy_spread.max() <= limit + 5 * sc.noise_sigma
         assert pts[:, 2].min() >= sc.table_height - 5 * sc.noise_sigma
-        assert pts[:, 2].max() <= (sc.table_height + obj.top_height
+        top = obj.size[2] if obj.shape == "box" else obj.height
+        assert pts[:, 2].max() <= (sc.table_height + top
                                    + 5 * sc.noise_sigma)
 
 

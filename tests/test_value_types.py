@@ -19,7 +19,6 @@ from workbot.cloud import Cluster, Plane, PlaneBasis, Point3, PointCloud, Polygo
 from workbot.dwa import OccupancyGrid
 from workbot.geometry import Pose
 from workbot.placement import Obstacle2, PlacementPose
-from workbot.recognition import ObjectHypothesis
 from workbot.rtt import CircularMotion
 
 BASIS = dict(origin=[0.0, 0.0, 0.0], u=[1.0, 0.0, 0.0], v=[0.0, 1.0, 0.0])
@@ -39,7 +38,6 @@ def _arrays():
         "cells": np.zeros((4, 5), dtype=np.uint8),
         "vec2": np.array([0.25, -0.5]),
         "quat": np.array([0.0, 0.0, 0.0, 1.0]),
-        "extents": np.array([0.3, 0.2, 0.1]),
     }
 
 
@@ -63,9 +61,6 @@ VALUES = {
     Obstacle2: (lambda a: Obstacle2(a["vec2"], 0.1), ("vec2",)),
     PlacementPose: (lambda a: PlacementPose(Pose.identity(), a["vec2"], 0.1),
                     ("vec2",)),
-    ObjectHypothesis: (lambda a: ObjectHypothesis("cup", 0.9, Pose.identity(),
-                                                  a["extents"]),
-                       ("extents",)),
     CircularMotion: (lambda a: CircularMotion(a["vec2"], 0.4, 0.5, 0.0, 0.0),
                      ("vec2",)),
 }
