@@ -168,6 +168,11 @@ class _GraspObject:
     yaw_spread: float = math.pi / 2
     base_position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        # here as well as in sample_pregrasp, so the error names the file
+        from .grasping import check_yaw_spread
+        check_yaw_spread(self.yaw_spread)
+
 
 def cmd_grasp(args) -> int:
     import numpy as np

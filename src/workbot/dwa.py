@@ -46,6 +46,11 @@ CLEARANCE_EPS = 1e-3
 # rounding in the pose-to-square map and in the ball query, and can only add
 # candidates, never drop the nearest one.
 _CANDIDATE_SLACK = 1e-6
+# Largest |x| or |y| of a map point, and the smallest cell size.  Squared
+# distances between map points, which cKDTree forms, then neither overflow
+# nor, between distinct cell centres, underflow.
+MAX_COORD = 1e150
+MIN_RESOLUTION = 1e-150
 
 
 class NavigationError(WorkbotError):
@@ -92,6 +97,9 @@ class OccupancyGrid:
             raise ValueError("cells must be Free, Occupied or Unknown")
         if not (self.resolution > 0.0):
             raise ValueError(f"resolution must be positive, got {self.resolution}")
+        if self.resolution < MIN_RESOLUTION:
+            raise ValueError(f"resolution must be at least {MIN_RESOLUTION:g}, "
+                             f"got {self.resolution}")
         origin = frozen_array(self.origin, shape=2)
         # Python floats overflow to inf without a RuntimeWarning
         (ox, oy), res = origin.tolist(), float(self.resolution)
@@ -101,6 +109,11 @@ class OccupancyGrid:
             raise ValueError(
                 f"origin and extent must be finite, got origin ({ox}, {oy}) "
                 f"and {cells.shape[1]} x {cells.shape[0]} cells of {res}")
+        if max(abs(ox), abs(ox + w), abs(oy), abs(oy + h)) > MAX_COORD:
+            raise ValueError(
+                f"the map must lie within {MAX_COORD:g} of 0 on each axis, "
+                f"got origin ({ox}, {oy}) and {cells.shape[1]} x "
+                f"{cells.shape[0]} cells of {res}")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "origin", origin)
 
@@ -491,6 +504,11 @@ def load_pgm(pgm_path) -> OccupancyGrid:
         raise GridParseError(f"{name}: map must be at least 1x1, "
                              f"got {width}x{height}")
     data = tokens[4:]
+    if width > len(data) or height > len(data):
+        # checked first: the product of two long sizes can be too long to
+        # print, while each size prints as it was read
+        raise GridParseError(f"{name}: a {width}x{height} map needs more "
+                             f"than the {len(data)} samples given")
     if len(data) != width * height:
         raise GridParseError(f"{name}: expected {width * height} samples, "
                              f"got {len(data)}")

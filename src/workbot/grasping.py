@@ -17,7 +17,7 @@ from scipy.spatial.transform import Rotation
 
 from . import kinematics
 from .errors import WorkbotError
-from .geometry import Pose, unit
+from .geometry import TWO_PI, Pose, unit
 from .kinematics import IkResult, KinematicChain, NoConvergence
 
 Approach = Literal["top", "frontal"]
@@ -96,6 +96,14 @@ def _nominal_rotation(axis: np.ndarray, approach: Approach) -> np.ndarray:
     return np.column_stack([x, unit(y), axis])
 
 
+def check_yaw_spread(yaw_spread: float) -> None:
+    """ValueError unless 0 <= yaw_spread <= 2 pi.  A fan past one full turn
+    only repeats yaws, and a huge one overflows the rotation algebra."""
+    if not 0.0 <= yaw_spread <= TWO_PI:
+        raise ValueError("yaw_spread must lie in [0, 2 pi], one full turn, "
+                         f"got {yaw_spread}")
+
+
 def sample_pregrasp(object_pose: Pose, approach: Approach,
                     offset: float = 0.05, n: int = 9,
                     yaw_spread: float = math.pi / 2,
@@ -107,8 +115,9 @@ def sample_pregrasp(object_pose: Pose, approach: Approach,
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    if offset < 0.0 or yaw_spread < 0.0:
-        raise ValueError("offset and yaw_spread must be non-negative")
+    if offset < 0.0:
+        raise ValueError("offset must be non-negative")
+    check_yaw_spread(yaw_spread)
     axis = _approach_axis(object_pose, approach, base_position)
     nominal = _nominal_rotation(axis, approach)
     position = object_pose.position - offset * axis

@@ -103,31 +103,45 @@ def load_chain(path) -> KinematicChain:
 
 
 def _dh_table(chain: KinematicChain) -> tuple[np.ndarray, ...]:
-    """Per-joint DH constants as arrays: (a, cos alpha, sin alpha, d, offset)."""
+    """Per-joint DH constants as arrays: (a, cos alpha, sin alpha,
+    -cos alpha, -sin alpha, d, offset)."""
     a, alpha, d, off = np.array([(j.a, j.alpha, j.d, j.theta_offset)
                                  for j in chain.joints]).T
-    return a, np.cos(alpha), np.sin(alpha), d, off
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    return a, ca, sa, -ca, -sa, d, off
 
 
-def _fk(base: np.ndarray, dh: tuple[np.ndarray, ...],
-        qs: np.ndarray) -> np.ndarray:
-    """End-effector matrices (n, 4, 4) for joint-angle rows qs (n, 5)."""
-    a, ca, sa, d, off = dh
-    theta = qs + off
-    ct, st = np.cos(theta), np.sin(theta)
-    m = np.zeros(theta.shape + (4, 4))
-    m[..., 0, 0] = ct
-    m[..., 0, 1] = -st * ca
-    m[..., 0, 2] = st * sa
-    m[..., 0, 3] = a * ct
-    m[..., 1, 0] = st
-    m[..., 1, 1] = ct * ca
-    m[..., 1, 2] = -ct * sa
-    m[..., 1, 3] = a * st
+def _dh_buffer(dh: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """Joint matrices (n, 5, 4, 4) with the entries free of theta written."""
+    a, ca, sa, _, _, d, off = dh
+    m = np.zeros((n, N_JOINTS, 4, 4))
     m[..., 2, 1] = sa
     m[..., 2, 2] = ca
     m[..., 2, 3] = d
     m[..., 3, 3] = 1.0
+    return m
+
+
+def _fk(base: np.ndarray, dh: tuple[np.ndarray, ...], qs: np.ndarray,
+        m: np.ndarray | None = None) -> np.ndarray:
+    """End-effector matrices (n, 4, 4) for joint-angle rows qs (n, 5).
+
+    ``m`` is a buffer from ``_dh_buffer`` with at least n rows; only its
+    entries that depend on theta are written.  ``st * (-ca)`` has the bits of
+    ``-st * ca``, as negation is exact.
+    """
+    a, ca, sa, nca, nsa, d, off = dh
+    m = _dh_buffer(dh, len(qs)) if m is None else m[:len(qs)]
+    theta = qs + off
+    # out= by position: parsing the keyword costs more than the product
+    ct = np.cos(theta, m[..., 0, 0])
+    st = np.sin(theta, m[..., 1, 0])
+    np.multiply(st, nca, m[..., 0, 1])
+    np.multiply(st, sa, m[..., 0, 2])
+    np.multiply(a, ct, m[..., 0, 3])
+    np.multiply(ct, ca, m[..., 1, 1])
+    np.multiply(ct, nsa, m[..., 1, 2])
+    np.multiply(a, st, m[..., 1, 3])
     t = base
     for j in range(N_JOINTS):
         t = t @ m[:, j]
@@ -146,14 +160,14 @@ def so3_log(rot) -> np.ndarray:
     """
     r = np.asarray(rot, dtype=float)
     flat = r.reshape(-1, 3, 3)
-    v = 0.5 * np.stack([flat[:, 2, 1] - flat[:, 1, 2],
-                        flat[:, 0, 2] - flat[:, 2, 0],
-                        flat[:, 1, 0] - flat[:, 0, 1]], axis=1)
+    # (r21 - r12, r02 - r20, r10 - r01) / 2
+    v = 0.5 * (flat[:, (2, 0, 1), (1, 2, 0)] - flat[:, (1, 2, 0), (2, 0, 1)])
     c = 0.5 * (flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2] - 1.0)
-    s = np.linalg.norm(v, axis=1)
+    # the sum of squares of np.linalg.norm(v, axis=1), without its dispatch
+    s = np.sqrt(np.add.reduce(v * v, axis=1))
     angle = np.arctan2(s, c)
     # angle / sin(angle) tends to 1 as the angle vanishes
-    out = v * np.divide(angle, s, out=np.ones_like(s), where=s > 0.0)[:, None]
+    out = v * np.divide(angle, s, out=np.ones(len(s)), where=s > 0.0)[:, None]
     obtuse = np.flatnonzero(c < 0.0)
     if obtuse.size:
         ro, co = flat[obtuse], c[obtuse]
@@ -168,25 +182,31 @@ def so3_log(rot) -> np.ndarray:
 
 def _pose_errors(p_target: np.ndarray, r_target: np.ndarray,
                  current: np.ndarray, rot_weights: np.ndarray) -> np.ndarray:
-    """Error rows (n, 6) from a target to current matrices (n, 4, 4)."""
-    e_pos = p_target - current[:, :3, 3]
-    r_err = current[:, :3, :3].transpose(0, 2, 1) @ r_target
-    return np.concatenate([e_pos, rot_weights * so3_log(r_err)], axis=1)
+    """Error rows (..., 6) from targets to current matrices (..., 4, 4);
+    the targets broadcast against the leading axes."""
+    e_pos = p_target - current[..., :3, 3]
+    r_err = current[..., :3, :3].swapaxes(-1, -2) @ r_target
+    return np.concatenate([e_pos, rot_weights * so3_log(r_err)], axis=-1)
 
 
 # rows of joint offsets: q itself, then +step and -step along each joint
 _STENCIL = frozen_array(np.vstack([np.zeros(N_JOINTS), np.eye(N_JOINTS),
                                    -np.eye(N_JOINTS)]))
+_STENCIL_STEPS = frozen_array(FD_STEP * _STENCIL)
 
 
-def _stencil_errors(base, dh, p_target, r_target, q) -> np.ndarray:
-    """Pose errors at q (row 0) and at q +/- FD_STEP per joint (rows 1-10)."""
-    return _pose_errors(p_target, r_target,
-                        _fk(base, dh, q + FD_STEP * _STENCIL), _ROT_WEIGHTS)
+def _stencil_errors(base, dh, p_target, r_target, q, m=None) -> np.ndarray:
+    """Pose errors (k, 11, 6) at each row of q (k, 5) (column 0) and at
+    q +/- FD_STEP per joint (columns 1-10).  The targets are one per row,
+    (k, 1, 3) positions and (k, 1, 3, 3) rotations, or one for all."""
+    qs = (q[:, None, :] + _STENCIL_STEPS).reshape(-1, N_JOINTS)
+    current = _fk(base, dh, qs, m).reshape(len(q), len(_STENCIL), 4, 4)
+    return _pose_errors(p_target, r_target, current, _ROT_WEIGHTS)
 
 
-def _central_jacobian(errs: np.ndarray) -> np.ndarray:
-    return (errs[1:1 + N_JOINTS] - errs[1 + N_JOINTS:]).T / (2.0 * FD_STEP)
+def _central_jacobian_t(errs: np.ndarray) -> np.ndarray:
+    """Transposed Jacobians (k, 5, 6) from stencil errors (k, 11, 6)."""
+    return (errs[:, 1:1 + N_JOINTS] - errs[:, 1 + N_JOINTS:]) / (2.0 * FD_STEP)
 
 
 def fk_matrix(chain: KinematicChain, q) -> np.ndarray:
@@ -210,10 +230,10 @@ def pose_error(target: Pose, current: Pose,
 
 def error_jacobian(chain: KinematicChain, target: Pose, q) -> np.ndarray:
     """Central finite-difference Jacobian of the pose error wrt joint angles."""
-    q = np.asarray(q, dtype=float).reshape(N_JOINTS)
+    q = np.asarray(q, dtype=float).reshape(1, N_JOINTS)
     errs = _stencil_errors(chain.base.matrix(), _dh_table(chain),
                            target.position, target.rotation(), q)
-    return _central_jacobian(errs)
+    return _central_jacobian_t(errs)[0].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,29 +250,70 @@ def ik_dls(chain: KinematicChain, target: Pose, q0,
 
     Succeeds when the position error norm is within IK_TOL_POS and the
     weighted orientation error norm within IK_TOL_ANG; otherwise raises
-    NoConvergence carrying the best error seen.
+    NoConvergence carrying the best error seen.  The one-target case of
+    ik_dls_many.
     """
+    res = ik_dls_many(chain, [target], q0, max_iters)[0]
+    if isinstance(res, NoConvergence):
+        raise res
+    return res
+
+
+def ik_dls_many(chain: KinematicChain, targets: list[Pose], q0,
+                max_iters: int = 100) -> list[IkResult | NoConvergence]:
+    """ik_dls from one start q0 towards each target, solved in lockstep.
+
+    Each target is one row of a single damped-least-squares iteration, with
+    the arithmetic of a solve on its own: entry i is the IkResult that
+    ik_dls(chain, targets[i], q0, max_iters) returns or the NoConvergence it
+    raises.  A row leaves the batch when it converges; the rows left when
+    the budget runs out fail with the best error each one saw.  A ranking
+    so costs about as much as its slowest target.
+    """
+    if not targets:
+        return []
     base, dh = chain.base.matrix(), _dh_table(chain)
-    p_target, r_target = target.position, target.rotation()
     lo, hi = chain.limits()
-    q = np.clip(np.asarray(q0, dtype=float).reshape(N_JOINTS), lo, hi)
-    best = (math.inf, math.inf, q)
+    n = len(targets)
+    # one target per row, broadcast over the row's stencil points
+    p_target = np.array([t.position for t in targets]).reshape(n, 1, 3)
+    r_target = np.array([t.rotation() for t in targets]).reshape(n, 1, 3, 3)
+    m = _dh_buffer(dh, n * len(_STENCIL))
+    q = np.clip(np.asarray(q0, dtype=float).reshape(1, N_JOINTS),
+                lo, hi).repeat(n, axis=0)
+    rows = list(range(n))        # target index of each active row
+    out: list[IkResult | NoConvergence] = [None] * n  # type: ignore[list-item]
+    best = [(math.inf, math.inf, row_q) for row_q in q]
     for it in range(max_iters + 1):
-        errs = _stencil_errors(base, dh, p_target, r_target, q)
-        err = errs[0]
-        pos_err = float(np.linalg.norm(err[:3]))
-        ang_err = float(np.linalg.norm(err[3:]))
-        if pos_err + ang_err < best[0] + best[1]:
-            best = (pos_err, ang_err, q.copy())
-        if pos_err <= IK_TOL_POS and ang_err <= IK_TOL_ANG:
-            return IkResult(q=q, iterations=it, pos_err=pos_err, ang_err=ang_err)
-        if it == max_iters:
+        errs = _stencil_errors(base, dh, p_target, r_target, q, m)
+        err = errs[:, 0]
+        # each row's two norms from the BLAS dot behind np.linalg.norm
+        halves = err.reshape(-1, 2, 3)
+        keep = []
+        for i, (pos_err, ang_err) in enumerate(
+                np.sqrt(np.vecdot(halves, halves)).tolist()):
+            if pos_err + ang_err < best[i][0] + best[i][1]:
+                best[i] = (pos_err, ang_err, q[i].copy())
+            if pos_err <= IK_TOL_POS and ang_err <= IK_TOL_ANG:
+                out[rows[i]] = IkResult(q=q[i].copy(), iterations=it,
+                                        pos_err=pos_err, ang_err=ang_err)
+            else:
+                keep.append(i)
+        if len(keep) < len(rows):
+            rows, best = [rows[i] for i in keep], [best[i] for i in keep]
+            q, errs, err = q[keep], errs[keep], err[keep]
+            p_target, r_target = p_target[keep], r_target[keep]
+        if it == max_iters or not rows:
             break
-        jac = _central_jacobian(errs)
+        jac_t = _central_jacobian_t(errs)
+        jac = jac_t.transpose(0, 2, 1)
         # e(q + dq) ~ e(q) + J dq = 0  =>  (J^T J + lambda^2 I) dq = -J^T e
-        dq = np.linalg.solve(jac.T @ jac + _DAMPING, -jac.T @ err)
-        q = np.clip(q + dq, lo, hi)
-    raise NoConvergence(
-        f"no convergence in {max_iters} iterations "
-        f"(best position error {best[0]:.3e} m, orientation {best[1]:.3e} rad)",
-        best_q=best[2], pos_err=best[0], ang_err=best[1], iterations=max_iters)
+        dq = np.linalg.solve(jac_t @ jac + _DAMPING, -jac_t @ err[:, :, None])
+        q = np.clip(q + dq[:, :, 0], lo, hi)
+    for row, (pos_err, ang_err, best_q) in zip(rows, best):
+        out[row] = NoConvergence(
+            f"no convergence in {max_iters} iterations (best position "
+            f"error {pos_err:.3e} m, orientation {ang_err:.3e} rad)",
+            best_q=best_q, pos_err=pos_err, ang_err=ang_err,
+            iterations=max_iters)
+    return out

@@ -189,26 +189,22 @@ def rank_placements(chain: KinematicChain, base_pose: Pose,
     """Order placements by IK effort: quick-to-reach first.
 
     reach_score is 1 / (1 + IK iterations) for solvable candidates and 0
-    otherwise; ties fall back to clearance (descending) then (u, v).
+    otherwise; ties fall back to clearance (descending) then (u, v).  The
+    candidates' IK runs in lockstep, so a ranking costs about as much as
+    its slowest solve.
     """
     if not candidates:
         raise ValueError("no candidates to rank")
     arm = chain.with_base(base_pose)
-    scored = []
-    any_reachable = False
-    for cand in candidates:
-        target = _ee_target(cand, polygon, place_offset)
-        try:
-            res = kinematics.ik_dls(arm, target, q0)
-            score = 1.0 / (1.0 + res.iterations)
-            any_reachable = True
-        except NoConvergence:
-            score = 0.0
-        scored.append(replace(cand, reach_score=score))
-    if not any_reachable:
+    targets = [_ee_target(cand, polygon, place_offset) for cand in candidates]
+    results = kinematics.ik_dls_many(arm, targets, q0)
+    if all(isinstance(res, NoConvergence) for res in results):
         base = tuple(float(x) for x in base_pose.position)
         raise NoReachablePlacement(f"IK reaches none of the {len(candidates)} "
                                    f"placements from arm base {base}")
+    scored = [replace(cand, reach_score=0.0 if isinstance(res, NoConvergence)
+                      else 1.0 / (1.0 + res.iterations))
+              for cand, res in zip(candidates, results)]
     scored.sort(key=lambda c: (-c.reach_score, -c.clearance,
                                float(c.uv[0]), float(c.uv[1])))
     return scored

@@ -378,6 +378,11 @@ def test_malformed_binding_is_a_pipeline_error(tmp_path, capsys, bindings,
     ("yaw_spread", [0.5], "'yaw_spread' must be a finite number, got [0.5]"),
     ("yaw_spread", float("inf"),
      "'yaw_spread' must be a finite number, got inf"),
+    # finite, but past one full turn: the yaws would overflow the rotations
+    ("yaw_spread", 1e308,
+     "yaw_spread must lie in [0, 2 pi], one full turn, got 1e+308"),
+    ("yaw_spread", -0.5,
+     "yaw_spread must lie in [0, 2 pi], one full turn, got -0.5"),
     ("height", False, "'height' must be a finite number, got False"),
     pytest.param("position", [0.35, 0.0],
                  "'position' must be a list of 3 values, got [0.35, 0.0]",
@@ -616,6 +621,19 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
                  "origin and extent must be finite, got origin (0.0, 0.0) "
                  "and 3 x 3 cells of 1e+308",
                  id="sidecar-resolution-overflows"),
+    # a finite extent whose squared distances overflow in the KD-tree
+    pytest.param({"map.pgm": "P2 3 3 255\n255 255 255\n255 0 255\n"
+                             "255 255 255\n",
+                  "map.json": {"resolution": 1e200, "origin": [0, 0]}},
+                 DWA, "map.json", "ValueError",
+                 "the map must lie within 1e+150 of 0 on each axis, got "
+                 "origin (0.0, 0.0) and 3 x 3 cells of 1e+200",
+                 id="sidecar-squared-distances-overflow"),
+    # sizes whose product is too long to print
+    pytest.param({**MAP, "map.pgm": f"P2 {'9' * 4000} {'9' * 4000} 255\n0\n"},
+                 DWA, "map.pgm", "GridParseError",
+                 f"a {'9' * 4000}x{'9' * 4000} map needs more than the 1 "
+                 "samples given", id="header-sizes-too-long"),
     pytest.param({**MAP, "map.pgm": "P2 0 0 255\n"}, DWA, "map.pgm",
                  "GridParseError", "map must be at least 1x1, got 0x0",
                  id="empty-map"),
@@ -640,6 +658,92 @@ def test_malformed_input_file_is_a_pipeline_error(tmp_path, capsys, files,
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": error, "message": f"{tmp_path / bad}: {message}"}
+
+
+# The error contract, one malformed input per subcommand: exit code 1 and one
+# JSON object with "error" and "message" on stderr, naming the bad file, and
+# never a traceback or a warning.  (id, files, argv, bad file); names of
+# files in argv become their paths.
+CONTRACT = [
+    ("perceive", {"sc.json": {**WORKSTATION, "width": "1"}},
+     ["perceive", "--scenario", "sc.json"], "sc.json"),
+    ("place", {"chain.json": json.loads(
+        (DATA / "chain_5dof.json").read_text())[:4]},
+     ["place", "--scenario", str(DATA / "workstation.json"),
+      "--chain", "chain.json"], "chain.json"),
+    ("grasp", {"obj.json": {**json.loads(
+        (DATA / "grasp_object.json").read_text()), "yaw_spread": 1e308}},
+     ["grasp", "--object", "obj.json"], "obj.json"),
+    ("rtt", {"sc.json": json.dumps(RTT)[:-1] + ', "seed": 7}'},
+     ["rtt", "--scenario", "sc.json"], "sc.json"),
+    ("dwa-resolution", {**MAP, "map.json": {"resolution": 1e200,
+                                            "origin": [0, 0]}},
+     DWA, "map.json"),
+    ("dwa-header", {**MAP, "map.pgm": f"P2 {'9' * 4000} {'9' * 4000} 255\n"},
+     DWA, "map.pgm"),
+    ("plan", {"d.pddl": "(define)"},
+     ["plan", "--domain", "d.pddl", "--problem",
+      str(DATA / "transport_1.pddl")], "d.pddl"),
+    ("exec", {"b.json": {"move": [1]}},
+     ["exec", "--domain", str(DATA / "transport.pddl"),
+      "--problem", str(DATA / "transport_1.pddl"), "--bindings", "b.json"],
+     "b.json"),
+    ("gen", {"sc.json": {**WORKSTATION, "objects": 5}},
+     ["gen", "--scenario", "sc.json"], "sc.json"),
+]
+
+# runs main on each argv list with stderr captured, as the console script
+# would: an exception that escapes main prints its traceback there
+CONTRACT_CHILD = r"""
+import contextlib, io, json, sys, traceback, warnings
+from workbot.cli import main
+warnings.simplefilter("always")
+report = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException:
+            code = None
+            traceback.print_exc()
+    report.append({"code": code, "stderr": err.getvalue()})
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def contract_report(tmp_path_factory):
+    """Each CONTRACT case's exit code and stderr, from one child process."""
+    runs = []
+    for i, (_, files, argv, _) in enumerate(CONTRACT):
+        folder = tmp_path_factory.mktemp(f"contract{i}")
+        for name, content in files.items():
+            (folder / name).write_text(
+                content if isinstance(content, str) else json.dumps(content))
+        runs.append([str(folder / a) if a in files else a for a in argv]
+                    + ["--out", str(folder / "out")])
+    proc = subprocess.run([sys.executable, "-c", CONTRACT_CHILD,
+                           json.dumps(runs)], capture_output=True, text=True)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    return dict(zip((case[0] for case in CONTRACT),
+                    zip(runs, json.loads(proc.stdout))))
+
+
+@pytest.mark.parametrize("case", [case[0] for case in CONTRACT])
+def test_every_subcommand_keeps_the_error_contract(contract_report, case):
+    bad = next(c[3] for c in CONTRACT if c[0] == case)
+    argv, result = contract_report[case]
+    stderr = result["stderr"]
+    assert "Traceback" not in stderr and "Warning" not in stderr, stderr
+    assert result["code"] == 1, stderr
+    assert stderr.endswith("\n") and stderr.count("\n") == 1, stderr
+    err = json.loads(stderr)
+    assert set(err) == {"error", "message"}
+    folder = Path(argv[-1]).parent      # argv ends with --out <folder>/out
+    assert err["message"].startswith(f"{folder / bad}:"), err
 
 
 @pytest.mark.parametrize("argv, flag, value", [

@@ -501,6 +501,18 @@ def test_pgm_rejects_wrong_sample_count(tmp_path):
         load_pgm(path)
 
 
+def test_pgm_rejects_sizes_too_long_to_multiply(tmp_path):
+    # each size prints (it was read from text), but their product has
+    # more digits than Python converts to text
+    path = tmp_path / "long.pgm"
+    nines = "9" * 4000
+    path.write_text(f"P2\n{nines} {nines}\n255\n255\n")
+    with pytest.raises(GridParseError) as exc:
+        load_pgm(path)
+    assert str(exc.value) == (f"{path}: a {nines}x{nines} map needs more "
+                              "than the 1 samples given")
+
+
 def test_pgm_rejects_unknown_gray_level(tmp_path):
     path = tmp_path / "gray.pgm"
     path.write_text("P2\n2 1\n255\n255 77\n")
@@ -615,6 +627,8 @@ def test_load_pgm_raises_only_errors_that_name_its_files(fuzz_map, files):
             return
         lo, hi = grid.extent()
         assert np.isfinite([*lo, *hi, grid.diagonal()]).all()
+        # the map is usable: its clearance table builds without overflow
+        assert clearance((lo + hi) / 2.0, grid, 0.1) >= 0.0
 
 
 def test_config_from_json_ignores_unknown_keys():
@@ -650,4 +664,24 @@ def test_grid_validation():
                                match="origin and extent must be finite"):
                 OccupancyGrid(cells=np.zeros((3, 2), dtype=np.uint8),
                               resolution=resolution, origin=np.array(origin))
-
+    # finite, but squared distances between map points would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for resolution, origin in [(1e200, (0.0, 0.0)), (1e150, (0.0, 0.0)),
+                                   (0.1, (1.1e150, 0.0)),
+                                   (0.1, (0.0, -1.1e150))]:
+            with pytest.raises(ValueError, match=r"within 1e\+150 of 0"):
+                OccupancyGrid(cells=np.zeros((3, 2), dtype=np.uint8),
+                              resolution=resolution, origin=np.array(origin))
+        # cells so small that their squared distances underflow
+        for resolution in (5e-324, 1e-200, 9e-151):
+            with pytest.raises(ValueError, match=r"at least 1e-150"):
+                OccupancyGrid(cells=np.zeros((3, 2), dtype=np.uint8),
+                              resolution=resolution, origin=np.zeros(2))
+        # at the bound, a blocked cell still gives a clearance
+        cells = np.zeros((3, 2), dtype=np.uint8)
+        cells[0, 0] = OCCUPIED
+        grid = OccupancyGrid(cells=cells, resolution=3e149,
+                             origin=np.array([-1e150, 0.0]))
+        lo, hi = grid.extent()
+        assert clearance((lo + hi) / 2.0, grid, 0.1) > 0.0

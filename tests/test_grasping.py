@@ -130,6 +130,13 @@ def test_sample_rejects_bad_arguments():
         sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=0)
     with pytest.raises(ValueError, match="non-negative"):
         sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", offset=-0.01)
+    for spread in (-0.1, 2.0 * math.pi + 1e-9, 1e308, math.nan):
+        with pytest.raises(ValueError,
+                           match=r"yaw_spread must lie in \[0, 2 pi\]"):
+            sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", yaw_spread=spread)
+    # a full turn is the widest fan
+    assert len(sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=4,
+                               yaw_spread=2.0 * math.pi)) == 4
 
 
 # ---------------------------------------------------------------------------

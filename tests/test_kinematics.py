@@ -12,8 +12,9 @@ from scipy.spatial.transform import Rotation
 
 from workbot.geometry import Pose
 from workbot.kinematics import (DEFAULT_ROT_WEIGHTS, DhJoint, KinematicChain,
-                                NoConvergence, error_jacobian, fk, fk_matrix,
-                                ik_dls, load_chain, pose_error, so3_log)
+                                IkResult, NoConvergence, error_jacobian, fk,
+                                fk_matrix, ik_dls, ik_dls_many, load_chain,
+                                pose_error, so3_log)
 
 CHAIN_PATH = "src/workbot/data/chain_5dof.json"
 
@@ -349,3 +350,166 @@ def test_ik_iteration_counts_are_pinned():
             assert err.iterations == 100
             counts.append(None)
     assert counts == PINNED_ITERATIONS
+
+
+# ---------------------------------------------------------------------------
+# lockstep IK against a frozen per-target solver
+
+
+def frozen_ik_dls(chain, target, q0, max_iters=100):
+    """The per-target damped-least-squares solver that ik_dls_many replaced,
+    copied with the FK, rotation log and Jacobian it ran on: one target,
+    one 11-point stencil and one 5 x 5 solve per iteration."""
+    stencil = np.vstack([np.zeros(5), np.eye(5), -np.eye(5)])
+    a, alpha, d, off = np.array([(j.a, j.alpha, j.d, j.theta_offset)
+                                 for j in chain.joints]).T
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    base = chain.base.matrix()
+    p_target, r_target = target.position, target.rotation()
+    weights = np.array([1.0, 1.0, 0.2])
+    damping = (0.1 * 0.1) * np.eye(5)    # not 0.01: one ulp above it
+
+    def log(flat):
+        v = 0.5 * np.stack([flat[:, 2, 1] - flat[:, 1, 2],
+                            flat[:, 0, 2] - flat[:, 2, 0],
+                            flat[:, 1, 0] - flat[:, 0, 1]], axis=1)
+        c = 0.5 * (flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2] - 1.0)
+        s = np.linalg.norm(v, axis=1)
+        angle = np.arctan2(s, c)
+        out = v * np.divide(angle, s, out=np.ones_like(s),
+                            where=s > 0.0)[:, None]
+        obtuse = np.flatnonzero(c < 0.0)
+        if obtuse.size:
+            ro, co = flat[obtuse], c[obtuse]
+            sym = (0.5 * (ro + ro.transpose(0, 2, 1))
+                   - co[:, None, None] * np.eye(3))
+            k = np.argmax(np.diagonal(sym, axis1=1, axis2=2), axis=1)
+            rows = np.arange(obtuse.size)
+            axis = (sym[rows, :, k]
+                    / np.sqrt(sym[rows, k, k] * (1.0 - co))[:, None])
+            sign = np.where(np.sum(axis * v[obtuse], axis=1) < 0.0, -1.0, 1.0)
+            out[obtuse] = (sign * angle[obtuse])[:, None] * axis
+        return out
+
+    def stencil_errors(q):
+        theta = q + 1e-6 * stencil + off
+        ct, st_ = np.cos(theta), np.sin(theta)
+        m = np.zeros(theta.shape + (4, 4))
+        m[..., 0, 0], m[..., 0, 1], m[..., 0, 2], m[..., 0, 3] = (
+            ct, -st_ * ca, st_ * sa, a * ct)
+        m[..., 1, 0], m[..., 1, 1], m[..., 1, 2], m[..., 1, 3] = (
+            st_, ct * ca, -ct * sa, a * st_)
+        m[..., 2, 1], m[..., 2, 2], m[..., 2, 3], m[..., 3, 3] = sa, ca, d, 1.0
+        t = base
+        for j in range(5):
+            t = t @ m[:, j]
+        r_err = t[:, :3, :3].transpose(0, 2, 1) @ r_target
+        return np.concatenate([p_target - t[:, :3, 3],
+                               weights * log(r_err)], axis=1)
+
+    lo, hi = chain.limits()
+    q = np.clip(np.asarray(q0, dtype=float).reshape(5), lo, hi)
+    best = (math.inf, math.inf, q)
+    for it in range(max_iters + 1):
+        errs = stencil_errors(q)
+        err = errs[0]
+        pos_err = float(np.linalg.norm(err[:3]))
+        ang_err = float(np.linalg.norm(err[3:]))
+        if pos_err + ang_err < best[0] + best[1]:
+            best = (pos_err, ang_err, q.copy())
+        if pos_err <= 1e-3 and ang_err <= math.radians(0.5):
+            return IkResult(q=q, iterations=it, pos_err=pos_err,
+                            ang_err=ang_err)
+        if it == max_iters:
+            break
+        jac = (errs[1:6] - errs[6:]).T / 2e-6
+        dq = np.linalg.solve(jac.T @ jac + damping, -jac.T @ err)
+        q = np.clip(q + dq, lo, hi)
+    raise NoConvergence(
+        f"no convergence in {max_iters} iterations "
+        f"(best position error {best[0]:.3e} m, orientation {best[1]:.3e} rad)",
+        best_q=best[2], pos_err=best[0], ang_err=best[1], iterations=max_iters)
+
+
+def outcome(res) -> tuple:
+    """Everything a solve reports, floats as bits."""
+    if isinstance(res, NoConvergence):
+        return ("failed", res.iterations, res.best_q.tobytes(),
+                float(res.pos_err).hex(), float(res.ang_err).hex(), str(res))
+    return ("solved", res.iterations, res.q.tobytes(),
+            float(res.pos_err).hex(), float(res.ang_err).hex())
+
+
+def solve_alone(solver, chain, target, q0, max_iters) -> tuple:
+    try:
+        return outcome(solver(chain, target, q0, max_iters=max_iters))
+    except NoConvergence as err:
+        return outcome(err)
+
+
+def mixed_targets(chain, seed) -> tuple[list[Pose], np.ndarray]:
+    """Seeded targets from one start: near ones that converge, far ones
+    that never do, and ones whose joint angles lie past a limit, so the
+    iterates are clamped there."""
+    rng = np.random.default_rng(seed)
+    lo, hi = chain.limits()
+    q0 = rng.uniform(lo + 0.3, hi - 0.3)
+    targets = [fk(chain, np.clip(q0 + rng.uniform(-0.4, 0.4, 5), lo, hi))
+               for _ in range(4)]
+    targets += [Pose(rng.uniform(1.5, 2.5, 3), (0.0, 0.0, 0.0, 1.0))
+                for _ in range(2)]
+    for j in rng.choice(5, size=3, replace=False):
+        q = q0.copy()
+        q[j] = hi[j] + 0.4 if rng.random() < 0.5 else lo[j] - 0.4
+        targets.append(fk(chain, q))
+    return targets, q0
+
+
+@pytest.mark.parametrize("max_iters", [100, 2, 0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_ik_matches_the_frozen_per_target_solver(seed, max_iters):
+    chain = bundled_chain().with_base(
+        Pose(np.array([0.1, -0.2, 0.5]), (0.0, 0.0, 0.38268343, 0.92387953)))
+    targets, q0 = mixed_targets(chain, seed)
+    want = [solve_alone(frozen_ik_dls, chain, t, q0, max_iters)
+            for t in targets]
+    got = [outcome(r) for r in ik_dls_many(chain, targets, q0, max_iters)]
+    assert got == want
+    assert [solve_alone(ik_dls, chain, t, q0, max_iters)
+            for t in targets] == want
+    if max_iters == 100:
+        kinds = [w[0] for w in want]
+        assert "solved" in kinds and "failed" in kinds
+
+
+def test_lockstep_ik_clamps_at_the_limits_like_the_frozen_solver():
+    chain = bundled_chain()
+    lo, hi = chain.limits()
+    q = (lo + hi) / 2.0
+    q[1] = hi[1] + 0.5
+    target = fk(chain, q)
+    # the start lies outside the limits too, and is clipped first
+    q0 = np.where(np.arange(5) == 1, hi + 1.0, q)
+    want = solve_alone(frozen_ik_dls, chain, target, q0, 100)
+    (res,) = ik_dls_many(chain, [target], q0)
+    assert outcome(res) == want
+    final = res.best_q if isinstance(res, NoConvergence) else res.q
+    assert chain.within_limits(final) and final[1] == hi[1]
+
+
+def test_lockstep_rows_do_not_depend_on_their_batch():
+    chain = bundled_chain()
+    targets, q0 = mixed_targets(chain, 7)
+    alone = [outcome(ik_dls_many(chain, [t], q0)[0]) for t in targets]
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        order = rng.permutation(len(targets))
+        got = ik_dls_many(chain, [targets[i] for i in order], q0)
+        assert [outcome(r) for r in got] == [alone[i] for i in order]
+    # a batch of one target repeated is that target's solve, row by row
+    assert ([outcome(r) for r in ik_dls_many(chain, targets[:1] * 3, q0)]
+            == alone[:1] * 3)
+
+
+def test_lockstep_ik_of_no_targets_is_empty():
+    assert ik_dls_many(bundled_chain(), [], np.zeros(5)) == []

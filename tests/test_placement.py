@@ -355,26 +355,36 @@ def test_obstacle_and_pose_validation():
 # rank_placements
 
 
-def fake_solver_by_u(monkeypatch):
-    """IK stub whose iteration count grows with |u|; u > 0.25 is unreachable."""
+def fake_solver_by_u(monkeypatch) -> list:
+    """Batched IK stub whose iteration count grows with |u|; u > 0.25 is
+    unreachable.  Returns the list of target lists it was called with."""
+    calls = []
 
-    def solve(chain, target, q0, **kw):
-        u = float(target.position[0])
-        if u > 0.25:
-            raise NoConvergence("stub: too far")
-        return IkResult(q=np.zeros(5), iterations=int(abs(u) * 100),
-                        pos_err=0.0, ang_err=0.0)
+    def solve_many(chain, targets, q0, **kw):
+        calls.append(list(targets))
+        out = []
+        for target in targets:
+            u = float(target.position[0])
+            out.append(NoConvergence("stub: too far") if u > 0.25 else
+                       IkResult(q=np.zeros(5), iterations=int(abs(u) * 100),
+                                pos_err=0.0, ang_err=0.0))
+        return out
 
-    monkeypatch.setattr("workbot.kinematics.ik_dls", solve)
+    monkeypatch.setattr("workbot.kinematics.ik_dls_many", solve_many)
+    return calls
 
 
 def test_rank_orders_by_reach_then_clearance(monkeypatch):
-    fake_solver_by_u(monkeypatch)
+    calls = fake_solver_by_u(monkeypatch)
     polygon = table_polygon()
     chain = load_chain("src/workbot/data/chain_5dof.json")
     cands = sample_placements(polygon, bench_obstacles(), n=20, rng_seed=2)
     ranked = rank_placements(chain, Pose.identity(), cands, np.zeros(5),
                              polygon)
+    # one batched solve, one target per candidate, in candidate order
+    assert len(calls) == 1 and len(calls[0]) == len(cands)
+    for cand, target in zip(cands, calls[0]):
+        assert (target.position[:2] == cand.pose.position[:2]).all()
     assert len(ranked) == len(cands)
     keys = [(-c.reach_score, -c.clearance, float(c.uv[0]), float(c.uv[1]))
             for c in ranked]
@@ -384,17 +394,22 @@ def test_rank_orders_by_reach_then_clearance(monkeypatch):
     assert scores == sorted(scores, reverse=True)
     assert any(s == 0.0 for s in scores)
     assert ranked[0].reach_score > 0.0
+    # each score is the stub's verdict on that candidate's own target
+    for c in ranked:
+        u = float(c.pose.position[0])
+        assert c.reach_score == (0.0 if u > 0.25
+                                 else 1.0 / (1.0 + int(abs(u) * 100)))
 
 
 def test_rank_all_unreachable_raises(monkeypatch):
-    def solve(chain, target, q0, **kw):
-        raise NoConvergence("stub: nothing works")
+    def solve_many(chain, targets, q0, **kw):
+        return [NoConvergence("stub: nothing works") for _ in targets]
 
-    monkeypatch.setattr("workbot.kinematics.ik_dls", solve)
+    monkeypatch.setattr("workbot.kinematics.ik_dls_many", solve_many)
     polygon = table_polygon()
     chain = load_chain("src/workbot/data/chain_5dof.json")
     cands = sample_placements(polygon, [], n=5, rng_seed=0)
-    with pytest.raises(NoReachablePlacement):
+    with pytest.raises(NoReachablePlacement, match="none of the 5"):
         rank_placements(chain, Pose.identity(), cands, np.zeros(5), polygon)
 
 
