@@ -288,10 +288,10 @@ def ik_dls_many(chain: KinematicChain, targets: list[Pose], q0,
         errs = _stencil_errors(base, dh, p_target, r_target, q, m)
         err = errs[:, 0]
         # each row's two norms from the BLAS dot behind np.linalg.norm
-        halves = err.reshape(-1, 2, 3)
+        halves = err.reshape(-1, 2, 1, 3)
         keep = []
-        for i, (pos_err, ang_err) in enumerate(
-                np.sqrt(np.vecdot(halves, halves)).tolist()):
+        for i, (pos_err, ang_err) in enumerate(np.sqrt(
+                halves @ halves.transpose(0, 1, 3, 2)).reshape(-1, 2).tolist()):
             if pos_err + ang_err < best[i][0] + best[i][1]:
                 best[i] = (pos_err, ang_err, q[i].copy())
             if pos_err <= IK_TOL_POS and ang_err <= IK_TOL_ANG:
