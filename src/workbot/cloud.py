@@ -202,9 +202,6 @@ class Polygon2:
     def normal(self) -> np.ndarray:
         return self.basis.normal
 
-    def area(self) -> float:
-        return _signed_area(self.vertices)
-
     def contains(self, uv, eps: float = _BOUNDARY_EPS) -> np.ndarray | bool:
         """Boundary-inclusive membership test for one point or an (n, 2) batch."""
         uv = np.asarray(uv, dtype=float)

@@ -423,7 +423,8 @@ def run_episode(state: RobotState, goal, grid: OccupancyGrid,
                 stop_dist: float = 0.15) -> EpisodeResult:
     """Closed-loop drive toward the goal; stops on arrival ("reached"), on
     the step budget ("budget") or when no admissible command remains
-    ("no_admissible")."""
+    ("no_admissible").  The goal must lie within MAX_COORD of 0 on each
+    axis, as map points do, so its squared distance cannot overflow."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     if not 0.0 <= stop_dist < math.inf:
@@ -431,6 +432,9 @@ def run_episode(state: RobotState, goal, grid: OccupancyGrid,
                          f"got {stop_dist}")
     cfg = cfg or DWAConfig()
     goal = np.asarray(goal, dtype=float).reshape(2)
+    if not np.all(np.abs(goal) <= MAX_COORD):
+        raise ValueError(f"goal must lie within {MAX_COORD:g} of 0 on each "
+                         f"axis, got ({goal[0]}, {goal[1]})")
     poses = [(0.0, state.x, state.y, state.theta)]
     commands: list[VelocityCommand] = []
     stop = "budget"

@@ -27,6 +27,7 @@ HEIGHT_THRESHOLD = 0.06
 
 FORCE_MIN = 0.3                    # least mean finger force of a hold
 GAP_MIN = 0.005                    # least finger gap an object leaves, m
+GAP_MAX = 0.09                     # widest finger gap that still holds an object
 # linear finger model: gap = GAP_OPEN - TRAVEL_PER_RAD * (pos0 + pos1)
 GAP_OPEN = 0.10
 TRAVEL_PER_RAD = 0.025
@@ -61,17 +62,11 @@ class GripperFeedback:
             raise ValueError(f"forces must lie in [0, 1], got {self.forces}")
 
 
-@dataclass(frozen=True)
-class GraspMonitorConfig:
-    gap_max: float = 0.09          # widest finger gap that still holds an object
-
-
-def decide_approach(object_height: float,
-                    threshold: float = HEIGHT_THRESHOLD) -> Approach:
-    """Frontal for objects strictly taller than the threshold, else top."""
+def decide_approach(object_height: float) -> Approach:
+    """Frontal for objects strictly taller than HEIGHT_THRESHOLD, else top."""
     if object_height < 0.0:
         raise ValueError(f"object height cannot be negative: {object_height}")
-    return "frontal" if object_height > threshold else "top"
+    return "frontal" if object_height > HEIGHT_THRESHOLD else "top"
 
 
 def _approach_axis(object_pose: Pose, approach: Approach,
@@ -135,15 +130,14 @@ def sample_pregrasp(object_pose: Pose, approach: Approach,
 
 
 def select_reachable(chain: KinematicChain,
-                     candidates: list[GraspCandidate], q0,
-                     solver=None) -> tuple[GraspCandidate, IkResult]:
-    """First-fit scan: returns the first candidate the IK solver reaches."""
+                     candidates: list[GraspCandidate],
+                     q0) -> tuple[GraspCandidate, IkResult]:
+    """First-fit scan: returns the first candidate kinematics.ik_dls reaches."""
     if not candidates:
         raise ValueError("no candidates to test")
-    solve = solver or kinematics.ik_dls
     for cand in candidates:
         try:
-            result = solve(chain, cand.pregrasp_pose, q0)
+            result = kinematics.ik_dls(chain, cand.pregrasp_pose, q0)
         except NoConvergence:
             continue
         return cand, result
@@ -151,14 +145,12 @@ def select_reachable(chain: KinematicChain,
         f"none of the {len(candidates)} pre-grasp candidates is reachable")
 
 
-def grasp_monitor(fb: GripperFeedback,
-                  cfg: GraspMonitorConfig | None = None) -> GraspResult:
+def grasp_monitor(fb: GripperFeedback) -> GraspResult:
     """Grasped when mean force reaches FORCE_MIN and the finger gap lies in
-    [GAP_MIN, cfg.gap_max]."""
-    cfg = cfg or GraspMonitorConfig()
+    [GAP_MIN, GAP_MAX]."""
     mean_force = (fb.forces[0] + fb.forces[1]) / 2.0
     gap = max(GAP_OPEN - TRAVEL_PER_RAD * (fb.positions[0] + fb.positions[1]),
               0.0)
-    if mean_force >= FORCE_MIN and GAP_MIN <= gap <= cfg.gap_max:
+    if mean_force >= FORCE_MIN and GAP_MIN <= gap <= GAP_MAX:
         return "grasped"
     return "empty"

@@ -22,12 +22,12 @@ N_JOINTS = 5
 IK_TOL_POS = 1e-3                  # m, see ik_dls
 IK_TOL_ANG = math.radians(0.5)
 IK_DAMPING = 0.1                   # lambda of the damped least-squares step
-# weights of the orientation error about the end-effector x, y, z axes: the
-# wrist roll a 5-DoF arm cannot control counts a fifth
-DEFAULT_ROT_WEIGHTS = (1.0, 1.0, 0.2)
+IK_MAX_ITERS = 100                 # damped least-squares steps before giving up
 FD_STEP = 1e-6                     # central-difference step, rad
 
-_ROT_WEIGHTS = frozen_array(DEFAULT_ROT_WEIGHTS)
+# weights of the orientation error about the end-effector x, y, z axes: the
+# wrist roll a 5-DoF arm cannot control counts a fifth
+_ROT_WEIGHTS = frozen_array((1.0, 1.0, 0.2))
 _DAMPING = frozen_array((IK_DAMPING * IK_DAMPING) * np.eye(N_JOINTS))
 
 
@@ -83,10 +83,9 @@ class KinematicChain:
         q = np.asarray(q, dtype=float).reshape(N_JOINTS)
         return np.clip(q, *self.limits())
 
-    def within_limits(self, q, tol: float = 0.0) -> bool:
+    def within_limits(self, q) -> bool:
         q = np.asarray(q, dtype=float).reshape(N_JOINTS)
-        return all(j.lo - tol <= qi <= j.hi + tol
-                   for j, qi in zip(self.joints, q))
+        return all(j.lo <= qi <= j.hi for j, qi in zip(self.joints, q))
 
     def with_base(self, base: Pose) -> "KinematicChain":
         return replace(self, base=base)
@@ -181,12 +180,12 @@ def so3_log(rot) -> np.ndarray:
 
 
 def _pose_errors(p_target: np.ndarray, r_target: np.ndarray,
-                 current: np.ndarray, rot_weights: np.ndarray) -> np.ndarray:
+                 current: np.ndarray) -> np.ndarray:
     """Error rows (..., 6) from targets to current matrices (..., 4, 4);
     the targets broadcast against the leading axes."""
     e_pos = p_target - current[..., :3, 3]
     r_err = current[..., :3, :3].swapaxes(-1, -2) @ r_target
-    return np.concatenate([e_pos, rot_weights * so3_log(r_err)], axis=-1)
+    return np.concatenate([e_pos, _ROT_WEIGHTS * so3_log(r_err)], axis=-1)
 
 
 # rows of joint offsets: q itself, then +step and -step along each joint
@@ -201,7 +200,7 @@ def _stencil_errors(base, dh, p_target, r_target, q, m=None) -> np.ndarray:
     (k, 1, 3) positions and (k, 1, 3, 3) rotations, or one for all."""
     qs = (q[:, None, :] + _STENCIL_STEPS).reshape(-1, N_JOINTS)
     current = _fk(base, dh, qs, m).reshape(len(q), len(_STENCIL), 4, 4)
-    return _pose_errors(p_target, r_target, current, _ROT_WEIGHTS)
+    return _pose_errors(p_target, r_target, current)
 
 
 def _central_jacobian_t(errs: np.ndarray) -> np.ndarray:
@@ -219,13 +218,11 @@ def fk(chain: KinematicChain, q) -> Pose:
     return Pose.from_matrix(fk_matrix(chain, q))
 
 
-def pose_error(target: Pose, current: Pose,
-               rot_weights=DEFAULT_ROT_WEIGHTS) -> np.ndarray:
+def pose_error(target: Pose, current: Pose) -> np.ndarray:
     """6-vector error: world position delta, then the weighted rotation log
     (current -> target) expressed in the current end-effector frame."""
     return _pose_errors(target.position, target.rotation(),
-                        current.matrix()[None],
-                        np.asarray(rot_weights, dtype=float))[0]
+                        current.matrix()[None])[0]
 
 
 def error_jacobian(chain: KinematicChain, target: Pose, q) -> np.ndarray:
@@ -244,8 +241,7 @@ class IkResult:
     ang_err: float
 
 
-def ik_dls(chain: KinematicChain, target: Pose, q0,
-           max_iters: int = 100) -> IkResult:
+def ik_dls(chain: KinematicChain, target: Pose, q0) -> IkResult:
     """Damped-least-squares IK with joint-limit clamping at every iterate.
 
     Succeeds when the position error norm is within IK_TOL_POS and the
@@ -253,21 +249,21 @@ def ik_dls(chain: KinematicChain, target: Pose, q0,
     NoConvergence carrying the best error seen.  The one-target case of
     ik_dls_many.
     """
-    res = ik_dls_many(chain, [target], q0, max_iters)[0]
+    res = ik_dls_many(chain, [target], q0)[0]
     if isinstance(res, NoConvergence):
         raise res
     return res
 
 
-def ik_dls_many(chain: KinematicChain, targets: list[Pose], q0,
-                max_iters: int = 100) -> list[IkResult | NoConvergence]:
+def ik_dls_many(chain: KinematicChain, targets: list[Pose],
+                q0) -> list[IkResult | NoConvergence]:
     """ik_dls from one start q0 towards each target, solved in lockstep.
 
     Each target is one row of a single damped-least-squares iteration, with
     the arithmetic of a solve on its own: entry i is the IkResult that
-    ik_dls(chain, targets[i], q0, max_iters) returns or the NoConvergence it
-    raises.  A row leaves the batch when it converges; the rows left when
-    the budget runs out fail with the best error each one saw.  A ranking
+    ik_dls(chain, targets[i], q0) returns or the NoConvergence it raises.
+    A row leaves the batch when it converges; the rows left after
+    IK_MAX_ITERS steps fail with the best error each one saw.  A ranking
     so costs about as much as its slowest target.
     """
     if not targets:
@@ -284,7 +280,7 @@ def ik_dls_many(chain: KinematicChain, targets: list[Pose], q0,
     rows = list(range(n))        # target index of each active row
     out: list[IkResult | NoConvergence] = [None] * n  # type: ignore[list-item]
     best = [(math.inf, math.inf, row_q) for row_q in q]
-    for it in range(max_iters + 1):
+    for it in range(IK_MAX_ITERS + 1):
         errs = _stencil_errors(base, dh, p_target, r_target, q, m)
         err = errs[:, 0]
         # each row's two norms from the BLAS dot behind np.linalg.norm
@@ -303,7 +299,7 @@ def ik_dls_many(chain: KinematicChain, targets: list[Pose], q0,
             rows, best = [rows[i] for i in keep], [best[i] for i in keep]
             q, errs, err = q[keep], errs[keep], err[keep]
             p_target, r_target = p_target[keep], r_target[keep]
-        if it == max_iters or not rows:
+        if it == IK_MAX_ITERS or not rows:
             break
         jac_t = _central_jacobian_t(errs)
         jac = jac_t.transpose(0, 2, 1)
@@ -312,8 +308,8 @@ def ik_dls_many(chain: KinematicChain, targets: list[Pose], q0,
         q = np.clip(q + dq[:, :, 0], lo, hi)
     for row, (pos_err, ang_err, best_q) in zip(rows, best):
         out[row] = NoConvergence(
-            f"no convergence in {max_iters} iterations (best position "
+            f"no convergence in {IK_MAX_ITERS} iterations (best position "
             f"error {pos_err:.3e} m, orientation {ang_err:.3e} rad)",
             best_q=best_q, pos_err=pos_err, ang_err=ang_err,
-            iterations=max_iters)
+            iterations=IK_MAX_ITERS)
     return out

@@ -22,7 +22,7 @@ from .kinematics import KinematicChain, NoConvergence
 
 DEFAULT_D_MIN = 0.03
 DEFAULT_FOOTPRINT = 0.05
-DEFAULT_MAX_ATTEMPTS = 10000
+MAX_ATTEMPTS = 10000              # draws before sample_placements stops
 PLACE_APPROACH_OFFSET = 0.05
 # draws tested together by sample_placements: testing all 10,000 at once took
 # about 21 ms a call, no better than the 23 ms of testing them one by one
@@ -131,26 +131,24 @@ def sample_placements(polygon: Polygon2, obstacles: list[Obstacle2],
                       d_min: float = DEFAULT_D_MIN,
                       footprint: float = DEFAULT_FOOTPRINT,
                       n: int = 20,
-                      rng_seed: int = 0,
-                      max_attempts: int = DEFAULT_MAX_ATTEMPTS
-                      ) -> list[PlacementPose]:
+                      rng_seed: int = 0) -> list[PlacementPose]:
     """Seeded rejection sampling of free poses on the support polygon.
 
     A draw is accepted when it keeps ``footprint`` distance to every hull
     edge and ``obstacle radius + footprint + d_min`` to every obstacle
-    centre.  Stops at ``n`` accepted poses or ``max_attempts`` draws; raises
+    centre.  Stops at ``n`` accepted poses or MAX_ATTEMPTS draws; raises
     NoFreeSpace when nothing was accepted at all.
     """
     if not (d_min >= 0.0 and footprint >= 0.0):
         raise ValueError("d_min and footprint must be non-negative")
-    if n < 1 or max_attempts < 1:
-        raise ValueError("n and max_attempts must be positive")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     rng = np.random.default_rng(rng_seed)
     lo, hi = polygon.vertices.min(axis=0), polygon.vertices.max(axis=0)
     accepted: list[PlacementPose] = []
-    for start in range(0, max_attempts, _DRAW_BLOCK):
+    for start in range(0, MAX_ATTEMPTS, _DRAW_BLOCK):
         # one (k, 2) draw is the same stream as k draws of 2
-        k = min(_DRAW_BLOCK, max_attempts - start)
+        k = min(_DRAW_BLOCK, MAX_ATTEMPTS - start)
         uv = lo + rng.random((k, 2)) * (hi - lo)
         clearance = polygon.edge_distance(uv)
         ok = polygon.contains(uv, eps=0.0) & (clearance >= footprint)
@@ -167,7 +165,7 @@ def sample_placements(polygon: Polygon2, obstacles: list[Obstacle2],
             break
     if not accepted:
         raise NoFreeSpace(
-            f"no admissible placement in {max_attempts} attempts "
+            f"no admissible placement in {MAX_ATTEMPTS} attempts "
             f"(footprint {footprint} m, separation {d_min} m)")
     return accepted
 

@@ -59,10 +59,6 @@ class Inventory:
             raise ValueError("inventory cannot be empty")
         object.__setattr__(self, "labels", frozenset(self.labels))
 
-    @staticmethod
-    def of(*labels: str) -> "Inventory":
-        return Inventory(frozenset(labels))
-
 
 NEUTRAL_SCORE = 0.5
 

@@ -220,15 +220,10 @@ def gated_assignment(cost, allowed) -> list[tuple[int, int]]:
 
 # --- SORT-style Kalman tracking ---------------------------------------------
 
-@dataclass(frozen=True)
-class SortConfig:
-    """Track lifetime and the frame interval (s) of the Kalman model."""
-
-    max_age: int = 5
-    min_hits: int = 3
-    dt: float = 1.0 / 15.0
-
-
+# a track is dropped once unmatched for more than MAX_AGE frames, and
+# reported only after MIN_HITS associations
+MAX_AGE = 5
+MIN_HITS = 3
 # a detection may extend a track only if their boxes overlap by this IoU
 IOU_MIN = 0.3
 # Kalman noise in pixel units per frame, on the state [u, v, s, r, du, dv, ds]:
@@ -288,15 +283,16 @@ class SortTracker:
     """Detection-to-track association with a constant-velocity Kalman filter.
 
     Track ids increase monotonically and are never reused; tracks vanish once
-    unmatched for more than ``max_age`` steps and are reported only after
-    ``min_hits`` associations.  Row i of ``state`` (n, 7), ``cov`` (n, 7, 7),
-    ``ids``, ``hits`` and ``ages`` (steps since the last match) is one
-    track, oldest first; the state is [u, v, s, r, du, dv, ds], the box
-    centre, area, aspect and their rates.
+    unmatched for more than MAX_AGE steps and are reported only after
+    MIN_HITS associations.  The Kalman model steps by ``dt`` seconds.  Row
+    i of ``state`` (n, 7), ``cov`` (n, 7, 7), ``ids``, ``hits`` and
+    ``ages`` (steps since the last match) is one track, oldest first; the
+    state is [u, v, s, r, du, dv, ds], the box centre, area, aspect and
+    their rates.
     """
 
-    def __init__(self, cfg: SortConfig | None = None):
-        self.cfg = cfg or SortConfig()
+    def __init__(self, dt: float = 1.0 / 15.0):
+        self.dt = dt
         self.state = np.zeros((0, 7))
         self.cov = np.zeros((0, 7, 7))
         self.ids = np.zeros(0, dtype=int)
@@ -305,12 +301,12 @@ class SortTracker:
         self._next_id = 0
         # constant-velocity transition: u, v and s move by their rates per frame
         self._f = np.eye(7)
-        self._f[0, 4] = self._f[1, 5] = self._f[2, 6] = self.cfg.dt
+        self._f[0, 4] = self._f[1, 5] = self._f[2, 6] = dt
 
     def step(self, detections: list[Detection2D]) -> SortStep:
-        cfg, f = self.cfg, self._f
+        f = self._f
         x, p = self.state, self.cov
-        x[x[:, 2] + x[:, 6] * cfg.dt <= 0.0, 6] = 0.0   # area stays positive
+        x[x[:, 2] + x[:, 6] * self.dt <= 0.0, 6] = 0.0   # area stays positive
         # per-row products, bit-equal to f @ x and f @ p @ f.T track by track
         x = (f @ x[..., None])[..., 0]
         p = f @ p @ f.T + _Q
@@ -347,7 +343,7 @@ class SortTracker:
             hits = np.concatenate([hits, np.ones(len(born), dtype=int)])
             ages = np.concatenate([ages, np.zeros(len(born), dtype=int)])
 
-        keep = ages <= cfg.max_age
+        keep = ages <= MAX_AGE
         removed = ids[~keep].tolist()
         if removed:
             x, p, ids = x[keep], p[keep], ids[keep]
@@ -355,7 +351,7 @@ class SortTracker:
         self.state, self.cov, self.ids = x, p, ids
         self.hits, self.ages = hits, ages
 
-        shown = hits >= cfg.min_hits
+        shown = hits >= MIN_HITS
         confirmed = tuple(map(TrackReport, ids[shown].tolist(),
                               map(tuple, _boxes(x[shown]).tolist())))
         return SortStep(confirmed=confirmed, matches=tuple(matches),

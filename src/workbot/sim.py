@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonio import decode, load_json
-from .rtt import (Detection2D, SortConfig, SortTracker, Track3D,
-                  TrackingError, associate_nn_3d, estimate_motion,
-                  gated_assignment)
+from .rtt import (Detection2D, SortTracker, Track3D, TrackingError,
+                  associate_nn_3d, estimate_motion, gated_assignment)
 
 DEFAULT_DENSITY = 10000.0          # surface samples per square meter
 DEFAULT_PPM = 500.0                # pixels per meter, orthographic top view
@@ -77,9 +76,6 @@ class WorkstationTruth:
     plane: Plane
     labels: np.ndarray             # per point: -1 outlier, 0 table, k = object k
     object_labels: tuple[str, ...]
-
-    def count(self, label: int) -> int:
-        return int(np.count_nonzero(self.labels == label))
 
 
 def box_surface_points(rng: np.random.Generator, center_xy, z0: float,
@@ -354,9 +350,8 @@ def evaluate_sort(frames2: list[RttFrame2],
     claims: list[list[int | None]] = [[] for _ in range(n_obj)]
     traces: dict[int, list[tuple[float, float, float]]] = {}
     # a stream of one frame never predicts, so any interval serves
-    dt = (float(truth.times[1] - truth.times[0]) if len(truth.times) > 1
-          else SortConfig.dt)
-    tracker = SortTracker(SortConfig(dt=dt))
+    tracker = (SortTracker(float(truth.times[1] - truth.times[0]))
+               if len(truth.times) > 1 else SortTracker())
     all_ids: set[int] = set()
     scale = truth.pixels_per_meter
     gate = truth.box_px

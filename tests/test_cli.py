@@ -661,9 +661,10 @@ def test_malformed_input_file_is_a_pipeline_error(tmp_path, capsys, files,
 
 
 # The error contract, one malformed input per subcommand: exit code 1 and one
-# JSON object with "error" and "message" on stderr, naming the bad file, and
-# never a traceback or a warning.  (id, files, argv, bad file); names of
-# files in argv become their paths.
+# JSON object with "error" and "message" on stderr, naming the bad file (or
+# the bad value, when a flag gives it), and never a traceback or a warning.
+# (id, files, argv, bad file or value); names of files in argv become their
+# paths.
 CONTRACT = [
     ("perceive", {"sc.json": {**WORKSTATION, "width": "1"}},
      ["perceive", "--scenario", "sc.json"], "sc.json"),
@@ -681,6 +682,7 @@ CONTRACT = [
      DWA, "map.json"),
     ("dwa-header", {**MAP, "map.pgm": f"P2 {'9' * 4000} {'9' * 4000} 255\n"},
      DWA, "map.pgm"),
+    ("dwa-goal", MAP, [*DWA[:-1], "1e200,5", "--max-steps", "3"], "goal"),
     ("plan", {"d.pddl": "(define)"},
      ["plan", "--domain", "d.pddl", "--problem",
       str(DATA / "transport_1.pddl")], "d.pddl"),
@@ -734,7 +736,7 @@ def contract_report(tmp_path_factory):
 
 @pytest.mark.parametrize("case", [case[0] for case in CONTRACT])
 def test_every_subcommand_keeps_the_error_contract(contract_report, case):
-    bad = next(c[3] for c in CONTRACT if c[0] == case)
+    files, bad = next(c[1:4:2] for c in CONTRACT if c[0] == case)
     argv, result = contract_report[case]
     stderr = result["stderr"]
     assert "Traceback" not in stderr and "Warning" not in stderr, stderr
@@ -743,7 +745,8 @@ def test_every_subcommand_keeps_the_error_contract(contract_report, case):
     err = json.loads(stderr)
     assert set(err) == {"error", "message"}
     folder = Path(argv[-1]).parent      # argv ends with --out <folder>/out
-    assert err["message"].startswith(f"{folder / bad}:"), err
+    named = f"{folder / bad}:" if bad in files else f"{bad} "
+    assert err["message"].startswith(named), err
 
 
 @pytest.mark.parametrize("argv, flag, value", [

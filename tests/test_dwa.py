@@ -379,11 +379,17 @@ def test_episode_stops_on_the_step_budget():
      "stop_dist must be finite and at least 0, got inf"),
     ({"stop_dist": math.nan},
      "stop_dist must be finite and at least 0, got nan"),
+    ({"goal": (1e200, 5.0)},
+     "goal must lie within 1e+150 of 0 on each axis, got (1e+200, 5.0)"),
+    ({"goal": (5.0, -1.0000000000000002e150)}, "goal must lie within 1e+150 "
+     "of 0 on each axis, got (5.0, -1.0000000000000002e+150)"),
+    ({"goal": (math.nan, 5.0)},
+     "goal must lie within 1e+150 of 0 on each axis, got (nan, 5.0)"),
 ])
 def test_episode_rejects_a_bad_budget_or_stop_distance(limits, message):
+    args = {"goal": (5.0, 5.0), **limits}
     with pytest.raises(ValueError) as exc:
-        run_episode(RobotState(1.0, 1.0, 0.0), np.array([5.0, 5.0]),
-                    empty_grid(), **limits)
+        run_episode(RobotState(1.0, 1.0, 0.0), grid=empty_grid(), **args)
     assert str(exc.value) == message
 
 

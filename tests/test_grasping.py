@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from workbot import grasping, kinematics
 from workbot.geometry import Pose
-from workbot.grasping import (GraspCandidate, GraspMonitorConfig,
+from workbot.grasping import (GAP_MAX, HEIGHT_THRESHOLD, GraspCandidate,
                               GripperFeedback, NoReachableCandidate,
                               decide_approach, grasp_monitor, sample_pregrasp,
                               select_reachable)
@@ -33,8 +34,13 @@ def test_decide_approach_tall_object_frontal():
     assert decide_approach(0.10) == "frontal"
 
 
-def test_decide_approach_boundary_is_top():
-    assert decide_approach(0.06, threshold=0.06) == "top"
+def test_decide_approach_boundary_is_top(monkeypatch):
+    assert HEIGHT_THRESHOLD == 0.06
+    assert decide_approach(0.06) == "top"
+    assert decide_approach(math.nextafter(0.06, 1.0)) == "frontal"
+    # the threshold is read when the call is made
+    monkeypatch.setattr(grasping, "HEIGHT_THRESHOLD", 0.10)
+    assert decide_approach(0.10) == "top"
 
 
 def test_decide_approach_rejects_negative_height():
@@ -148,46 +154,49 @@ def fake_result(q):
                     pos_err=0.0, ang_err=0.0)
 
 
-def test_select_reachable_first_fit_stops_early():
+def test_select_reachable_first_fit_stops_early(monkeypatch):
     chain = load_chain("src/workbot/data/chain_5dof.json")
     cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=5)
     tried = []
 
-    def solver(chain, target, q0, **kw):
+    def solver(chain, target, q0):
         tried.append(target)
         return fake_result(np.zeros(5))
 
-    cand, res = select_reachable(chain, cands, np.zeros(5), solver=solver)
+    monkeypatch.setattr(kinematics, "ik_dls", solver)
+    cand, res = select_reachable(chain, cands, np.zeros(5))
     assert cand is cands[0]
     assert len(tried) == 1
 
 
-def test_select_reachable_skips_failures():
+def test_select_reachable_skips_failures(monkeypatch):
     chain = load_chain("src/workbot/data/chain_5dof.json")
     cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=5)
     calls = []
 
-    def solver(chain, target, q0, **kw):
+    def solver(chain, target, q0):
         calls.append(target)
         if len(calls) < 3:
             raise NoConvergence("unreachable")
         return fake_result(np.ones(5) * 0.1)
 
-    cand, res = select_reachable(chain, cands, np.zeros(5), solver=solver)
+    monkeypatch.setattr(kinematics, "ik_dls", solver)
+    cand, res = select_reachable(chain, cands, np.zeros(5))
     assert cand is cands[2]
-    assert len(calls) == 3
+    assert calls == [c.pregrasp_pose for c in cands[:3]]
     np.testing.assert_allclose(res.q, 0.1)
 
 
-def test_select_reachable_exhausted_raises():
+def test_select_reachable_exhausted_raises(monkeypatch):
     chain = load_chain("src/workbot/data/chain_5dof.json")
     cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=4)
 
-    def solver(chain, target, q0, **kw):
+    def solver(chain, target, q0):
         raise NoConvergence("unreachable")
 
+    monkeypatch.setattr(kinematics, "ik_dls", solver)
     with pytest.raises(NoReachableCandidate, match="4"):
-        select_reachable(chain, cands, np.zeros(5), solver=solver)
+        select_reachable(chain, cands, np.zeros(5))
 
 
 def test_select_reachable_rejects_empty_list():
@@ -226,11 +235,16 @@ def test_monitor_fingers_fully_closed_is_empty():
     assert grasp_monitor(fb) == "empty"
 
 
-def test_monitor_gap_too_wide_is_empty():
-    cfg = GraspMonitorConfig(gap_max=0.04)
+def test_monitor_gap_too_wide_is_empty(monkeypatch):
+    assert GAP_MAX == 0.09
+    # gap = 0.10 - 0.025*0.2 = 0.095 > GAP_MAX
+    wide = GripperFeedback(positions=(0.1, 0.1), forces=(0.6, 0.6))
+    assert grasp_monitor(wide) == "empty"
     fb = GripperFeedback(positions=(1.0, 1.0), forces=(0.6, 0.6))
-    # gap = 0.10 - 0.025*2 = 0.05 > gap_max
-    assert grasp_monitor(fb, cfg) == "empty"
+    assert grasp_monitor(fb) == "grasped"
+    # gap = 0.10 - 0.025*2 = 0.05 > GAP_MAX, read when the call is made
+    monkeypatch.setattr(grasping, "GAP_MAX", 0.04)
+    assert grasp_monitor(fb) == "empty"
 
 
 def test_monitor_force_threshold_inclusive():

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from workbot import placement
 from workbot.cloud import PlaneBasis, Polygon2, _rowdot
 from workbot.geometry import Pose
 from workbot.kinematics import IkResult, NoConvergence, load_chain
@@ -140,7 +141,10 @@ def test_workstation_model_polygon_covers_table():
     sc = load_scenario("src/workbot/data/workstation.json")
     cloud, _ = gen_workstation(sc)
     plane, polygon, _ = workstation_model(cloud)
-    assert polygon.area() == pytest.approx(TABLE_W * TABLE_H, rel=0.1)
+    u, v = polygon.vertices.T
+    # shoelace area of the counter-clockwise hull
+    area = 0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
+    assert area == pytest.approx(TABLE_W * TABLE_H, rel=0.1)
 
 
 # SHA-256 over the plane (normal, offset, inliers), hull vertices, basis
@@ -213,8 +217,8 @@ def test_sampling_is_seeded_and_deterministic():
 def test_covered_table_raises_no_free_space():
     polygon = table_polygon()
     blocker = [Obstacle2(center=np.array([0.0, 0.0]), radius=0.65)]
-    with pytest.raises(NoFreeSpace):
-        sample_placements(polygon, blocker, max_attempts=5000)
+    with pytest.raises(NoFreeSpace, match="in 10000 attempts"):
+        sample_placements(polygon, blocker)
     # the 1 mm dense grid agrees there is nothing to find
     assert len(feasible_grid(polygon, blocker, 0.03, 0.05)) == 0
 
@@ -256,8 +260,12 @@ def placement_bytes(placements):
 
 
 def assert_matches_reference(polygon, obstacles, **kw):
+    """The sampler's placements, or its NoFreeSpace, equal the reference's
+    with the same draw budget, placement.MAX_ATTEMPTS (patched by a test)."""
+    budget = placement.MAX_ATTEMPTS
     try:
-        want = placement_bytes(reference_sample(polygon, obstacles, **kw))
+        want = placement_bytes(reference_sample(polygon, obstacles,
+                                                max_attempts=budget, **kw))
     except NoFreeSpace as exc:
         with pytest.raises(NoFreeSpace) as got:
             sample_placements(polygon, obstacles, **kw)
@@ -290,23 +298,25 @@ def test_sampler_matches_reference_on_crowded_and_degenerate_polygons():
                                             n=20, rng_seed=rng_seed) == 20
 
 
-def test_sampler_matches_reference_when_draws_run_out():
+def test_sampler_matches_reference_when_draws_run_out(monkeypatch):
     # an attempt budget that is not a whole number of blocks, and more
     # placements asked for than the budget can supply
-    odd = 2 * _DRAW_BLOCK + 7
     polygon = table_polygon()
+    monkeypatch.setattr(placement, "MAX_ATTEMPTS", 2 * _DRAW_BLOCK + 7)
     kept = assert_matches_reference(polygon, crowded_obstacles(), n=300,
-                                    max_attempts=odd, rng_seed=3)
+                                    rng_seed=3)
     assert 0 < kept < 300
+    monkeypatch.setattr(placement, "MAX_ATTEMPTS", 500)
     assert assert_matches_reference(polygon, bench_obstacles(), n=300,
-                                    rng_seed=1, max_attempts=500) < 300
-    assert assert_matches_reference(polygon, [], n=5, max_attempts=3) <= 3
+                                    rng_seed=1) < 300
+    monkeypatch.setattr(placement, "MAX_ATTEMPTS", 3)
+    assert assert_matches_reference(polygon, [], n=5) <= 3
 
 
-def test_sampler_matches_reference_on_no_free_space():
+def test_sampler_matches_reference_on_no_free_space(monkeypatch):
     blocker = [Obstacle2(center=np.array([0.0, 0.0]), radius=0.65)]
-    assert assert_matches_reference(table_polygon(), blocker,
-                                    max_attempts=_DRAW_BLOCK + 1) == 0
+    monkeypatch.setattr(placement, "MAX_ATTEMPTS", _DRAW_BLOCK + 1)
+    assert assert_matches_reference(table_polygon(), blocker) == 0
 
 
 @pytest.mark.parametrize("shape", [(500, 2), (200, 7, 2), (300, 3)])

@@ -108,7 +108,7 @@ def test_collinear_cluster_degenerate():
 def test_fusion_worked_example():
     s3 = ObjectScores({"A": 0.8, "B": 0.2}, "3d")
     s2 = ObjectScores({"A": 0.9, "B": 0.3}, "2d")
-    label, conf = fuse(s3, s2, Inventory.of("A", "B"))
+    label, conf = fuse(s3, s2, Inventory(frozenset({"A", "B"})))
     assert label == "A"
     assert conf == pytest.approx(0.72 / (0.72 + 0.06), abs=1e-12)
     assert conf == pytest.approx(0.923, abs=1e-3)
@@ -118,20 +118,20 @@ def test_fusion_masks_labels_outside_inventory():
     s3 = ObjectScores({"A": 0.9}, "3d")
     s2 = ObjectScores({"A": 0.9}, "2d")
     with pytest.raises(NoAdmissibleLabel):
-        fuse(s3, s2, Inventory.of("B"))
+        fuse(s3, s2, Inventory(frozenset({"B"})))
 
 
 def test_fusion_uniform_tie_breaks_lexicographically():
     s3 = ObjectScores({"A": 0.5, "B": 0.5}, "3d")
     s2 = ObjectScores({"A": 0.5, "B": 0.5}, "2d")
-    label, _ = fuse(s3, s2, Inventory.of("B", "A"))
+    label, _ = fuse(s3, s2, Inventory(frozenset({"B", "A"})))
     assert label == "A"
 
 
 def test_fusion_missing_label_gets_neutral_half():
     s3 = ObjectScores({"A": 0.8}, "3d")
     s2 = ObjectScores({"A": 0.4, "B": 0.9}, "2d")
-    label, conf = fuse(s3, s2, Inventory.of("A", "B"))
+    label, conf = fuse(s3, s2, Inventory(frozenset({"A", "B"})))
     # B fuses as 0.5 * 0.9 = 0.45 against A's 0.32
     assert label == "B"
     assert conf == pytest.approx(0.45 / (0.45 + 0.32), abs=1e-12)
@@ -140,14 +140,14 @@ def test_fusion_missing_label_gets_neutral_half():
 def test_fusion_requires_matching_sources():
     s = ObjectScores({"A": 0.5}, "3d")
     with pytest.raises(ValueError):
-        fuse(s, s, Inventory.of("A"))
+        fuse(s, s, Inventory(frozenset({"A"})))
 
 
 def test_fusion_with_neutral_sensor_keeps_other_ranking():
     s3 = ObjectScores({"A": 0.9, "B": 0.1}, "3d")
     # a 2D map that scores no inventory label biases none of them
     neutral = ObjectScores({"__neutral__": 0.5}, "2d")
-    label, _ = fuse(s3, neutral, Inventory.of("A", "B"))
+    label, _ = fuse(s3, neutral, Inventory(frozenset({"A", "B"})))
     assert label == "A"
 
 
@@ -156,7 +156,7 @@ def test_fusion_with_neutral_sensor_keeps_other_ranking():
 def test_fusion_argmax_invariant_to_source_scaling(k):
     base3 = {"A": 0.08, "B": 0.05, "C": 0.02}
     s2 = ObjectScores({"A": 0.3, "B": 0.6, "C": 0.3}, "2d")
-    inv = Inventory.of("A", "B", "C")
+    inv = Inventory(frozenset({"A", "B", "C"}))
     ref, _ = fuse(ObjectScores(base3, "3d"), s2, inv)
     scaled = {l: min(1.0, v * k) for l, v in base3.items()}
     if any(v * k > 1.0 for v in base3.values()):

@@ -1,6 +1,5 @@
 """2D/3D tracking, assignment, circular-motion estimation and triggers."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 from workbot import rtt as rttmod
 from workbot.rtt import (IOU_MIN, CollinearPoints, Detection2D,
                          DimensionMismatch, NonMonotonicTimestamp,
-                         RoiOutOfBounds, RoiRect, SortConfig, SortStep,
+                         RoiOutOfBounds, RoiRect, SortStep,
                          SortTracker, TableStationary, Track3D, TrackReport,
                          ZeroTimeSpan, associate_nn_3d, change_trigger,
                          estimate_motion, fit_circle, gated_assignment,
@@ -336,74 +335,80 @@ def test_gated_assignment_matches_enumeration():
 
 # --- SORT --------------------------------------------------------------------
 
-def test_sort_config_is_frozen():
-    # the tracker builds its transition from dt once, so dt cannot change
-    cfg = SortConfig()
-    SortTracker(cfg)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.dt = 0.5
-    assert cfg.dt == 1.0 / 15.0
+def test_sort_tracker_steps_by_its_dt():
+    # the default is the bundled stream's 15 frames per second
+    assert SortTracker().dt == 1.0 / 15.0
+    for dt in (0.5, 1.0 / 15.0):
+        tracker = SortTracker(dt)
+        for k in range(30):
+            tracker.step([det(k * dt, 50 + 6 * k, 40)])
+        # 6 px a frame is a rate of 6 / dt px per second
+        assert tracker.state[0, 4] == pytest.approx(6.0 / dt, rel=1e-3)
 
 
 def test_sort_two_detections_spawn_ids_zero_one():
-    tracker = SortTracker(SortConfig())
+    tracker = SortTracker()
     step = tracker.step([det(0.0, 10, 10), det(0.0, 100, 100)])
     assert step.new_ids == (0, 1)
     assert step.confirmed == ()     # below min_hits
 
 
 def test_sort_noiseless_constant_velocity_single_id():
-    cfg = SortConfig()
-    tracker = SortTracker(cfg)
+    tracker = SortTracker()
     ids_seen = set()
     confirmed_frames = 0
     for k in range(50):
-        t = k * cfg.dt
+        t = k * tracker.dt
         step = tracker.step([det(t, 50 + 80 * t, 40 + 30 * t)])
         for rep in step.confirmed:
             ids_seen.add(rep.track_id)
             confirmed_frames += 1
     assert ids_seen == {0}
-    assert confirmed_frames == 50 - (cfg.min_hits - 1)
+    assert confirmed_frames == 50 - (rttmod.MIN_HITS - 1) == 48
 
 
-def test_sort_matched_track_age_resets():
-    cfg = SortConfig(min_hits=1)
-    tracker = SortTracker(cfg)
+def test_sort_matched_track_age_resets(monkeypatch):
+    monkeypatch.setattr(rttmod, "MIN_HITS", 1)
+    tracker = SortTracker()
     tracker.step([det(0.0, 50, 50)])
-    step = tracker.step([det(cfg.dt, 50, 50)])
+    step = tracker.step([det(tracker.dt, 50, 50)])
+    assert step.confirmed == (TrackReport(0, (40.0, 40.0, 60.0, 60.0)),)
     assert step.matches == ((0, 0),)
     assert tracker.ids.tolist() == [0]
     assert tracker.ages[0] == 0
 
 
-def test_sort_stale_track_removed_after_max_age():
-    cfg = SortConfig(max_age=2, min_hits=1)
-    tracker = SortTracker(cfg)
-    tracker.step([det(0.0, 50, 50)])
-    removed = []
-    for k in range(1, 5):
-        step = tracker.step([])
-        removed.extend(step.removed_ids)
-    assert removed == [0]
+def test_sort_stale_track_removed_after_max_age(monkeypatch):
+    def removals():
+        """(empty frame, ids) of each removal after one detection."""
+        tracker = SortTracker()
+        tracker.step([det(0.0, 50, 50)])
+        return [(k, step.removed_ids) for k in range(1, 10)
+                if (step := tracker.step([])).removed_ids]
+
+    # gone once unmatched for more than MAX_AGE frames
+    assert rttmod.MAX_AGE == 5
+    assert removals() == [(6, (0,))]
+    monkeypatch.setattr(rttmod, "MAX_AGE", 2)
+    assert removals() == [(3, (0,))]
 
 
-def test_sort_ids_never_reused():
-    cfg = SortConfig(max_age=1, min_hits=1)
-    tracker = SortTracker(cfg)
+def test_sort_ids_never_reused(monkeypatch):
+    monkeypatch.setattr(rttmod, "MAX_AGE", 1)
+    monkeypatch.setattr(rttmod, "MIN_HITS", 1)
+    tracker = SortTracker()
     tracker.step([det(0.0, 50, 50)])
     tracker.step([])            # age out
     tracker.step([])
-    step = tracker.step([det(3 * cfg.dt, 50, 50)])
+    step = tracker.step([det(3 * tracker.dt, 50, 50)])
     assert step.new_ids and step.new_ids[0] > 0
 
 
 def test_sort_covariance_stays_symmetric_positive_diagonal():
-    cfg = SortConfig()
-    tracker = SortTracker(cfg)
+    tracker = SortTracker()
     rng = np.random.default_rng(2)
     for k in range(30):
-        t = k * cfg.dt
+        t = k * tracker.dt
         tracker.step([det(t, 50 + 60 * t + rng.normal(0, 1),
                           40 + rng.normal(0, 1))])
     assert tracker.cov.shape == (1, 7, 7)
@@ -435,7 +440,7 @@ SORT_20_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(SORT_20_DIGESTS))
 def test_sort_steps_on_twenty_objects_are_pinned(seed):
-    tracker = SortTracker(SortConfig())
+    tracker = SortTracker()
     digest = hashlib.sha256()
     for frame in twenty_object_stream(seed):
         digest.update(repr(tracker.step(list(frame.detections))).encode())
@@ -443,8 +448,7 @@ def test_sort_steps_on_twenty_objects_are_pinned(seed):
 
 
 def test_sort_innovation_non_increasing_after_burn_in(monkeypatch):
-    cfg = SortConfig()
-    tracker = SortTracker(cfg)
+    tracker = SortTracker()
     captured = []
     update = rttmod._kalman_update
 
@@ -455,7 +459,7 @@ def test_sort_innovation_non_increasing_after_burn_in(monkeypatch):
 
     monkeypatch.setattr(rttmod, "_kalman_update", spy)
     for k in range(30):
-        t = k * cfg.dt
+        t = k * tracker.dt
         tracker.step([det(t, 50 + 80 * t, 40 + 30 * t)])
     # the first frame starts the track; each later one updates it once
     assert len(captured) == 29
@@ -469,7 +473,10 @@ def measurement(d):
 
 class PerTrackSort:
     """The tracker as it was before its tracks became rows of arrays, frozen:
-    one Python object per track, predicted, matched and updated in turn."""
+    one Python object per track, predicted, matched and updated in turn,
+    with the tracker's lifetimes and frame interval as they were."""
+
+    MAX_AGE, MIN_HITS, DT = 5, 3, 1.0 / 15.0
 
     class Track:
         def __init__(self, track_id, det):
@@ -485,12 +492,11 @@ class PerTrackSort:
             cx, cy = float(self.state[0]), float(self.state[1])
             return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
 
-    def __init__(self, cfg):
-        self.cfg = cfg
+    def __init__(self):
         self.tracks = []
         self.next_id = 0
         self.f = np.eye(7)
-        self.f[0, 4] = self.f[1, 5] = self.f[2, 6] = cfg.dt
+        self.f[0, 4] = self.f[1, 5] = self.f[2, 6] = self.DT
         self.q = np.diag([1.0] * 4 + [10.0] * 3)
 
     @staticmethod
@@ -503,9 +509,9 @@ class PerTrackSort:
         track.cov = i_kh @ track.cov
 
     def step(self, detections):
-        cfg, f = self.cfg, self.f
+        f = self.f
         for tr in self.tracks:
-            if tr.state[2] + tr.state[6] * cfg.dt <= 0.0:
+            if tr.state[2] + tr.state[6] * self.DT <= 0.0:
                 tr.state[6] = 0.0
             tr.state = f @ tr.state
             tr.cov = f @ tr.cov @ f.T + self.q
@@ -533,11 +539,11 @@ class PerTrackSort:
             new_ids.append(tr.id)
             matches.append((tr.id, dj))
         removed = [tr.id for tr in self.tracks
-                   if tr.age_since_update > cfg.max_age]
+                   if tr.age_since_update > self.MAX_AGE]
         self.tracks = [tr for tr in self.tracks
-                       if tr.age_since_update <= cfg.max_age]
+                       if tr.age_since_update <= self.MAX_AGE]
         confirmed = tuple(TrackReport(tr.id, tr.predicted_box())
-                          for tr in self.tracks if tr.hits >= cfg.min_hits)
+                          for tr in self.tracks if tr.hits >= self.MIN_HITS)
         return SortStep(confirmed=confirmed, matches=tuple(matches),
                         new_ids=tuple(new_ids), removed_ids=tuple(removed))
 
@@ -547,8 +553,8 @@ class PerTrackSort:
 def test_sort_steps_equal_the_per_track_tracker_bit_for_bit(objects, dropout):
     for seed in (5, 6):
         frames = object_stream(seed, objects, dropout)
-        arrays = SortTracker(SortConfig())
-        per_track = PerTrackSort(SortConfig())
+        arrays = SortTracker()
+        per_track = PerTrackSort()
         for frame in frames:
             dets = list(frame.detections)
             assert repr(arrays.step(dets)) == repr(per_track.step(dets))

@@ -45,7 +45,7 @@ def test_label_blocks_match_sampling_densities():
             expected[k] = (face_count(math.pi * obj.radius ** 2)
                            + face_count(2 * math.pi * obj.radius * obj.height))
     for label, count in expected.items():
-        assert truth.count(label) == count, f"label {label}"
+        assert np.count_nonzero(truth.labels == label) == count, f"label {label}"
 
 
 def test_same_seed_is_bit_identical():
@@ -272,8 +272,8 @@ def test_evaluate_sort_steps_by_the_stream_frame_interval(monkeypatch):
     metrics = evaluate_sort(frames2, truth)
 
     def tracked_at(dt):
-        monkeypatch.setattr(sim, "SortTracker", lambda cfg=None:
-                            rtt.SortTracker(rtt.SortConfig(dt=dt)))
+        monkeypatch.setattr(sim, "SortTracker",
+                            lambda _=None: rtt.SortTracker(dt))
         return evaluate_sort(frames2, truth)
 
     assert metrics == tracked_at(1.0 / 30.0)
