@@ -94,8 +94,6 @@ def cmd_perceive(args) -> int:
     sc = _scenario(args.scenario, args.seed, "workstation")
     cfg = _config(cloudmod.PerceptionConfig, args.config)
     cloud, truth = simmod.gen_workstation(sc)
-    if args.cloud_out:
-        cloudmod.save_ply(cloud, args.cloud_out)
     work, plane, _, clusters = placemod.segment_workstation(cloud, cfg)
     normal_err = math.degrees(math.acos(min(1.0, abs(float(
         cloudmod._rowdot(plane.normal, truth.plane.normal))))))
@@ -170,8 +168,8 @@ class _GraspObject:
 
     def __post_init__(self):
         # here as well as in sample_pregrasp, so the error names the file
-        from .grasping import check_yaw_spread
-        check_yaw_spread(self.yaw_spread)
+        from .grasping import check_fan
+        check_fan(self.n, self.yaw_spread)
 
 
 def cmd_grasp(args) -> int:
@@ -311,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cloud-out", default=None)
     p.set_defaults(func=cmd_perceive)
 
     p = sub.add_parser("place", help="plan collision-free placements on a "
@@ -383,6 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads "--start -50,1,0" as two options, and "--start=-50,1,0"
+    # as one with its value
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] in ("--start", "--goal", "--base"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -51,13 +51,10 @@ _CANDIDATE_SLACK = 1e-6
 # nor, between distinct cell centres, underflow.
 MAX_COORD = 1e150
 MIN_RESOLUTION = 1e-150
+MAX_SAMPLES = 25                   # most samples per velocity axis
 
 
 class NavigationError(WorkbotError):
-    pass
-
-
-class TrajectoryLeavesMap(NavigationError):
     pass
 
 
@@ -242,9 +239,9 @@ class DWAConfig:
                 raise ValueError(
                     f"{name} must be positive, got {getattr(self, name)}")
         for name in ("vx_samples", "vy_samples", "omega_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be at least 1, got {getattr(self, name)}")
+            if not 1 <= getattr(self, name) <= MAX_SAMPLES:
+                raise ValueError(f"{name} must be in [1, {MAX_SAMPLES}], "
+                                 f"got {getattr(self, name)}")
         if self.robot_radius < 0.0:
             raise ValueError(
                 f"robot_radius must not be negative, got {self.robot_radius}")
@@ -305,32 +302,12 @@ def _one_command(state: RobotState, cmd: VelocityCommand, dt: float,
     return x.reshape(steps), y.reshape(steps), theta[0]
 
 
-def rollout(state: RobotState, cmd: VelocityCommand,
-            cfg: DWAConfig) -> np.ndarray:
-    """Poses (x, y, theta) at dt, 2dt, ... horizon under a constant command."""
-    steps = int(round(cfg.horizon / cfg.dt))
-    return np.column_stack(_one_command(state, cmd, cfg.dt, steps))
-
-
-def clearance(trajectory, grid: OccupancyGrid, robot_radius: float) -> float:
-    """Worst-case margin along a trajectory: distance to the nearest blocked
-    cell centre minus the robot radius, floored at zero.
-
-    An all-free map yields the map diagonal as a large sentinel.  Poses
-    outside the grid raise TrajectoryLeavesMap."""
-    traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    xy = traj[:, :2]
-    lo, hi = grid.extent()
-    if (xy < lo).any() or (xy > hi).any():
-        raise TrajectoryLeavesMap("trajectory pose outside the grid")
-    return float(_clearances(xy[None, :, 0], xy[None, :, 1], grid,
-                             robot_radius)[0])
-
-
 def _clearances(x: np.ndarray, y: np.ndarray, grid: OccupancyGrid,
                 robot_radius: float) -> np.ndarray:
-    """`clearance` of each of s trajectories given as (s, k) x and y
-    coordinates inside the grid.
+    """Worst-case margin of each of s trajectories given as (s, k) x and y
+    coordinates inside the grid: the distance to the nearest blocked cell
+    centre minus the robot radius, floored at zero, minimised over the
+    trajectory.  An all-free map yields the map diagonal as a large sentinel.
 
     Each pose is checked against its square's candidates in the grid's
     table; the distance is computed as cKDTree computes it, so the result
@@ -423,8 +400,8 @@ def run_episode(state: RobotState, goal, grid: OccupancyGrid,
                 stop_dist: float = 0.15) -> EpisodeResult:
     """Closed-loop drive toward the goal; stops on arrival ("reached"), on
     the step budget ("budget") or when no admissible command remains
-    ("no_admissible").  The goal must lie within MAX_COORD of 0 on each
-    axis, as map points do, so its squared distance cannot overflow."""
+    ("no_admissible").  The start must lie on the map, and the goal within
+    MAX_COORD of 0 on each axis, so its squared distance cannot overflow."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, got {max_steps}")
     if not 0.0 <= stop_dist < math.inf:
@@ -435,6 +412,10 @@ def run_episode(state: RobotState, goal, grid: OccupancyGrid,
     if not np.all(np.abs(goal) <= MAX_COORD):
         raise ValueError(f"goal must lie within {MAX_COORD:g} of 0 on each "
                          f"axis, got ({goal[0]}, {goal[1]})")
+    (x0, y0), (x1, y1) = (corner.tolist() for corner in grid.extent())
+    if not (x0 <= state.x <= x1 and y0 <= state.y <= y1):
+        raise ValueError(f"start must lie on the map, x in [{x0}, {x1}] and "
+                         f"y in [{y0}, {y1}], got ({state.x}, {state.y})")
     poses = [(0.0, state.x, state.y, state.theta)]
     commands: list[VelocityCommand] = []
     stop = "budget"

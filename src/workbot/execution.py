@@ -142,7 +142,8 @@ def execute(domain: DomainDef, problem: ProblemDef,
     Each plan searches the task grounded and compiled once; only a failure
     that adds atoms (maybe ones no action adds) does both again.
     ``fault_script`` forces the status of specific global step indices
-    (counted across replans) without consuming the binding's own script.
+    (counted across replans) without consuming the binding's own script;
+    every other step is one e_start exchange through ``component_step``.
     The budget allows max_replans >= 0 replans, i.e. max_replans + 1 plans
     in total; exhausting it, or an unsolvable replanning state, ends the
     trace with the corresponding outcome instead of raising.
@@ -177,10 +178,11 @@ def execute(domain: DomainDef, problem: ProblemDef,
             binding = bindings[name]
             if step in fault_script:
                 status = fault_script[step]
+                kb = _apply_status(binding, status, kb, act)
             else:
-                status = binding.status_at(runs[name])
+                status, kb = component_step(binding, E_START, kb, act,
+                                            run=runs[name])
                 runs[name] += 1
-            kb = _apply_status(binding, status, kb, act)
             if status == E_FAILURE:
                 replans += 1
             records.append(TraceRecord(step=step, action=act.name,

@@ -99,13 +99,6 @@ class Pose:
         return Pose(np.zeros(3), np.array([0.0, 0.0, 0.0, 1.0]))
 
     @staticmethod
-    def from_matrix(mat: np.ndarray) -> "Pose":
-        from scipy.spatial.transform import Rotation
-        mat = np.asarray(mat, dtype=float)
-        q = Rotation.from_matrix(mat[:3, :3]).as_quat()
-        return Pose(mat[:3, 3], q)
-
-    @staticmethod
     def from_rotation(rot: np.ndarray, position) -> "Pose":
         from scipy.spatial.transform import Rotation
         q = Rotation.from_matrix(np.asarray(rot, dtype=float)).as_quat()

@@ -24,6 +24,7 @@ Approach = Literal["top", "frontal"]
 GraspResult = Literal["grasped", "empty"]
 
 HEIGHT_THRESHOLD = 0.06
+MAX_FAN_SAMPLES = 360              # most yaws in one pre-grasp fan
 
 FORCE_MIN = 0.3                    # least mean finger force of a hold
 GAP_MIN = 0.005                    # least finger gap an object leaves, m
@@ -91,9 +92,12 @@ def _nominal_rotation(axis: np.ndarray, approach: Approach) -> np.ndarray:
     return np.column_stack([x, unit(y), axis])
 
 
-def check_yaw_spread(yaw_spread: float) -> None:
-    """ValueError unless 0 <= yaw_spread <= 2 pi.  A fan past one full turn
-    only repeats yaws, and a huge one overflows the rotation algebra."""
+def check_fan(n: int, yaw_spread: float) -> None:
+    """ValueError unless 1 <= n <= MAX_FAN_SAMPLES and 0 <= yaw_spread <= 2 pi.
+    A fan past one full turn only repeats yaws, and a huge one overflows
+    the rotation algebra."""
+    if not 1 <= n <= MAX_FAN_SAMPLES:
+        raise ValueError(f"n must be in [1, {MAX_FAN_SAMPLES}], got {n}")
     if not 0.0 <= yaw_spread <= TWO_PI:
         raise ValueError("yaw_spread must lie in [0, 2 pi], one full turn, "
                          f"got {yaw_spread}")
@@ -108,11 +112,9 @@ def sample_pregrasp(object_pose: Pose, approach: Approach,
     Yaw values sweep [-yaw_spread/2, +yaw_spread/2] uniformly and come back
     ordered by |yaw| ascending, so the nominal grasp is tried first.
     """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
+    check_fan(n, yaw_spread)
     if offset < 0.0:
         raise ValueError("offset must be non-negative")
-    check_yaw_spread(yaw_spread)
     axis = _approach_axis(object_pose, approach, base_position)
     nominal = _nominal_rotation(axis, approach)
     position = object_pose.position - offset * axis

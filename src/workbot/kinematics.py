@@ -79,14 +79,6 @@ class KinematicChain:
         return (np.array([j.lo for j in self.joints]),
                 np.array([j.hi for j in self.joints]))
 
-    def clamp(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float).reshape(N_JOINTS)
-        return np.clip(q, *self.limits())
-
-    def within_limits(self, q) -> bool:
-        q = np.asarray(q, dtype=float).reshape(N_JOINTS)
-        return all(j.lo <= qi <= j.hi for j, qi in zip(self.joints, q))
-
     def with_base(self, base: Pose) -> "KinematicChain":
         return replace(self, base=base)
 
@@ -181,8 +173,10 @@ def so3_log(rot) -> np.ndarray:
 
 def _pose_errors(p_target: np.ndarray, r_target: np.ndarray,
                  current: np.ndarray) -> np.ndarray:
-    """Error rows (..., 6) from targets to current matrices (..., 4, 4);
-    the targets broadcast against the leading axes."""
+    """Error rows (..., 6) from targets to current matrices (..., 4, 4):
+    the world position delta, then the weighted rotation log (current ->
+    target) expressed in the current end-effector frame.  The targets
+    broadcast against the leading axes."""
     e_pos = p_target - current[..., :3, 3]
     r_err = current[..., :3, :3].swapaxes(-1, -2) @ r_target
     return np.concatenate([e_pos, _ROT_WEIGHTS * so3_log(r_err)], axis=-1)
@@ -206,31 +200,6 @@ def _stencil_errors(base, dh, p_target, r_target, q, m=None) -> np.ndarray:
 def _central_jacobian_t(errs: np.ndarray) -> np.ndarray:
     """Transposed Jacobians (k, 5, 6) from stencil errors (k, 11, 6)."""
     return (errs[:, 1:1 + N_JOINTS] - errs[:, 1 + N_JOINTS:]) / (2.0 * FD_STEP)
-
-
-def fk_matrix(chain: KinematicChain, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(1, N_JOINTS)
-    return _fk(chain.base.matrix(), _dh_table(chain), q)[0]
-
-
-def fk(chain: KinematicChain, q) -> Pose:
-    """End-effector pose in the base frame for joint angles q."""
-    return Pose.from_matrix(fk_matrix(chain, q))
-
-
-def pose_error(target: Pose, current: Pose) -> np.ndarray:
-    """6-vector error: world position delta, then the weighted rotation log
-    (current -> target) expressed in the current end-effector frame."""
-    return _pose_errors(target.position, target.rotation(),
-                        current.matrix()[None])[0]
-
-
-def error_jacobian(chain: KinematicChain, target: Pose, q) -> np.ndarray:
-    """Central finite-difference Jacobian of the pose error wrt joint angles."""
-    q = np.asarray(q, dtype=float).reshape(1, N_JOINTS)
-    errs = _stencil_errors(chain.base.matrix(), _dh_table(chain),
-                           target.position, target.rotation(), q)
-    return _central_jacobian_t(errs)[0].T
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,15 @@
 """Every public library name has a caller, and every default is overridden.
 
-A public top-level function or class of ``src/workbot`` must be referenced
-by name somewhere in ``src/`` or ``benchmarks/``: as a ``Name``, an
-``Attribute`` or an import alias.  A public method or property of a public
-class must be referenced as an ``Attribute``, so a local variable or
-function of the same name does not count for it.  Strings, comments and the
-tests do not count.  The names in ``UNCALLED`` are the only exceptions, each
-with the reason it stays.
+A public top-level function or class ``m.f`` of ``src/workbot`` must be
+referenced somewhere in ``src/`` or ``benchmarks/`` through its module: by
+an import of ``f`` from ``m``, as an attribute ``f`` of a name bound to
+module ``m``, or as a bare name ``f`` inside ``m`` itself.  A same-named
+function of another module (``benchmarks/workcell/oracles.py`` has an
+``fk`` of its own) does not count for it.  A public method or property of
+a public class must be referenced as an ``Attribute``, so a local variable
+or function of the same name does not count for it.  Strings, comments and
+the tests do not count.  The names in ``UNCALLED`` are the only exceptions,
+each with the reason it stays.
 
 A parameter with a default, of a public function, method or ``__init__``,
 must be passed, by keyword or by position, by some call in ``src/`` or
@@ -22,25 +25,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 UNCALLED = {
-    "kinematics.pose_error":
-        "criterion 05 differentiates it to check error_jacobian",
-    "kinematics.error_jacobian":
-        "criterion 05's finite-difference Jacobian check",
-    "kinematics.KinematicChain.clamp":
-        "joint-limit helper for criterion 05 and the IK tests",
-    "kinematics.KinematicChain.within_limits":
-        "joint-limit helper for criterion 05 and the IK tests",
     "pddl.validate": "criterion 09 checks every plan with it",
     "pddl.print_domain": "criterion 09's print/parse fixpoint",
     "pddl.print_problem": "criterion 09's print/parse fixpoint",
-    "dwa.rollout": "the arcs that the DWA oracle tests check against Euler",
     "dwa.save_pgm": "writes the map fixtures of the DWA and CLI tests",
     "rtt.change_trigger":
         "background change detection, a paper feature the README names",
     "grasping.grasp_monitor":
         "gripper feedback, a paper feature the README names",
-    "execution.component_step":
-        "the component event protocol, a paper feature the README names",
 }
 
 PARAMS = {
@@ -79,25 +71,81 @@ def _public_names() -> dict[str, tuple[str, bool]]:
             if not qual.endswith(".__init__")}
 
 
-def _code():
+LIBRARY = ROOT / "src" / "workbot"
+
+
+def _trees():
     for folder in ("src", "benchmarks"):
         for path in (ROOT / folder).rglob("*.py"):
-            yield from ast.walk(ast.parse(path.read_text()))
+            yield path, ast.parse(path.read_text())
 
 
-def _referenced() -> dict[bool, set[str]]:
-    """Every name that src/ and benchmarks/ use in code: under False as a
-    Name, Attribute or import alias, under True as an Attribute only."""
-    found: dict[bool, set[str]] = {False: set(), True: set()}
-    for node in _code():
-        if isinstance(node, ast.Name):
-            found[False].add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found[False].add(node.attr)
-            found[True].add(node.attr)
-        elif isinstance(node, ast.alias):
-            found[False].add(node.asname or node.name.rsplit(".", 1)[-1])
+def _code():
+    for _, tree in _trees():
+        yield from ast.walk(tree)
+
+
+def _imported_module(node: ast.ImportFrom, path: Path) -> str | None:
+    """The library module an ``from ... import`` reads from: its stem, ""
+    for the package itself, None for any other module."""
+    if node.level == 1 and path.parent == LIBRARY:
+        return node.module or ""
+    if node.level == 0 and node.module == "workbot":
+        return ""
+    if node.level == 0 and (node.module or "").startswith("workbot."):
+        return node.module.split(".")[1]
+    return None
+
+
+def _module_references() -> set[str]:
+    """"m.f" for each name f that src/ and benchmarks/ reach through
+    library module m: imported from m, an attribute of a name bound to m
+    (``workbot.m`` included), or a bare name inside m."""
+    found = set()
+    for path, tree in _trees():
+        # local name -> the library module it is bound to, "" the package
+        bound: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = _imported_module(node, path)
+                if source is None:
+                    continue
+                for alias in node.names:
+                    if source:
+                        found.add(f"{source}.{alias.name}")
+                    else:
+                        bound[alias.asname or alias.name] = alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] != "workbot":
+                        continue
+                    if alias.asname:
+                        bound[alias.asname] = ".".join(parts[1:2])
+                    else:
+                        bound["workbot"] = ""
+        here = path.stem if path.parent == LIBRARY else None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                if isinstance(owner, ast.Name):
+                    module = bound.get(owner.id)
+                elif (isinstance(owner, ast.Attribute)
+                      and isinstance(owner.value, ast.Name)
+                      and bound.get(owner.value.id) == ""):
+                    module = owner.attr
+                else:
+                    module = None
+                if module:
+                    found.add(f"{module}.{node.attr}")
+            elif isinstance(node, ast.Name) and here:
+                found.add(f"{here}.{node.id}")
     return found
+
+
+def _referenced() -> set[str]:
+    """Every name that src/ and benchmarks/ use in code as an Attribute."""
+    return {node.attr for node in _code() if isinstance(node, ast.Attribute)}
 
 
 def _defaulted() -> dict[str, tuple[str, bool, int | None, str]]:
@@ -149,9 +197,10 @@ def _exempt(qual_param: str) -> bool:
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    referenced = _referenced()
+    modules, attributes = _module_references(), _referenced()
     uncalled = sorted(qual for qual, (name, method) in _public_names().items()
-                      if name not in referenced[method]
+                      if (name not in attributes if method
+                          else qual not in modules)
                       and qual not in UNCALLED)
     assert not uncalled, f"no caller in src/ or benchmarks/: {uncalled}"
 

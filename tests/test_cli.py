@@ -40,15 +40,6 @@ def test_perceive_writes_metrics(tmp_path):
     assert summary["cluster_count"] == 2.0
 
 
-def test_perceive_optional_cloud_out(tmp_path):
-    cloud = tmp_path / "scene.ply"
-    proc = run_cli("perceive", "--scenario", str(DATA / "workstation.json"),
-                   "--out", str(tmp_path / "m.csv"), "--cloud-out", str(cloud))
-    assert proc.returncode == 0, proc.stderr
-    head = cloud.read_text().splitlines()[0]
-    assert head == "ply"
-
-
 def test_place_writes_candidates(tmp_path):
     out = tmp_path / "placements.json"
     proc = run_cli("place", "--scenario", str(DATA / "workstation.json"),
@@ -383,6 +374,8 @@ def test_malformed_binding_is_a_pipeline_error(tmp_path, capsys, bindings,
      "yaw_spread must lie in [0, 2 pi], one full turn, got 1e+308"),
     ("yaw_spread", -0.5,
      "yaw_spread must lie in [0, 2 pi], one full turn, got -0.5"),
+    ("n", 0, "n must be in [1, 360], got 0"),
+    ("n", 361, "n must be in [1, 360], got 361"),
     ("height", False, "'height' must be a finite number, got False"),
     pytest.param("position", [0.35, 0.0],
                  "'position' must be a list of 3 values, got [0.35, 0.0]",
@@ -538,9 +531,10 @@ DWA = ["dwa", "--map", "map.pgm", "--start", "1,1,0", "--goal", "5,5"]
                    message, id=f"dwa-config-{key}-{value}")
       for key, value, message in [
           ("robot_radius", -0.5, "robot_radius must not be negative, got -0.5"),
-          ("vx_samples", 0, "vx_samples must be at least 1, got 0"),
-          ("vx_samples", -1, "vx_samples must be at least 1, got -1"),
-          ("omega_samples", 0, "omega_samples must be at least 1, got 0"),
+          ("vx_samples", 0, "vx_samples must be in [1, 25], got 0"),
+          ("vx_samples", -1, "vx_samples must be in [1, 25], got -1"),
+          ("omega_samples", 0, "omega_samples must be in [1, 25], got 0"),
+          ("vy_samples", 26, "vy_samples must be in [1, 25], got 26"),
           ("ax", -1.0, "ax must be positive, got -1.0"),
           ("ay", -1.0, "ay must be positive, got -1.0"),
           ("aomega", -2.0, "aomega must be positive, got -2.0"),
@@ -675,6 +669,9 @@ CONTRACT = [
     ("grasp", {"obj.json": {**json.loads(
         (DATA / "grasp_object.json").read_text()), "yaw_spread": 1e308}},
      ["grasp", "--object", "obj.json"], "obj.json"),
+    ("grasp-n", {"obj.json": {**json.loads(
+        (DATA / "grasp_object.json").read_text()), "n": 1e12}},
+     ["grasp", "--object", "obj.json"], "obj.json"),
     ("rtt", {"sc.json": json.dumps(RTT)[:-1] + ', "seed": 7}'},
      ["rtt", "--scenario", "sc.json"], "sc.json"),
     ("dwa-resolution", {**MAP, "map.json": {"resolution": 1e200,
@@ -683,6 +680,12 @@ CONTRACT = [
     ("dwa-header", {**MAP, "map.pgm": f"P2 {'9' * 4000} {'9' * 4000} 255\n"},
      DWA, "map.pgm"),
     ("dwa-goal", MAP, [*DWA[:-1], "1e200,5", "--max-steps", "3"], "goal"),
+    # a minus after a space, as well as after "="
+    ("dwa-start", MAP, ["dwa", "--map", "map.pgm", "--start", "-50,1,0",
+                        "--goal", "5,5", "--max-steps", "3"], "start"),
+    ("dwa-samples", {**MAP, "cfg.json": {"vx_samples": 100000,
+                                         "vy_samples": 100000}},
+     [*DWA, "--config", "cfg.json"], "cfg.json"),
     ("plan", {"d.pddl": "(define)"},
      ["plan", "--domain", "d.pddl", "--problem",
       str(DATA / "transport_1.pddl")], "d.pddl"),
@@ -789,6 +792,28 @@ def test_non_finite_flag_values_are_a_pipeline_error(tmp_path, capsys, argv,
         "error": "ValueError",
         "message": f"{flag} expects {n} comma-separated finite numbers, "
                    f"got {value!r}"}
+
+
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["dwa", "--map", str(DATA / "cluttered.pgm"), "--goal", "5,5",
+      "--max-steps", "3"], "--start", "-50,1,0", 1),
+    (["dwa", "--map", str(DATA / "cluttered.pgm"), "--start", "1,1,0",
+      "--max-steps", "3"], "--goal", "-1,5", 0),
+    (["place", "--scenario", str(DATA / "workstation.json"), "--n", "3"],
+     "--base", "-0.1,0,0.55", 0),
+], ids=["dwa-start", "dwa-goal", "place-base"])
+def test_a_negative_coordinate_may_follow_its_flag_after_a_space(
+        tmp_path, capsys, argv, flag, value, code):
+    from workbot.cli import main
+
+    runs = []
+    for i, given in enumerate(([flag, value], [f"{flag}={value}"])):
+        out = tmp_path / f"out{i}"
+        runs.append((main([*argv, *given, "--out", str(out)]),
+                     *capsys.readouterr(),
+                     out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code, runs[0]
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -14,9 +14,9 @@ from scipy.spatial import cKDTree
 
 from workbot.dwa import (FREE, OCCUPIED, UNKNOWN, DWAConfig, GridParseError,
                          NoAdmissibleVelocity, OccupancyGrid, RobotState,
-                         TrajectoryLeavesMap, VelocityCommand, _clearances,
-                         clearance, dwa_step, dynamic_window, load_pgm,
-                         rollout, run_episode, save_pgm, step_state)
+                         VelocityCommand, _clearances, _one_command, dwa_step,
+                         dynamic_window, load_pgm, run_episode, save_pgm,
+                         step_state)
 from workbot.jsonio import decode
 from workbot.sim import gen_obstacle_grid
 
@@ -56,6 +56,13 @@ def test_window_clips_to_absolute_limits():
 # rollout
 
 
+def arc_poses(state, cmd, cfg):
+    """The library's rollout of one command: poses (x, y, theta) at dt,
+    2 dt, ... horizon, as dwa_step rolls out its samples."""
+    steps = int(round(cfg.horizon / cfg.dt))
+    return np.column_stack(_one_command(state, cmd, cfg.dt, steps))
+
+
 def euler_rollout(state, cmd, cfg, substeps=1000):
     """Brute-force integration of the body-frame twist at tiny steps."""
     steps = int(round(cfg.horizon / cfg.dt))
@@ -77,7 +84,7 @@ def test_rollout_matches_fine_euler_oracle():
     for cmd in [VelocityCommand(0.4, 0.0, 0.8),
                 VelocityCommand(0.3, -0.2, -1.2),
                 VelocityCommand(-0.2, 0.1, 0.5)]:
-        traj = rollout(state, cmd, cfg)
+        traj = arc_poses(state, cmd, cfg)
         oracle = euler_rollout(state, cmd, cfg)
         assert traj.shape == (10, 3)
         np.testing.assert_allclose(traj, oracle, atol=1e-4)
@@ -86,8 +93,8 @@ def test_rollout_matches_fine_euler_oracle():
 def test_rollout_straight_line_is_exact():
     cfg = DWAConfig(dt=0.1, horizon=0.5)
     th = 0.6
-    traj = rollout(RobotState(1.0, 2.0, th), VelocityCommand(0.5, 0.0, 0.0),
-                   cfg)
+    traj = arc_poses(RobotState(1.0, 2.0, th),
+                     VelocityCommand(0.5, 0.0, 0.0), cfg)
     ts = np.arange(1, 6) * 0.1
     np.testing.assert_allclose(traj[:, 0], 1.0 + 0.5 * ts * math.cos(th),
                                atol=1e-12)
@@ -99,8 +106,8 @@ def test_rollout_straight_line_is_exact():
 def test_rollout_full_turn_returns_home():
     # one full circle: omega * horizon = 2 pi brings the robot back
     cfg = DWAConfig(dt=0.01, horizon=1.0, aomega=10.0, omega_max=10.0)
-    traj = rollout(RobotState(0, 0, 0), VelocityCommand(0.5, 0.0, 2 * math.pi),
-                   cfg)
+    traj = arc_poses(RobotState(0, 0, 0),
+                     VelocityCommand(0.5, 0.0, 2 * math.pi), cfg)
     np.testing.assert_allclose(traj[-1, :2], [0.0, 0.0], atol=1e-9)
 
 
@@ -109,7 +116,7 @@ def test_step_state_equals_first_rollout_pose():
     state = RobotState(0.3, 0.4, 0.2, vx=0.1)
     cmd = VelocityCommand(0.3, -0.1, 0.6)
     nxt = step_state(state, cmd, cfg)
-    first = rollout(state, cmd, cfg)[0]
+    first = arc_poses(state, cmd, cfg)[0]
     assert (nxt.x, nxt.y, nxt.theta) == pytest.approx(tuple(first))
     assert (nxt.vx, nxt.vy, nxt.omega) == (cmd.vx, cmd.vy, cmd.omega)
 
@@ -138,7 +145,7 @@ def test_rollout_and_step_state_match_the_closed_form(omega):
     cfg = DWAConfig()
     state = RobotState(0.5, -0.2, 2.1)
     cmd = VelocityCommand(0.6, -0.3, omega)
-    traj = rollout(state, cmd, cfg)
+    traj = arc_poses(state, cmd, cfg)
     assert traj.shape == (15, 3)
     for k, pose in enumerate(traj, start=1):
         want = closed_form_pose(state, cmd, k * cfg.dt)
@@ -151,6 +158,14 @@ def test_rollout_and_step_state_match_the_closed_form(omega):
 
 # ---------------------------------------------------------------------------
 # clearance
+
+
+def table_clearance(traj, grid, radius):
+    """The library's clearance of one trajectory of poses inside the grid,
+    from the grid's nearest-obstacle table."""
+    xy = np.atleast_2d(np.asarray(traj, dtype=float))[:, :2]
+    return float(_clearances(xy[None, :, 0], xy[None, :, 1], grid,
+                             radius)[0])
 
 
 def brute_clearance(traj, grid, radius):
@@ -175,22 +190,22 @@ def test_clearance_matches_all_pairs_scan():
     state = RobotState(1.0, 1.0, 0.5)
     for cmd in [VelocityCommand(0.4, 0.0, 0.3),
                 VelocityCommand(0.2, 0.2, -0.4)]:
-        traj = rollout(state, cmd, cfg)
-        assert clearance(traj, grid, cfg.robot_radius) == pytest.approx(
+        traj = arc_poses(state, cmd, cfg)
+        assert table_clearance(traj, grid, cfg.robot_radius) == pytest.approx(
             brute_clearance(traj, grid, cfg.robot_radius), abs=1e-12)
 
 
 def test_clearance_empty_map_returns_diagonal():
     grid = empty_grid(n=40, resolution=0.05)
     traj = np.array([[1.0, 1.0, 0.0]])
-    assert clearance(traj, grid, 0.2) == pytest.approx(grid.diagonal())
+    assert table_clearance(traj, grid, 0.2) == pytest.approx(grid.diagonal())
     assert grid.diagonal() == pytest.approx(math.hypot(2.0, 2.0))
 
 
 def test_clearance_floors_at_zero():
     grid = walled_grid()
     inside_block = np.array([[2.0, 2.0, 0.0]])
-    assert clearance(inside_block, grid, 0.2) == 0.0
+    assert table_clearance(inside_block, grid, 0.2) == 0.0
 
 
 def test_clearance_counts_unknown_as_blocked():
@@ -199,7 +214,7 @@ def test_clearance_counts_unknown_as_blocked():
     grid = OccupancyGrid(cells=cells, resolution=0.1, origin=np.zeros(2))
     traj = np.array([[0.55, 0.35, 0.0]])
     # nearest blocked centre is (0.55, 0.55), at 0.2
-    assert clearance(traj, grid, 0.05) == pytest.approx(0.15)
+    assert table_clearance(traj, grid, 0.05) == pytest.approx(0.15)
 
 
 @pytest.mark.parametrize("height, width, resolution, origin, layout", [
@@ -248,7 +263,7 @@ def test_clearance_equals_a_kd_query_exactly(height, width, resolution,
     oracle = nearest.min(axis=1)
     assert (_clearances(pos[..., 0], pos[..., 1], grid, 0.0) == oracle).all()
     for traj, want in zip(pos[:10], oracle):
-        assert clearance(traj, grid, 0.05) == max(want - 0.05, 0.0)
+        assert table_clearance(traj, grid, 0.05) == max(want - 0.05, 0.0)
     _, count, _, _ = grid._candidates
     assert len(count) == 4 * height * width
     assert (count >= 1).all()
@@ -264,20 +279,15 @@ def test_clearance_table_follows_no_edit_by_the_caller(edit):
         base[0] = OCCUPIED
     grid = OccupancyGrid(base.reshape(60, 60), 0.1, origin)
     pose = [[3.05, 3.05, 0.0]]
-    before = clearance(pose, grid, 0.2)          # builds the table
+    before = table_clearance(pose, grid, 0.2)          # builds the table
     if edit == "cells":
         base[1830] = OCCUPIED                    # cell (30, 30), under pose
     else:
         origin[:] = -1.0
     rebuilt = OccupancyGrid(grid.cells, grid.resolution, grid.origin)
-    assert clearance(pose, grid, 0.2) == clearance(pose, rebuilt, 0.2)
-    assert clearance(pose, grid, 0.2) == before
-
-
-def test_clearance_outside_grid_raises():
-    grid = empty_grid()
-    with pytest.raises(TrajectoryLeavesMap):
-        clearance(np.array([[5.0, 1.0, 0.0]]), grid, 0.2)
+    assert (table_clearance(pose, grid, 0.2)
+            == table_clearance(pose, rebuilt, 0.2))
+    assert table_clearance(pose, grid, 0.2) == before
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +295,8 @@ def test_clearance_outside_grid_raises():
 
 
 def oracle_dwa_step(state, goal, grid, cfg):
-    """Re-derive the winner through the public rollout/clearance pieces."""
+    """Re-derive the winner one command at a time: its rollout, the
+    on-map check, then its clearance."""
     win = dynamic_window(state, cfg)
     vxs = np.linspace(win.vx[0], win.vx[1], cfg.vx_samples)
     vys = np.linspace(win.vy[0], win.vy[1], cfg.vy_samples)
@@ -295,11 +306,11 @@ def oracle_dwa_step(state, goal, grid, cfg):
         for vy in vys:
             for om in oms:
                 cmd = VelocityCommand(vx, vy, om)
-                traj = rollout(state, cmd, cfg)
-                try:
-                    clear = clearance(traj, grid, cfg.robot_radius)
-                except TrajectoryLeavesMap:
+                traj = arc_poses(state, cmd, cfg)
+                lo, hi = grid.extent()
+                if (traj[:, :2] < lo).any() or (traj[:, :2] > hi).any():
                     continue
+                clear = table_clearance(traj, grid, cfg.robot_radius)
                 if clear <= 0.0:
                     continue
                 cost = (cfg.w_goal * np.linalg.norm(traj[-1, :2] - goal)
@@ -385,11 +396,18 @@ def test_episode_stops_on_the_step_budget():
      "of 0 on each axis, got (5.0, -1.0000000000000002e+150)"),
     ({"goal": (math.nan, 5.0)},
      "goal must lie within 1e+150 of 0 on each axis, got (nan, 5.0)"),
+    ({"state": RobotState(-50.0, 1.0, 0.0)}, "start must lie on the map, "
+     "x in [0.0, 3.0] and y in [0.0, 3.0], got (-50.0, 1.0)"),
+    ({"state": RobotState(1.0, 3.0000000000000004, 0.0)}, "start must lie on "
+     "the map, x in [0.0, 3.0] and y in [0.0, 3.0], got (1.0, "
+     "3.0000000000000004)"),
+    ({"state": RobotState(math.nan, 1.0, 0.0)}, "start must lie on the map, "
+     "x in [0.0, 3.0] and y in [0.0, 3.0], got (nan, 1.0)"),
 ])
 def test_episode_rejects_a_bad_budget_or_stop_distance(limits, message):
-    args = {"goal": (5.0, 5.0), **limits}
+    args = {"state": RobotState(1.0, 1.0, 0.0), "goal": (5.0, 5.0), **limits}
     with pytest.raises(ValueError) as exc:
-        run_episode(RobotState(1.0, 1.0, 0.0), grid=empty_grid(), **args)
+        run_episode(grid=empty_grid(), **args)
     assert str(exc.value) == message
 
 
@@ -634,7 +652,7 @@ def test_load_pgm_raises_only_errors_that_name_its_files(fuzz_map, files):
         lo, hi = grid.extent()
         assert np.isfinite([*lo, *hi, grid.diagonal()]).all()
         # the map is usable: its clearance table builds without overflow
-        assert clearance((lo + hi) / 2.0, grid, 0.1) >= 0.0
+        assert table_clearance((lo + hi) / 2.0, grid, 0.1) >= 0.0
 
 
 def test_config_from_json_ignores_unknown_keys():
@@ -690,4 +708,4 @@ def test_grid_validation():
         grid = OccupancyGrid(cells=cells, resolution=3e149,
                              origin=np.array([-1e150, 0.0]))
         lo, hi = grid.extent()
-        assert clearance((lo + hi) / 2.0, grid, 0.1) > 0.0
+        assert table_clearance((lo + hi) / 2.0, grid, 0.1) > 0.0

@@ -195,6 +195,32 @@ def test_fault_script_forces_step_without_consuming_cursor():
     assert trace.outcome == "Success"
 
 
+def test_execute_runs_every_unforced_step_through_component_step(monkeypatch):
+    domain, problem = transport_problem("transport_3.pddl")
+    bindings = bundled_bindings()
+    bindings["grasp"] = replace(bindings["grasp"],
+                                script=(E_FAILURE, E_SUCCESS))
+    faults = {1: E_FAILURE, 4: E_SUCCESS}
+    want = execute(domain, problem, bindings, fault_script=faults)
+    calls = []
+
+    def spy(binding, event, kb, ground_action=None, run=0):
+        calls.append((binding.action, event, ground_action.name, run))
+        return component_step(binding, event, kb, ground_action, run)
+
+    monkeypatch.setattr(execution, "component_step", spy)
+    got = execute(domain, problem, bindings, fault_script=faults)
+    assert got.records == want.records and got.outcome == want.outcome
+    unforced = [r for r in want.records if r.step not in faults]
+    assert [c[2] for c in calls] == [r.action for r in unforced]
+    assert {c[1] for c in calls} == {E_START}
+    # each binding's runs count up from 0, forced steps not counted
+    for name in bindings:
+        runs = [c[3] for c in calls if c[0] == name]
+        assert runs == list(range(len(runs)))
+    assert E_FAILURE in [r.status for r in unforced]
+
+
 def test_execute_leaves_the_callers_bindings_untouched():
     domain, problem = transport_problem()
     bindings = all_success_bindings(domain)

@@ -132,8 +132,10 @@ def test_sample_yaw_rotates_about_approach_axis():
 
 
 def test_sample_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="at least one"):
-        sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=0)
+    for n in (0, 361):
+        with pytest.raises(ValueError,
+                           match=rf"n must be in \[1, 360\], got {n}"):
+            sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=n)
     with pytest.raises(ValueError, match="non-negative"):
         sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", offset=-0.01)
     for spread in (-0.1, 2.0 * math.pi + 1e-9, 1e308, math.nan):

@@ -13,9 +13,9 @@ from scipy.spatial.transform import Rotation
 from workbot import kinematics
 from workbot.geometry import Pose
 from workbot.kinematics import (DhJoint, KinematicChain, IkResult,
-                                NoConvergence, error_jacobian, fk, fk_matrix,
-                                ik_dls, ik_dls_many, load_chain, pose_error,
-                                so3_log)
+                                NoConvergence, _central_jacobian_t, _dh_table,
+                                _fk, _pose_errors, _stencil_errors, ik_dls,
+                                ik_dls_many, load_chain, so3_log)
 
 CHAIN_PATH = "src/workbot/data/chain_5dof.json"
 
@@ -59,6 +59,22 @@ def oracle_fk(chain: KinematicChain, q) -> np.ndarray:
     return t
 
 
+def oracle_pose(chain: KinematicChain, q) -> Pose:
+    """The end-effector pose that oracle_fk gives, as an IK target."""
+    t = oracle_fk(chain, q)
+    return Pose.from_rotation(t[:3, :3], t[:3, 3])
+
+
+def library_fk(chain: KinematicChain, q) -> np.ndarray:
+    """The end-effector matrix of the FK that the IK solver runs."""
+    qs = np.asarray(q, dtype=float).reshape(1, 5)
+    return _fk(chain.base.matrix(), _dh_table(chain), qs)[0]
+
+
+def inside_limits(chain: KinematicChain, q) -> bool:
+    return all(j.lo <= qi <= j.hi for j, qi in zip(chain.joints, q))
+
+
 # ---------------------------------------------------------------------------
 # forward kinematics
 
@@ -69,29 +85,19 @@ def test_fk_matches_elementary_matrix_oracle():
     for _ in range(50):
         q = rng.uniform([j.lo for j in chain.joints],
                         [j.hi for j in chain.joints])
-        np.testing.assert_allclose(fk_matrix(chain, q), oracle_fk(chain, q),
+        np.testing.assert_allclose(library_fk(chain, q), oracle_fk(chain, q),
                                    atol=1e-12)
-
-
-def test_fk_pose_agrees_with_matrix():
-    chain = bundled_chain()
-    q = [0.3, -0.4, 0.9, 0.2, -1.1]
-    pose = fk(chain, q)
-    mat = fk_matrix(chain, q)
-    np.testing.assert_allclose(pose.position, mat[:3, 3], atol=1e-12)
-    np.testing.assert_allclose(pose.rotation(), mat[:3, :3], atol=1e-12)
-    assert math.isclose(np.linalg.norm(pose.quat_xyzw), 1.0, abs_tol=1e-12)
 
 
 def test_fk_planar_two_link_analytic():
     l1, l2 = 0.3, 0.2
     chain = planar_chain(l1, l2)
     for t1, t2 in [(0.0, 0.0), (0.5, -0.3), (1.2, 0.7), (-0.9, 1.4)]:
-        pose = fk(chain, [t1, t2, 0.0, 0.0, 0.0])
+        position = library_fk(chain, [t1, t2, 0.0, 0.0, 0.0])[:3, 3]
         expected = np.array([l1 * math.cos(t1) + l2 * math.cos(t1 + t2),
                              l1 * math.sin(t1) + l2 * math.sin(t1 + t2),
                              0.0])
-        np.testing.assert_allclose(pose.position, expected, atol=1e-12)
+        np.testing.assert_allclose(position, expected, atol=1e-12)
 
 
 def test_fk_base_offset_shifts_world_pose():
@@ -99,14 +105,15 @@ def test_fk_base_offset_shifts_world_pose():
     q = [0.2, 0.1, -0.5, 0.3, 0.7]
     base = Pose.from_rotation(rot_z(0.8)[:3, :3], [0.4, -0.2, 0.55])
     shifted = chain.with_base(base)
-    np.testing.assert_allclose(fk_matrix(shifted, q),
-                               base.matrix() @ fk_matrix(chain, q), atol=1e-12)
+    np.testing.assert_allclose(library_fk(shifted, q),
+                               base.matrix() @ library_fk(chain, q),
+                               atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-1.5, 1.5), min_size=5, max_size=5))
 def test_fk_rotation_is_special_orthogonal(q):
-    r = fk_matrix(bundled_chain(), q)[:3, :3]
+    r = library_fk(bundled_chain(), q)[:3, :3]
     np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-10)
     assert math.isclose(np.linalg.det(r), 1.0, abs_tol=1e-10)
 
@@ -163,15 +170,6 @@ def test_joint_rejects_inverted_limits():
         DhJoint(a=0.0, alpha=0.0, d=0.0, theta_offset=0.0, lo=1.0, hi=-1.0)
 
 
-def test_clamp_and_within_limits():
-    chain = bundled_chain()
-    q = chain.clamp([5.0, -5.0, 0.0, 0.0, 0.0])
-    assert q[0] == pytest.approx(2.9)
-    assert q[1] == pytest.approx(-1.6)
-    assert chain.within_limits(q)
-    assert not chain.within_limits([5.0, 0.0, 0.0, 0.0, 0.0])
-
-
 # ---------------------------------------------------------------------------
 # rotation log, against scipy's quaternion route
 
@@ -223,30 +221,41 @@ def test_so3_log_at_exactly_pi(axis):
 # pose error and its Jacobian
 
 
+def oracle_pose_error(target: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Pose error from 4 x 4 matrices: the world position delta, then
+    scipy's rotation vector of current^T target, weighted (1, 1, 0.2)."""
+    r_err = Rotation.from_matrix(current[:3, :3].T @ target[:3, :3])
+    return np.concatenate([target[:3, 3] - current[:3, 3],
+                           np.array([1.0, 1.0, 0.2]) * r_err.as_rotvec()])
+
+
+def library_pose_error(target: Pose, current: Pose) -> np.ndarray:
+    """The pose error that the IK solver drives to zero."""
+    return _pose_errors(target.position, target.rotation(), current.matrix())
+
+
 def test_pose_error_matches_scipy_reference():
     rng = np.random.default_rng(29)
     quats = Rotation.random(40, rng=31).as_quat()
-    weights = np.array([1.0, 1.0, 0.2])
     for i in range(0, 40, 2):
         cur = Pose(rng.uniform(-1.0, 1.0, 3), quats[i])
         tgt = Pose(rng.uniform(-1.0, 1.0, 3), quats[i + 1])
-        r_err = (Rotation.from_quat(cur.quat_xyzw).inv()
-                 * Rotation.from_quat(tgt.quat_xyzw))
-        ref = np.concatenate([tgt.position - cur.position,
-                              weights * r_err.as_rotvec()])
-        np.testing.assert_allclose(pose_error(tgt, cur), ref,
+        np.testing.assert_allclose(library_pose_error(tgt, cur),
+                                   oracle_pose_error(tgt.matrix(),
+                                                     cur.matrix()),
                                    rtol=0.0, atol=1e-12)
 
 
 def test_pose_error_zero_for_identical_poses():
-    pose = fk(bundled_chain(), [0.3, 0.2, -0.4, 0.1, 0.5])
-    np.testing.assert_allclose(pose_error(pose, pose), np.zeros(6), atol=1e-12)
+    pose = oracle_pose(bundled_chain(), [0.3, 0.2, -0.4, 0.1, 0.5])
+    np.testing.assert_allclose(library_pose_error(pose, pose), np.zeros(6),
+                               atol=1e-12)
 
 
 def test_pose_error_pure_translation():
     cur = Pose.identity()
     tgt = Pose(np.array([0.1, -0.2, 0.3]), np.array([0.0, 0.0, 0.0, 1.0]))
-    err = pose_error(tgt, cur)
+    err = library_pose_error(tgt, cur)
     np.testing.assert_allclose(err[:3], [0.1, -0.2, 0.3], atol=1e-12)
     np.testing.assert_allclose(err[3:], np.zeros(3), atol=1e-12)
 
@@ -255,27 +264,44 @@ def test_pose_error_weights_rotation_log(monkeypatch):
     angle = 0.6
     cur = Pose.identity()
     tgt = Pose.from_rotation(rot_z(angle)[:3, :3], [0.0, 0.0, 0.0])
-    err = pose_error(tgt, cur)
+    err = library_pose_error(tgt, cur)
     np.testing.assert_allclose(err[3:], [0.0, 0.0, 0.2 * angle], atol=1e-12)
     # the weights are read when the call is made
     monkeypatch.setattr(kinematics, "_ROT_WEIGHTS", np.ones(3))
-    unweighted = pose_error(tgt, cur)
+    unweighted = library_pose_error(tgt, cur)
     np.testing.assert_allclose(unweighted[3:], [0.0, 0.0, angle], atol=1e-12)
+
+
+def central_jacobian(chain: KinematicChain, target: np.ndarray,
+                     q) -> np.ndarray:
+    """The solver's 6 x 5 central-difference Jacobian of the pose error at
+    q, towards the 4 x 4 target matrix."""
+    errs = _stencil_errors(chain.base.matrix(), _dh_table(chain),
+                           target[:3, 3], target[:3, :3],
+                           np.asarray(q, dtype=float).reshape(1, 5))
+    return _central_jacobian_t(errs)[0].T
+
+
+def forward_jacobian(chain: KinematicChain, target: np.ndarray, q,
+                     h: float = 1e-7) -> np.ndarray:
+    """Forward differences of oracle_pose_error over oracle_fk."""
+    e0 = oracle_pose_error(target, oracle_fk(chain, q))
+    cols = []
+    for j in range(5):
+        qp = np.array(q, dtype=float)
+        qp[j] += h
+        cols.append((oracle_pose_error(target, oracle_fk(chain, qp)) - e0) / h)
+    return np.column_stack(cols)
 
 
 def test_error_jacobian_matches_forward_difference():
     chain = bundled_chain()
     q = np.array([0.4, -0.3, 0.8, 0.2, -0.6])
-    target = fk(chain, [0.1, 0.1, 0.1, 0.1, 0.1])
-    jac = error_jacobian(chain, target, q)
+    target = oracle_fk(chain, [0.1, 0.1, 0.1, 0.1, 0.1])
+    jac = central_jacobian(chain, target, q)
     assert jac.shape == (6, 5)
-    h = 1e-7
-    e0 = pose_error(target, fk(chain, q))
-    for j in range(5):
-        qp = q.copy()
-        qp[j] += h
-        col = (pose_error(target, fk(chain, qp)) - e0) / h
-        np.testing.assert_allclose(jac[:, j], col, atol=1e-4)
+    np.testing.assert_allclose(jac, forward_jacobian(chain, target, q),
+                               atol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +319,20 @@ def test_ik_round_trips_reachable_targets():
     chain = bundled_chain()
     rng = np.random.default_rng(11)
     for q_true in random_targets(chain, 20, seed=3):
-        target = fk(chain, q_true)
-        q0 = chain.clamp(q_true + rng.uniform(-0.2, 0.2, size=5))
+        target = oracle_pose(chain, q_true)
+        q0 = np.clip(q_true + rng.uniform(-0.2, 0.2, size=5), *chain.limits())
         res = ik_dls(chain, target, q0=q0)
         assert res.pos_err <= 1e-3
         assert res.ang_err <= math.radians(0.5)
-        reached = fk(chain, res.q)
-        assert np.linalg.norm(reached.position - target.position) <= 1e-3
-        assert chain.within_limits(res.q)
+        reached = oracle_fk(chain, res.q)
+        assert np.linalg.norm(reached[:3, 3] - target.position) <= 1e-3
+        assert inside_limits(chain, res.q)
 
 
 def test_ik_zero_error_start_converges_immediately():
     chain = bundled_chain()
     q = np.array([0.5, -0.2, 0.6, 0.3, -0.4])
-    res = ik_dls(chain, fk(chain, q), q0=q)
+    res = ik_dls(chain, oracle_pose(chain, q), q0=q)
     assert res.iterations == 0
     np.testing.assert_allclose(res.q, q, atol=1e-12)
 
@@ -320,7 +346,7 @@ def test_ik_unreachable_raises_with_diagnostics(monkeypatch):
     err = exc.value
     assert err.iterations == 40
     assert math.isfinite(err.pos_err) and err.pos_err > 1e-3
-    assert err.best_q is not None and chain.within_limits(err.best_q)
+    assert err.best_q is not None and inside_limits(chain, err.best_q)
 
 
 def test_ik_result_is_best_not_last_on_failure(monkeypatch):
@@ -330,14 +356,16 @@ def test_ik_result_is_best_not_last_on_failure(monkeypatch):
     try:
         ik_dls(chain, target, q0=np.zeros(5))
     except NoConvergence as err:
-        start = pose_error(target, fk(chain, np.zeros(5)))
+        start = oracle_pose_error(target.matrix(),
+                                  oracle_fk(chain, np.zeros(5)))
         assert err.pos_err <= np.linalg.norm(start[:3]) + 1e-12
     # convergence in two iterations is equally acceptable here
 
 
 # iteration counts (None: NoConvergence) of ik_dls from q0 = 0 on targets
-# fk(q), q uniform in the joint limits from default_rng(5), recorded with
-# the Pose/scipy-Rotation solver this matrix-space solver replaced
+# at q uniform in the joint limits from default_rng(5), recorded with the
+# Pose/scipy-Rotation solver this matrix-space solver replaced on the
+# library's own FK targets; the oracle's targets give the same counts
 PINNED_ITERATIONS = [None, None, 25, None, 14, None, 100, 17, 14, 12,
                      None, 14, None, 29, 26, 11, 39, 31, None, None]
 
@@ -348,7 +376,7 @@ def test_ik_iteration_counts_are_pinned():
     rng = np.random.default_rng(5)
     counts = []
     for _ in range(len(PINNED_ITERATIONS)):
-        target = fk(chain, rng.uniform(lo, hi))
+        target = oracle_pose(chain, rng.uniform(lo, hi))
         try:
             counts.append(ik_dls(chain, target, q0=np.zeros(5)).iterations)
         except NoConvergence as err:
@@ -459,14 +487,15 @@ def mixed_targets(chain, seed) -> tuple[list[Pose], np.ndarray]:
     rng = np.random.default_rng(seed)
     lo, hi = chain.limits()
     q0 = rng.uniform(lo + 0.3, hi - 0.3)
-    targets = [fk(chain, np.clip(q0 + rng.uniform(-0.4, 0.4, 5), lo, hi))
+    targets = [oracle_pose(chain, np.clip(q0 + rng.uniform(-0.4, 0.4, 5),
+                                          lo, hi))
                for _ in range(4)]
     targets += [Pose(rng.uniform(1.5, 2.5, 3), (0.0, 0.0, 0.0, 1.0))
                 for _ in range(2)]
     for j in rng.choice(5, size=3, replace=False):
         q = q0.copy()
         q[j] = hi[j] + 0.4 if rng.random() < 0.5 else lo[j] - 0.4
-        targets.append(fk(chain, q))
+        targets.append(oracle_pose(chain, q))
     return targets, q0
 
 
@@ -495,14 +524,14 @@ def test_lockstep_ik_clamps_at_the_limits_like_the_frozen_solver():
     lo, hi = chain.limits()
     q = (lo + hi) / 2.0
     q[1] = hi[1] + 0.5
-    target = fk(chain, q)
+    target = oracle_pose(chain, q)
     # the start lies outside the limits too, and is clipped first
     q0 = np.where(np.arange(5) == 1, hi + 1.0, q)
     want = solve_alone(frozen_ik_dls, chain, target, q0, 100)
     (res,) = ik_dls_many(chain, [target], q0)
     assert outcome(res) == want
     final = res.best_q if isinstance(res, NoConvergence) else res.q
-    assert chain.within_limits(final) and final[1] == hi[1]
+    assert inside_limits(chain, final) and final[1] == hi[1]
 
 
 def test_lockstep_rows_do_not_depend_on_their_batch():
