@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .errors import WorkbotError
-from .jsonio import decode, load_json
+from .jsonio import construct, decode, load_json
 
 # Each subcommand imports the pipelines it runs, and numpy or scipy only
 # through them: `plan` and `exec` load neither, `rtt` loads no scipy.
@@ -166,11 +166,6 @@ class _GraspObject:
     yaw_spread: float = math.pi / 2
     base_position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        # here as well as in sample_pregrasp, so the error names the file
-        from .grasping import check_fan
-        check_fan(self.n, self.yaw_spread)
-
 
 def cmd_grasp(args) -> int:
     import numpy as np
@@ -180,12 +175,15 @@ def cmd_grasp(args) -> int:
     from .geometry import Pose
 
     obj = decode(_GraspObject, load_json(args.object), args.object)
-    approach = graspmod.decide_approach(obj.height)
+    # through construct, so that the grasping checks name the file too
+    approach = construct(graspmod.decide_approach, args.object,
+                         object_height=obj.height)
     object_pose = Pose(np.array(obj.position),
                        np.array([0.0, 0.0, 0.0, 1.0]))
-    cands = graspmod.sample_pregrasp(
+    cands = construct(lambda: graspmod.sample_pregrasp(
         object_pose, approach, offset=obj.offset, n=obj.n,
-        yaw_spread=obj.yaw_spread, base_position=obj.base_position)
+        yaw_spread=obj.yaw_spread, base_position=obj.base_position),
+        args.object)
     selected = None
     if args.chain:
         chain = kinmod.load_chain(args.chain)

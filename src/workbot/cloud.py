@@ -111,7 +111,7 @@ class PointCloud:
             nrm = frozen_array(self.normals)
             if nrm.shape != pts.shape:
                 raise ValueError("normals must pair 1:1 with points")
-            lengths = np.linalg.norm(nrm, axis=1)
+            lengths = np.sqrt(_rowdot(nrm, nrm))
             if pts.shape[0] and np.max(np.abs(lengths - 1.0), initial=0.0) > 1e-6:
                 raise ValueError("normals must have unit length")
             object.__setattr__(self, "normals", nrm)
@@ -175,10 +175,9 @@ class PlaneBasis:
         return _rowdot(rel, self.normal)
 
     def to_world(self, uv) -> np.ndarray:
-        uv = np.asarray(uv, dtype=float)
-        if uv.ndim == 1:
-            return self.origin + uv[0] * self.u + uv[1] * self.v
-        return self.origin + np.outer(uv[:, 0], self.u) + np.outer(uv[:, 1], self.v)
+        """The 3D point at plane coordinates uv = (u, v)."""
+        u, v = np.asarray(uv, dtype=float).reshape(2)
+        return self.origin + u * self.u + v * self.v
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,11 +201,9 @@ class Polygon2:
     def normal(self) -> np.ndarray:
         return self.basis.normal
 
-    def contains(self, uv, eps: float = _BOUNDARY_EPS) -> np.ndarray | bool:
-        """Boundary-inclusive membership test for one point or an (n, 2) batch."""
-        uv = np.asarray(uv, dtype=float)
-        single = uv.ndim == 1
-        pts = np.atleast_2d(uv)
+    def contains(self, uv, eps: float = _BOUNDARY_EPS) -> np.ndarray:
+        """Boundary-inclusive membership test for an (n, 2) batch."""
+        pts = np.asarray(uv, dtype=float)
         inside = np.ones(pts.shape[0], dtype=bool)
         verts = self.vertices
         for i in range(len(verts)):
@@ -214,22 +211,20 @@ class Polygon2:
             b = verts[(i + 1) % len(verts)]
             cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
             inside &= cross >= -eps
-        return bool(inside[0]) if single else inside
+        return inside
 
-    def edge_distance(self, uv) -> np.ndarray | float:
-        """Distance to the closest edge segment, for one point or an (n, 2) batch."""
-        uv = np.asarray(uv, dtype=float)
+    def edge_distance(self, uv) -> np.ndarray:
+        """Distance to the closest edge segment, for an (n, 2) batch."""
         a = self.vertices
         ab = np.roll(a, -1, axis=0) - a
         denom = _rowdot(ab, ab)
-        pts = np.atleast_2d(uv)[:, None, :]
+        pts = np.asarray(uv, dtype=float)[:, None, :]
         rel = pts - a
         # a zero-length edge measures from its start vertex (t = 0)
         t = np.divide(_rowdot(rel, ab), denom, out=np.zeros(rel.shape[:2]),
                       where=denom != 0.0)
         gap = pts - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
-        dist = np.sqrt(_rowdot(gap, gap)).min(axis=1)
-        return float(dist[0]) if uv.ndim == 1 else dist
+        return np.sqrt(_rowdot(gap, gap)).min(axis=1)
 
 
 def _rowdot(a, b) -> np.ndarray:
@@ -247,7 +242,7 @@ def _rowdot(a, b) -> np.ndarray:
 def _signed_area(verts: np.ndarray) -> float:
     x = verts[:, 0]
     y = verts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * float(np.sum(x * np.roll(y, -1)) - np.sum(y * np.roll(x, -1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,8 +385,9 @@ def _neighbourhood_normals(points: np.ndarray, nn: np.ndarray) -> np.ndarray:
     x, y, z = coords - _sum_neighbours(coords)[:, None, :] / k
     cov = [_sum_neighbours(p) / k for p in (x * x, y * y, z * z,
                                             x * y, x * z, y * z)]
-    normals, largest = _smallest_eigenvectors(*cov)
-    flat = largest <= DEGENERATE_EIG
+    scale, entries, smallest, largest = _extreme_eigenvalues(*cov)
+    normals = _eigenvectors(entries, smallest)
+    flat = largest * scale <= DEGENERATE_EIG
     if np.any(flat):
         bad = int(np.nonzero(flat)[0][0])
         raise DegenerateNeighborhood(
@@ -408,22 +404,22 @@ def _sum_neighbours(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _smallest_eigenvectors(a, b, c, d, e, f) -> tuple[np.ndarray, np.ndarray]:
-    """Unit eigenvectors (n, 3) of the smallest eigenvalue, and the largest
-    eigenvalues (n,), of the symmetric positive semi-definite matrices
-    A = [[a, d, e], [d, b, f], [e, f, c]], given entry by entry as (n,)
-    arrays.
+def _extreme_eigenvalues(a, b, c, d, e, f) -> tuple[
+        np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """The smallest and largest eigenvalues of the symmetric positive
+    semi-definite matrices A = [[a, d, e], [d, b, f], [e, f, c]], given
+    entry by entry as (n,) arrays, after scaling by the trace.
+
+    Returns ``(scale, entries, smallest, largest)``: the trace (1 where it
+    is 0), the six entries divided by it, and the smallest and largest
+    eigenvalues (n,) of those scaled matrices, which lie in [0, 1].
 
     Only + - * / and sqrt, elementwise.  The smallest eigenvalue is the
     smallest root of the characteristic cubic, reached by Newton's method
     from 0, which climbs monotonically for a PSD matrix.  (Smith, CACM 1961,
     gives the roots in closed form, but through arccos and cos, whose bits
-    differ between libm and SIMD builds.)  The eigenvector is the longest
-    cross product of two rows of A - lambda I (Kopp, IJMPC 2008).  Where
-    A - lambda I is of rank 1 or less to within rounding, as for a
-    line-like or isotropic neighbourhood, every unit vector orthogonal to
-    its longest row is an eigenvector of lambda, and one of those is
-    returned.
+    differ between libm and SIMD builds.)  The other two have a known sum
+    and product, so the largest is a root of their quadratic.
     """
     trace = a + b + c
     scale = np.where(trace > 0.0, trace, 1.0)
@@ -456,26 +452,46 @@ def _smallest_eigenvectors(a, b, c, d, e, f) -> tuple[np.ndarray, np.ndarray]:
     # s - lam (t - lam)
     rest = t - lam
     gap2 = rest * rest - 4.0 * (s - lam * rest)
-    largest = (rest + np.sqrt(np.maximum(gap2, 0.0))) / 2.0 * scale
+    largest = (rest + np.sqrt(np.maximum(gap2, 0.0))) / 2.0
+    return scale, (a, b, c, d, e, f), lam, largest
 
-    rows = np.stack([np.stack(r, axis=-1) for r in ((a - lam, d, e),
-                                                    (d, b - lam, f),
-                                                    (e, f, c - lam))], axis=1)
-    crosses = np.stack([np.cross(rows[:, i], rows[:, j])
-                        for i, j in ((0, 1), (0, 2), (1, 2))], axis=1)
+
+def _eigenvectors(entries, lam) -> np.ndarray:
+    """Unit eigenvectors (n, 3) of the eigenvalues ``lam`` of the symmetric
+    matrices whose six entries ``_extreme_eigenvalues`` returns; the entries
+    broadcast to the shape (n,) of ``lam``.
+
+    The eigenvector is the longest cross product of two rows of A - lambda I
+    (Kopp, IJMPC 2008).  Where A - lambda I is of rank 1 or less to within
+    rounding, as for the smallest eigenvalue of a line-like or isotropic
+    neighbourhood, every unit vector orthogonal to its longest row is an
+    eigenvector of lambda, and one of those is returned.
+    """
+    a, b, c, d, e, f = entries
+    a, b, c = a - lam, b - lam, c - lam
+    # the cross products r0 x r1, r0 x r2 and r1 x r2 of the rows
+    # r0 = (a, d, e), r1 = (d, b, f) and r2 = (e, f, c) of A - lambda I,
+    # each component as np.cross rounds it and shaped as lam
+    crosses = np.stack([np.stack(v, axis=-1) for v in (
+        (d * f - e * b, e * d - a * f, a * b - d * d),
+        (d * c - e * f, e * e - a * c, a * f - d * e),
+        (b * c - f * f, f * e - d * c, d * f - b * e))], axis=1)
     lengths2 = _rowdot(crosses, crosses)
-    idx = np.arange(t.size)
+    idx = np.arange(lam.size)
     best = np.argmax(lengths2, axis=1)
-    normals = crosses[idx, best]
+    vectors = crosses[idx, best]
     len2 = lengths2[idx, best]
     # a cross product shorter than sqrt(u) carries rounding noise of relative
     # size sqrt(u) or more; A - lambda I is then within sqrt(u) of rank 1,
     # and a vector orthogonal to its longest row is at least as accurate
     weak = len2 <= _U
-    normals[~weak] /= np.sqrt(len2[~weak])[:, None]
+    vectors[~weak] /= np.sqrt(len2[~weak])[:, None]
     if np.any(weak):
-        normals[weak] = _normal_to_longest_row(rows[weak])
-    return normals, largest
+        d, e, f = (np.broadcast_to(v, lam.shape) for v in (d, e, f))
+        rows = np.stack([np.stack(r, axis=-1)
+                         for r in ((a, d, e), (d, b, f), (e, f, c))], axis=1)
+        vectors[weak] = _normal_to_longest_row(rows[weak])
+    return vectors
 
 
 def _normal_to_longest_row(mat: np.ndarray) -> np.ndarray:

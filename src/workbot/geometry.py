@@ -85,7 +85,7 @@ class Pose:
     def __post_init__(self):
         p = frozen_array(self.position, shape=3)
         q = np.asarray(self.quat_xyzw, dtype=float).reshape(4)
-        n = float(np.linalg.norm(q))
+        n = length(q)
         if not np.isfinite(p).all() or not math.isfinite(n) or abs(n - 1.0) > 1e-6:
             raise ValueError("pose requires a finite position and a unit quaternion")
         q = q / n

@@ -17,7 +17,7 @@ from scipy.spatial.transform import Rotation
 
 from . import kinematics
 from .errors import WorkbotError
-from .geometry import TWO_PI, Pose, unit
+from .geometry import TWO_PI, Pose, length, unit
 from .kinematics import IkResult, KinematicChain, NoConvergence
 
 Approach = Literal["top", "frontal"]
@@ -76,7 +76,7 @@ def _approach_axis(object_pose: Pose, approach: Approach,
         return np.array([0.0, 0.0, -1.0])
     delta = object_pose.position - np.asarray(base_position, dtype=float).reshape(3)
     horizontal = np.array([delta[0], delta[1], 0.0])
-    if np.linalg.norm(horizontal) < 1e-12:
+    if length(horizontal) < 1e-12:
         raise ValueError("object sits directly above the arm base; "
                          "frontal approach direction is undefined")
     return unit(horizontal)
@@ -92,17 +92,6 @@ def _nominal_rotation(axis: np.ndarray, approach: Approach) -> np.ndarray:
     return np.column_stack([x, unit(y), axis])
 
 
-def check_fan(n: int, yaw_spread: float) -> None:
-    """ValueError unless 1 <= n <= MAX_FAN_SAMPLES and 0 <= yaw_spread <= 2 pi.
-    A fan past one full turn only repeats yaws, and a huge one overflows
-    the rotation algebra."""
-    if not 1 <= n <= MAX_FAN_SAMPLES:
-        raise ValueError(f"n must be in [1, {MAX_FAN_SAMPLES}], got {n}")
-    if not 0.0 <= yaw_spread <= TWO_PI:
-        raise ValueError("yaw_spread must lie in [0, 2 pi], one full turn, "
-                         f"got {yaw_spread}")
-
-
 def sample_pregrasp(object_pose: Pose, approach: Approach,
                     offset: float = 0.05, n: int = 9,
                     yaw_spread: float = math.pi / 2,
@@ -110,9 +99,15 @@ def sample_pregrasp(object_pose: Pose, approach: Approach,
     """Pre-grasp poses displaced by ``offset`` against the approach direction.
 
     Yaw values sweep [-yaw_spread/2, +yaw_spread/2] uniformly and come back
-    ordered by |yaw| ascending, so the nominal grasp is tried first.
+    ordered by |yaw| ascending, so the nominal grasp is tried first.  At
+    most MAX_FAN_SAMPLES yaws and one full turn: a wider fan only repeats
+    yaws, and a huge one overflows the rotation algebra.
     """
-    check_fan(n, yaw_spread)
+    if not 1 <= n <= MAX_FAN_SAMPLES:
+        raise ValueError(f"n must be in [1, {MAX_FAN_SAMPLES}], got {n}")
+    if not 0.0 <= yaw_spread <= TWO_PI:
+        raise ValueError("yaw_spread must lie in [0, 2 pi], one full turn, "
+                         f"got {yaw_spread}")
     if offset < 0.0:
         raise ValueError("offset must be non-negative")
     axis = _approach_axis(object_pose, approach, base_position)

@@ -65,7 +65,8 @@ def decode(cls, obj, where: str):
 
 
 def construct(cls, where: str, **kwargs):
-    """``cls(**kwargs)``, a ValueError from its own checks prefixed by where."""
+    """``cls(**kwargs)``, a ValueError from its own checks prefixed by where;
+    ``cls`` may be any callable that checks the values it is given."""
     try:
         return cls(**kwargs)
     except ValueError as exc:

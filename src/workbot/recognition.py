@@ -11,9 +11,10 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from .cloud import Cluster, DEGENERATE_EIG, PointCloud
+from .cloud import (DEGENERATE_EIG, Cluster, PointCloud, _eigenvectors,
+                    _extreme_eigenvalues, _normal_to_longest_row)
 from .errors import WorkbotError
-from .geometry import Pose, canonical_sign
+from .geometry import Pose, canonical_sign, length
 
 Source = Literal["2d", "3d"]
 
@@ -68,22 +69,40 @@ def pca_pose(cloud: PointCloud, cluster: Cluster) -> tuple[Pose, np.ndarray]:
 
     Axes are ordered by descending eigenvalue and form a right-handed frame;
     the first two axes are sign-canonicalized toward positive x (ties broken
-    on y, then z) and the third is their cross product.
+    on y, then z).  The major and minor axes are eigenvectors of the largest
+    and smallest eigenvalues, and the middle axis is minor x major, so where
+    two eigenvalues coincide the frame still holds the third one's unique
+    axis.
+
+    The covariance and its eigenvalues and eigenvectors are elementwise
+    float64 arithmetic in a fixed order, the closed form that
+    ``cloud.estimate_normals`` uses, so the pose is the same bits under
+    every BLAS kernel and SIMD target.  The middle eigenvalue is the trace
+    minus the other two.
     """
     pts = cloud.points[cluster.indices]
     if pts.shape[0] < 3:
         raise DegenerateCluster(f"pose needs >= 3 points, got {pts.shape[0]}")
     centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    cov = centered.T @ centered / pts.shape[0]
-    evals, evecs = np.linalg.eigh(cov)
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
+    x, y, z = (pts - centroid).T
+    cov = [np.array([np.sum(p) / pts.shape[0]])
+           for p in (x * x, y * y, z * z, x * y, x * z, y * z)]
+    scale, entries, smallest, largest = _extreme_eigenvalues(*cov)
+    a, b, c = entries[:3]
+    evals = np.concatenate([largest, (a + b + c) - largest - smallest,
+                            smallest]) * scale
     if evals[1] <= DEGENERATE_EIG:
         raise DegenerateCluster("cluster covariance has rank < 2")
-    a1, a2 = (canonical_sign(a, (0, 1, 2)) * a for a in evecs[:, :2].T)
-    a3 = np.cross(a1, a2)
-    rot = np.column_stack([a1, a2, a3])
+    minor, major = _eigenvectors(entries, np.concatenate([smallest, largest]))
+    major = canonical_sign(major, (0, 1, 2)) * major
+    middle = np.cross(minor, major)
+    if length(middle) < 0.5:
+        # all three eigenvalues agree to rounding, so every frame is a
+        # principal one, but the two solves may have found one axis twice
+        minor = _normal_to_longest_row(major[None, None])[0]
+        middle = np.cross(minor, major)
+    sign = canonical_sign(middle, (0, 1, 2))
+    rot = np.column_stack([major, sign * middle, sign * minor])
     extents = np.sqrt(np.clip(evals, 0.0, None))
     return Pose.from_rotation(rot, centroid), extents
 

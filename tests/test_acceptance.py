@@ -234,7 +234,7 @@ def test_criterion_06_placement_inequalities():
                                    footprint=footprint, n=30, rng_seed=4)
     holds = True
     for cand in placements:
-        if not polygon.contains(cand.uv, eps=0.0):
+        if not polygon.contains(cand.uv[None], eps=0.0)[0]:
             holds = False
         if _edge_distance(polygon, cand.uv) < footprint:
             holds = False

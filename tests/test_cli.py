@@ -672,6 +672,12 @@ CONTRACT = [
     ("grasp-n", {"obj.json": {**json.loads(
         (DATA / "grasp_object.json").read_text()), "n": 1e12}},
      ["grasp", "--object", "obj.json"], "obj.json"),
+    # the grasp's own checks on the file's values name the file as well
+    ("grasp-height", {"obj.json": {"height": -1, "position": [0.3, 0, 0.1]}},
+     ["grasp", "--object", "obj.json"], "obj.json"),
+    ("grasp-above-base", {"obj.json": {"height": 0.1,
+                                       "position": [0, 0, 0.1]}},
+     ["grasp", "--object", "obj.json"], "obj.json"),
     ("rtt", {"sc.json": json.dumps(RTT)[:-1] + ', "seed": 7}'},
      ["rtt", "--scenario", "sc.json"], "sc.json"),
     ("dwa-resolution", {**MAP, "map.json": {"resolution": 1e200,

@@ -14,8 +14,8 @@ from workbot.cloud import (
     _PLANE_BLOCK, DegenerateInliers, DegenerateNeighborhood,
     InvertedHeightRange, InvertedRange, NoAdmissiblePlane, NonPositiveLeaf,
     PerceptionConfig, Plane, PlaneBasis, PointCloud, Polygon2, TooFewPoints,
-    _InlierCounter, _neighbourhood_normals, _smallest_eigenvectors,
-    convex_hull, estimate_normals, euclidean_cluster, extract_prism,
+    _InlierCounter, _eigenvectors, _extreme_eigenvalues,
+    _neighbourhood_normals, convex_hull, estimate_normals, euclidean_cluster, extract_prism,
     passthrough, save_ply, segment_plane, voxel_downsample)
 from workbot.geometry import unit
 from workbot.jsonio import decode
@@ -168,6 +168,14 @@ def symmetric(rows):
             m[:, 1, 2])
 
 
+def smallest_eigenvectors(*entries):
+    """The smallest eigenvectors and the largest eigenvalues of the matrices
+    ``entries`` gives, both solver steps in the order estimate_normals runs
+    them."""
+    scale, scaled, smallest, largest = _extreme_eigenvalues(*entries)
+    return _eigenvectors(scaled, smallest), largest * scale
+
+
 def assert_parallel(got, want):
     want = np.asarray(want, dtype=float) / np.linalg.norm(want)
     assert abs(abs(float(got @ want)) - 1.0) <= 1e-15, (got, want)
@@ -177,7 +185,7 @@ def assert_parallel(got, want):
     ((3.0, 2.0, 1.0), 2), ((1.0, 3.0, 2.0), 0), ((2.0, 1.0, 3.0), 1),
     ((5.0, 5.0, 0.0), 2), ((0.0, 7.0, 7.0), 0)])
 def test_closed_form_on_diagonal_matrices_and_permuted_axes(diag, axis):
-    normals, largest = _smallest_eigenvectors(*symmetric(np.diag(diag)))
+    normals, largest = smallest_eigenvectors(*symmetric(np.diag(diag)))
     assert np.abs(normals[0]).tolist() == np.eye(3)[axis].tolist()
     assert largest[0] == pytest.approx(max(diag), rel=1e-15)
 
@@ -185,7 +193,7 @@ def test_closed_form_on_diagonal_matrices_and_permuted_axes(diag, axis):
 def test_closed_form_on_an_exactly_planar_matrix():
     # eigenvalues 0, 1 and 2: lambda_min is exactly 0, with (1, -1, 0)
     rows = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    normals, largest = _smallest_eigenvectors(*symmetric(rows))
+    normals, largest = smallest_eigenvectors(*symmetric(rows))
     assert_parallel(normals[0], [1.0, -1.0, 0.0])
     assert largest[0] == pytest.approx(2.0, rel=1e-15)
 
@@ -198,7 +206,7 @@ def test_closed_form_on_line_like_matrices(spread):
     v = np.vstack([np.eye(3), rng.normal(size=(2000, 3))])
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     line = v[:, :, None] * v[:, None, :]
-    normals, largest = _smallest_eigenvectors(
+    normals, largest = smallest_eigenvectors(
         *symmetric(line + spread * (np.eye(3) - line)))
     assert np.isfinite(normals).all()
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0,
@@ -214,7 +222,7 @@ def test_closed_form_on_an_isotropic_matrix():
     # every unit vector is an eigenvector; the triple root slows Newton's
     # method to a linear rate, so the largest eigenvalue, which only the
     # degeneracy check reads, is rougher here
-    normals, largest = _smallest_eigenvectors(*symmetric(2.0 * np.eye(3)))
+    normals, largest = smallest_eigenvectors(*symmetric(2.0 * np.eye(3)))
     assert float(normals[0] @ normals[0]) == pytest.approx(1.0, abs=1e-15)
     assert largest[0] == pytest.approx(2.0, rel=1e-2)
 
@@ -224,7 +232,7 @@ def test_closed_form_matches_eigh_on_seeded_covariances():
     spread = rng.normal(size=(500, 6, 3)) * rng.uniform(0.0, 1.0, (500, 1, 3))
     spread = spread @ np.linalg.qr(rng.normal(size=(500, 3, 3)))[0]
     cov = np.einsum("nki,nkj->nij", spread, spread)
-    normals, largest = _smallest_eigenvectors(*symmetric(cov))
+    normals, largest = smallest_eigenvectors(*symmetric(cov))
     evals, evecs = np.linalg.eigh(cov)
     assert_eigenvectors_within_the_gap_bound(normals, evals, evecs[:, :, 0])
     np.testing.assert_allclose(largest, evals[:, 2], rtol=1e-12)
@@ -491,7 +499,7 @@ def test_hull_of_square_drops_edge_points_and_starts_at_lexmin():
     uv = poly.basis.project(pts)
     lexmin = uv[np.lexsort((uv[:, 1], uv[:, 0]))[0]]
     np.testing.assert_array_equal(verts[0], lexmin)
-    np.testing.assert_allclose(poly.basis.to_world(verts)[:, :2],
+    np.testing.assert_allclose([poly.basis.to_world(uv)[:2] for uv in verts],
                                [[0, 0], [1, 0], [1, 1], [0, 1]], atol=1e-12)
 
 

@@ -4,9 +4,10 @@ BLAS and numpy pick their kernels from the CPU they run on, and the
 environment can force another pick for one process and its children:
 ``OPENBLAS_CORETYPE`` selects OpenBLAS's kernels for an older core, and
 ``NPY_DISABLE_CPU_FEATURES`` caps numpy's SIMD dispatch.  Each row runs one
-child process under one switch, which records the ``perceive`` CLI digests
-and ``PERCEPTION_DIGEST``; both must be the recorded ones.  ``place --chain``
-and ``grasp --chain`` stay out until the IK solve is free of BLAS as well.
+child process under one switch, which records the ``perceive`` CLI digests,
+``PERCEPTION_DIGEST`` and ``PCA_POSE_DIGEST``; all must be the recorded
+ones.  ``place --chain`` and ``grasp --chain`` stay out until the IK solve is
+free of BLAS as well.
 """
 
 import json
@@ -19,16 +20,19 @@ import pytest
 
 from test_cli import CLI_DIGESTS
 from test_placement import PERCEPTION_DIGEST
+from test_recognition import PCA_POSE_DIGEST
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # the child: the openblas core it runs on (None without OpenBLAS), the
-# perceive digests as test_cli records them and the perception digest
+# perceive digests as test_cli records them, the perception digest and the
+# pca_pose digest
 CHILD = r"""
 import contextlib, ctypes, glob, hashlib, io, json, os, sys, tempfile
 import numpy
 sys.path.insert(0, "tests")
 from test_placement import perception_digest
+from test_recognition import pca_pose_digest
 from workbot import cli
 
 
@@ -62,7 +66,8 @@ with tempfile.TemporaryDirectory() as tmp:
         perceive = {"artifact": sha(fh.read()),
                     "stdout": sha(stdout.getvalue().encode())}
 print(json.dumps({"core": blas_core(), "perceive": perceive,
-                  "perception": perception_digest()}))
+                  "perception": perception_digest(),
+                  "pca_pose": pca_pose_digest()}))
 """
 
 # numpy 2.4 names its dispatch targets by x86-64 level; X86_V2 is the baseline
@@ -99,3 +104,4 @@ def test_perception_pins_hold_under_switched_kernels(children, row):
                     "OPENBLAS_CORETYPE switches nothing")
     assert got["perceive"] == json.loads(CLI_DIGESTS.read_text())["perceive"]
     assert got["perception"] == PERCEPTION_DIGEST
+    assert got["pca_pose"] == PCA_POSE_DIGEST

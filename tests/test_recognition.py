@@ -1,6 +1,9 @@
 """PCA object poses and two-source score fusion."""
 
+import hashlib
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from workbot.cloud import Cluster, Point3, PointCloud
+from workbot.placement import segment_workstation
 from workbot.recognition import (DegenerateCluster, Inventory,
                                  NoAdmissibleLabel, ObjectScores, fuse,
                                  pca_pose)
+from workbot.sim import gen_workstation, load_scenario
 
 
 def cluster_of(pts):
@@ -101,6 +106,95 @@ def test_collinear_cluster_degenerate():
     cloud, cl = cluster_of(pts)
     with pytest.raises(DegenerateCluster):
         pca_pose(cloud, cl)
+
+
+U = float(np.finfo(float).eps) / 2.0
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0.0 else -q
+
+
+# the principal spreads of each kind of cluster, largest first, as fractions
+# of its size; the axes of the unique eigenvalues, whose eigenvectors eigh
+# and pca_pose must agree on
+CLUSTER_KINDS = {
+    "rod": (lambda rng: (1.0, *[rng.uniform(0.02, 0.2)] * 2), (0,)),
+    "disc": (lambda rng: (1.0, 1.0, rng.uniform(0.02, 0.2)), (2,)),
+    "general": (lambda rng: (1.0, rng.uniform(0.3, 0.7),
+                             rng.uniform(0.02, 0.15)), (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", CLUSTER_KINDS)
+def test_pose_matches_eigh_on_seeded_clusters(kind):
+    spreads, unique = CLUSTER_KINDS[kind]
+    rng = np.random.default_rng(list(CLUSTER_KINDS).index(kind))
+    for _ in range(100):
+        size = rng.uniform(0.005, 0.2)
+        n = int(rng.integers(20, 400))
+        pts = (rng.normal(size=(n, 3)) * size * np.array(spreads(rng))
+               @ random_rotation(rng).T + rng.uniform(-1.0, 1.0, 3))
+        pose, extents = pca_pose(*cluster_of(pts))
+        centered = pts - pts.mean(axis=0)
+        evals, evecs = np.linalg.eigh(centered.T @ centered / n)
+        # the cubic's coefficients cancel where two eigenvalues nearly
+        # coincide, as a rod's two small ones do: an eigenvalue is then off
+        # by up to a few u trace^2 / gap, gap the closest two's difference
+        gap = float(np.diff(evals).min())
+        slack = 8.0 * U * float(evals.sum()) ** 2 / gap
+        want = np.sqrt(evals[::-1])
+        assert np.all(np.abs(extents - want) <= 1e-12 + slack / (2.0 * want))
+        rot = pose.rotation()
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+        for i in unique:
+            sine = np.linalg.norm(np.cross(rot[:, i], evecs[:, 2 - i]))
+            assert sine <= 1e-6, (kind, i, sine)
+
+
+@pytest.mark.parametrize("pts", [
+    np.array(list(itertools.product((-0.05, 0.05), repeat=3))) + 0.3,
+    np.vstack([np.eye(3), -np.eye(3)]) * 0.1], ids=["cube", "octahedron"])
+def test_isotropic_cluster_gets_a_right_handed_frame(pts):
+    # every frame is a principal one; the extents are all the same, to the
+    # rough accuracy that Newton's method reaches at a triple root
+    pose, extents = pca_pose(*cluster_of(pts))
+    rot = pose.rotation()
+    np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
+    assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+    want = math.sqrt(float(np.mean(np.sum((pts - pts.mean(axis=0)) ** 2,
+                                          axis=1))) / 3.0)
+    np.testing.assert_allclose(extents, want, rtol=1e-2)
+
+
+# SHA-256 over the position, quaternion and extents that pca_pose gives for
+# every cluster of the bundled workstation scenario at seeds 0-3 with the
+# default perception config.  These are the same bits under every BLAS
+# kernel and SIMD target (tests/test_cpu_dispatch.py); a change that moves
+# them must say so and record the digest again.
+PCA_POSE_DIGEST = (
+    "b084e504acf7e279411992b8963ecb73ea9e5e2a1d2070ecc367504d03d4b65b")
+
+
+def pca_pose_digest() -> str:
+    """The SHA-256 that PCA_POSE_DIGEST records."""
+    sc = load_scenario("src/workbot/data/workstation.json")
+    digest = hashlib.sha256()
+    for seed in range(4):
+        cloud, _ = gen_workstation(replace(sc, seed=seed))
+        work, _, _, clusters = segment_workstation(cloud)
+        for cl in clusters:
+            pose, extents = pca_pose(work, cl)
+            for arr in (pose.position, pose.quat_xyzw, extents):
+                digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def test_pca_pose_matches_the_recorded_digest():
+    assert pca_pose_digest() == PCA_POSE_DIGEST
 
 
 # --- fuse --------------------------------------------------------------------
