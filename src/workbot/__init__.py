@@ -2,11 +2,11 @@
 
 Modules
 -------
-cloud       tabletop point-cloud segmentation pipeline and PLY I/O
+cloud       tabletop point-cloud segmentation pipeline and PLY output
 recognition PCA object poses and 2D/3D score fusion
 rtt         2D/3D tracking and rotating-table motion estimation
 kinematics  DH chains, forward kinematics and damped-least-squares IK
-grasping    approach decisions, pre-grasp sampling and grasp monitoring
+grasping    approach decisions and pre-grasp sampling
 placement   empty-space placement planning on a segmented workstation
 dwa         dynamic-window local navigation on occupancy grids
 pddl        task-planning language subset: parser, grounder, planners

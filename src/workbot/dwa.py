@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ OCCUPIED = 1
 UNKNOWN = 2
 
 _PGM_VALUES = {0: OCCUPIED, 128: UNKNOWN, 255: FREE}
-_CELL_VALUES = {OCCUPIED: 0, UNKNOWN: 128, FREE: 255}
 
 CLEARANCE_EPS = 1e-3
 # Relative slack on the radius of each square's candidate list.  It covers
@@ -448,7 +446,7 @@ def save_pose_log(path, poses) -> None:
                              repr(float(y)), repr(float(theta))])
 
 
-# --- PGM I/O -----------------------------------------------------------------
+# --- PGM reader --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Sidecar:
@@ -513,15 +511,3 @@ def load_pgm(pgm_path) -> OccupancyGrid:
                      cells=cells.reshape(height, width),
                      resolution=meta.resolution, origin=np.array(meta.origin))
 
-
-def save_pgm(grid: OccupancyGrid, pgm_path) -> None:
-    lines = ["P2", f"{grid.width} {grid.height}", "255"]
-    for row in grid.cells:
-        lines.append(" ".join(str(_CELL_VALUES[int(c)]) for c in row))
-    with open(pgm_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    meta = {"origin": [float(grid.origin[0]), float(grid.origin[1])],
-            "resolution": float(grid.resolution)}
-    with open(_sidecar_path(pgm_path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,9 +1,8 @@
-"""Pre-grasp planning and grasp monitoring.
+"""Pre-grasp planning.
 
 Tall objects are approached from the front, flat ones from the top.  Around
 the nominal approach a small yaw fan is sampled and the first candidate the
-arm can reach wins.  Grasp success is judged from gripper force and the
-finger gap implied by motor positions.
+arm can reach wins.
 """
 
 from __future__ import annotations
@@ -21,17 +20,9 @@ from .geometry import TWO_PI, Pose, length, unit
 from .kinematics import IkResult, KinematicChain, NoConvergence
 
 Approach = Literal["top", "frontal"]
-GraspResult = Literal["grasped", "empty"]
 
 HEIGHT_THRESHOLD = 0.06
 MAX_FAN_SAMPLES = 360              # most yaws in one pre-grasp fan
-
-FORCE_MIN = 0.3                    # least mean finger force of a hold
-GAP_MIN = 0.005                    # least finger gap an object leaves, m
-GAP_MAX = 0.09                     # widest finger gap that still holds an object
-# linear finger model: gap = GAP_OPEN - TRAVEL_PER_RAD * (pos0 + pos1)
-GAP_OPEN = 0.10
-TRAVEL_PER_RAD = 0.025
 
 
 class GraspError(WorkbotError):
@@ -49,18 +40,6 @@ class GraspCandidate:
     offset: float
     score: float
     yaw: float
-
-
-@dataclass(frozen=True)
-class GripperFeedback:
-    """Motor positions (radians) and normalized force readings for two fingers."""
-
-    positions: tuple[float, float]
-    forces: tuple[float, float]
-
-    def __post_init__(self):
-        if any(not (0.0 <= f <= 1.0) for f in self.forces):
-            raise ValueError(f"forces must lie in [0, 1], got {self.forces}")
 
 
 def decide_approach(object_height: float) -> Approach:
@@ -141,13 +120,3 @@ def select_reachable(chain: KinematicChain,
     raise NoReachableCandidate(
         f"none of the {len(candidates)} pre-grasp candidates is reachable")
 
-
-def grasp_monitor(fb: GripperFeedback) -> GraspResult:
-    """Grasped when mean force reaches FORCE_MIN and the finger gap lies in
-    [GAP_MIN, GAP_MAX]."""
-    mean_force = (fb.forces[0] + fb.forces[1]) / 2.0
-    gap = max(GAP_OPEN - TRAVEL_PER_RAD * (fb.positions[0] + fb.positions[1]),
-              0.0)
-    if mean_force >= FORCE_MIN and GAP_MIN <= gap <= GAP_MAX:
-        return "grasped"
-    return "empty"

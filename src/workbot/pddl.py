@@ -215,9 +215,6 @@ class GroundAction:
     def apply(self, state: frozenset[Atom]) -> frozenset[Atom]:
         return (state - self.delete) | self.add
 
-    def applicable(self, state: frozenset[Atom]) -> bool:
-        return self.pre_pos <= state and not (self.pre_neg & state)
-
 
 @dataclass(frozen=True)
 class Plan:
@@ -231,12 +228,6 @@ class Plan:
 
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.actions)
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    failed_at: int | str | None = None           # step index or "goal"
 
 
 # --- shared readers ----------------------------------------------------------
@@ -854,33 +845,6 @@ def search(task: CompiledTask, init: frozenset[Atom],
         f"explored)")
 
 
-def validate(domain: DomainDef, problem: ProblemDef,
-             plan_or_names) -> ValidationResult:
-    """Replay a plan from init; reports the first step whose precondition
-    fails, or "goal" when the final state misses the goal."""
-    if isinstance(plan_or_names, Plan):
-        names = plan_or_names.names()
-    else:
-        names = tuple(plan_or_names)
-    by_name = {a.name: a for a in ground(domain, problem)}
-    state = problem.init
-    for i, name in enumerate(names):
-        act = by_name.get(_normalize_name(name))
-        if act is None or not act.applicable(state):
-            return ValidationResult(ok=False, failed_at=i)
-        state = act.apply(state)
-    if not state.issuperset(problem.goal):
-        return ValidationResult(ok=False, failed_at="goal")
-    return ValidationResult(ok=True)
-
-
-def _normalize_name(name: str) -> str:
-    inner = name.strip().lower()
-    if inner.startswith("(") and inner.endswith(")"):
-        inner = inner[1:-1]
-    return "(" + " ".join(inner.split()) + ")"
-
-
 # --- printers ----------------------------------------------------------------
 
 def _fmt_number(value: float) -> str:
@@ -889,90 +853,9 @@ def _fmt_number(value: float) -> str:
     return repr(float(value))
 
 
-def _fmt_typed(pairs) -> str:
-    """`a - t b - u ...`; a list whose every name has the root type prints
-    bare names, which parse to `object` with or without :typing (a bare name
-    before a typed one would take that type, so a mixed list keeps every
-    `- object`)."""
-    if all(ty == ROOT_TYPE for _, ty in pairs):
-        return " ".join(name for name, _ in pairs)
-    return " ".join(f"{name} - {ty}" for name, ty in pairs)
-
-
-def _fmt_declaration(name: str, tys) -> str:
-    params = _fmt_typed([(f"?a{i}", ty) for i, ty in enumerate(tys)])
-    return f"({name} {params})" if params else f"({name})"
-
-
 def _fmt_literal(lit: Literal) -> str:
     inner = " ".join((lit.name,) + lit.args)
     return f"({inner})" if lit.positive else f"(not ({inner}))"
-
-
-def _fmt_conjunction(lits) -> str:
-    if len(lits) == 1:
-        return _fmt_literal(lits[0])
-    return "(and " + " ".join(_fmt_literal(l) for l in lits) + ")"
-
-
-def print_domain(domain: DomainDef) -> str:
-    lines = [f"(define (domain {domain.name})"]
-    if domain.requirements:
-        lines.append("  (:requirements "
-                     + " ".join(sorted(domain.requirements)) + ")")
-    if domain.types:
-        lines.append("  (:types " + _fmt_typed(domain.types) + ")")
-    if domain.constants:
-        lines.append("  (:constants " + _fmt_typed(domain.constants) + ")")
-    for key, decls in ((":predicates", domain.predicates),
-                       (":functions", domain.functions)):
-        if decls:
-            lines.append(f"  ({key} " + " ".join(
-                _fmt_declaration(name, tys) for name, tys in decls) + ")")
-    for schema in domain.actions:
-        lines.append(f"  (:action {schema.name}")
-        lines.append("    :parameters (" + _fmt_typed(schema.params) + ")")
-        if schema.precondition:
-            lines.append("    :precondition "
-                         + _fmt_conjunction(schema.precondition))
-        effects = [_fmt_literal(l) for l in schema.add]
-        effects += [_fmt_literal(Literal(l.name, l.args, positive=False))
-                    for l in schema.delete]
-        if schema.has_cost_effect:
-            if schema.cost_constant or not schema.cost_terms:
-                effects.append(f"(increase ({TOTAL_COST}) "
-                               f"{_fmt_number(schema.cost_constant)})")
-            for fname, args in schema.cost_terms:
-                effects.append(f"(increase ({TOTAL_COST}) "
-                               f"({' '.join((fname,) + args)}))")
-        if effects:
-            body = effects[0] if len(effects) == 1 \
-                else "(and " + " ".join(effects) + ")"
-            lines.append("    :effect " + body)
-        lines.append("  )")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-def print_problem(problem: ProblemDef) -> str:
-    lines = [f"(define (problem {problem.name})",
-             f"  (:domain {problem.domain_name})"]
-    if problem.objects:
-        lines.append("  (:objects " + _fmt_typed(problem.objects) + ")")
-    init_parts = ["(" + " ".join(atom) + ")"
-                  for atom in sorted(problem.init)]
-    if problem.metric or problem.function_values:
-        init_parts.append(f"(= ({TOTAL_COST}) 0)")
-    for (fname, args), value in problem.function_values:
-        call = " ".join((fname,) + args)
-        init_parts.append(f"(= ({call}) {_fmt_number(value)})")
-    lines.append("  (:init " + " ".join(init_parts) + ")")
-    goal_lits = [Literal(atom[0], atom[1:]) for atom in problem.goal]
-    lines.append("  (:goal " + _fmt_conjunction(goal_lits) + ")")
-    if problem.metric:
-        lines.append(f"  (:metric minimize ({TOTAL_COST}))")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
 
 
 def format_plan(plan_obj: Plan) -> str:

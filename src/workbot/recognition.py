@@ -77,8 +77,12 @@ def pca_pose(cloud: PointCloud, cluster: Cluster) -> tuple[Pose, np.ndarray]:
     The covariance and its eigenvalues and eigenvectors are elementwise
     float64 arithmetic in a fixed order, the closed form that
     ``cloud.estimate_normals`` uses, so the pose is the same bits under
-    every BLAS kernel and SIMD target.  The middle eigenvalue is the trace
-    minus the other two.
+    every BLAS kernel and SIMD target.  The middle eigenvalue, which decides
+    whether the cluster is degenerate, is the trace minus the other two.
+    Each extent is the square root of the Rayleigh quotient v^T C v of its
+    axis v: an eigenvalue of the characteristic cubic loses digits where two
+    eigenvalues nearly coincide, as a thin rod's two small ones do, while
+    the quotient's error is second order in the axis's.
     """
     pts = cloud.points[cluster.indices]
     if pts.shape[0] < 3:
@@ -89,9 +93,7 @@ def pca_pose(cloud: PointCloud, cluster: Cluster) -> tuple[Pose, np.ndarray]:
            for p in (x * x, y * y, z * z, x * y, x * z, y * z)]
     scale, entries, smallest, largest = _extreme_eigenvalues(*cov)
     a, b, c = entries[:3]
-    evals = np.concatenate([largest, (a + b + c) - largest - smallest,
-                            smallest]) * scale
-    if evals[1] <= DEGENERATE_EIG:
+    if ((a + b + c) - largest - smallest)[0] * scale[0] <= DEGENERATE_EIG:
         raise DegenerateCluster("cluster covariance has rank < 2")
     minor, major = _eigenvectors(entries, np.concatenate([smallest, largest]))
     major = canonical_sign(major, (0, 1, 2)) * major
@@ -103,7 +105,11 @@ def pca_pose(cloud: PointCloud, cluster: Cluster) -> tuple[Pose, np.ndarray]:
         middle = np.cross(minor, major)
     sign = canonical_sign(middle, (0, 1, 2))
     rot = np.column_stack([major, sign * middle, sign * minor])
-    extents = np.sqrt(np.clip(evals, 0.0, None))
+    xx, yy, zz, xy, xz, yz = cov
+    vx, vy, vz = rot
+    quotients = (xx * vx * vx + yy * vy * vy + zz * vz * vz
+                 + 2.0 * (xy * vx * vy + xz * vx * vz + yz * vy * vz))
+    extents = np.sqrt(np.clip(quotients, 0.0, None))
     return Pose.from_rotation(rot, centroid), extents
 
 

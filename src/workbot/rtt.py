@@ -1,5 +1,5 @@
 """Rotating-table tracking: 2D SORT-style tracking, 3D nearest-neighbour
-association, circular motion estimation and background change detection.
+association and circular motion estimation.
 
 Both trackers pair by one rule, ``gated_assignment``, on one cost matrix
 per frame: SORT on 1 - IoU with IoU >= IOU_MIN, 3D association on the
@@ -36,14 +36,6 @@ class ZeroTimeSpan(TrackingError):
 
 
 class TableStationary(TrackingError):
-    pass
-
-
-class DimensionMismatch(TrackingError):
-    pass
-
-
-class RoiOutOfBounds(TrackingError):
     pass
 
 
@@ -501,36 +493,3 @@ def predict_arrival(motion: CircularMotion, target_angle: float,
         delta = (current - target_angle) % TWO_PI
     return t0 + delta / abs(motion.omega)
 
-
-# --- background change detection --------------------------------------------
-
-@dataclass(frozen=True)
-class RoiRect:
-    """Rectangular region of interest in grid cells: top-left corner plus size."""
-
-    row: int
-    col: int
-    height: int
-    width: int
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError("roi must span at least one cell")
-
-
-def change_trigger(reference, current, roi: RoiRect,
-                   delta: float, frac: float) -> bool:
-    """True when strictly more than ``frac`` of ROI cells moved by more than ``delta``."""
-    ref = np.asarray(reference, dtype=float)
-    cur = np.asarray(current, dtype=float)
-    if ref.ndim != 2 or ref.shape != cur.shape:
-        raise DimensionMismatch(
-            f"grid shapes differ: {ref.shape} vs {cur.shape}")
-    rows, cols = ref.shape
-    if (roi.row < 0 or roi.col < 0 or roi.row + roi.height > rows
-            or roi.col + roi.width > cols):
-        raise RoiOutOfBounds(f"roi {roi} exceeds grid {ref.shape}")
-    r0, r1 = roi.row, roi.row + roi.height
-    c0, c1 = roi.col, roi.col + roi.width
-    changed = np.abs(cur[r0:r1, c0:c1] - ref[r0:r1, c0:c1]) > delta
-    return float(changed.mean()) > frac

@@ -23,8 +23,7 @@ from workbot.cloud import (Cluster, PerceptionConfig, Point3, PointCloud,
 from workbot.dwa import DWAConfig, OccupancyGrid, RobotState, run_episode
 from workbot.execution import (E_FAILURE, E_SUCCESS, ActionBinding, execute)
 from workbot.kinematics import NoConvergence, ik_dls, load_chain
-from workbot.pddl import (ground, parse_domain, parse_problem, plan,
-                          print_domain, print_problem, validate)
+from workbot.pddl import ground, parse_domain, parse_problem, plan
 from workbot.placement import NoFreeSpace, Obstacle2, sample_placements
 from workbot.recognition import pca_pose
 from workbot.rtt import Track3D, estimate_motion, hungarian, predict_arrival
@@ -33,6 +32,7 @@ from workbot.sim import (box_surface_points, gen_obstacle_grid, gen_rtt_stream,
 
 from test_kinematics import (central_jacobian, forward_jacobian, oracle_fk,
                              oracle_pose, oracle_pose_error)
+from test_pddl import dijkstra_cost, print_domain, print_problem, replay
 
 DATA = Path("src/workbot/data")
 
@@ -351,39 +351,16 @@ def test_criterion_08_dwa_safety_and_goal():
 # 9. planner
 
 
-def _dijkstra_cost(domain, problem):
-    import heapq
-    actions = ground(domain, problem)
-    dist = {problem.init: 0.0}
-    heap = [(0.0, 0, problem.init)]
-    tick = itertools.count(1)
-    while heap:
-        d, _, state = heapq.heappop(heap)
-        if d > dist.get(state, math.inf):
-            continue
-        if all(atom in state for atom in problem.goal):
-            return d
-        for act in actions:
-            if not act.applicable(state):
-                continue
-            nxt = act.apply(state)
-            nd = d + act.cost
-            if nd < dist.get(nxt, math.inf):
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, next(tick), nxt))
-    return math.inf
-
-
 def test_criterion_09_planner_oracle_and_fixpoint():
     domain_text = DATA.joinpath("transport.pddl").read_text()
     domain = parse_domain(domain_text)
     ok = True
     for fname in ("transport_1.pddl", "transport_3.pddl"):
         problem = parse_problem(DATA.joinpath(fname).read_text(), domain)
-        oracle = _dijkstra_cost(domain, problem)
+        oracle = dijkstra_cost(domain, problem)
         for mode in ("optimal", "greedy"):
             result = plan(domain, problem, mode=mode)
-            if not validate(domain, problem, result).ok:
+            if replay(domain, problem, result.names()) is not None:
                 ok = False
             if mode == "optimal" and abs(result.cost - oracle) > 1e-9:
                 ok = False

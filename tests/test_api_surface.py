@@ -8,32 +8,21 @@ function of another module (``benchmarks/workcell/oracles.py`` has an
 ``fk`` of its own) does not count for it.  A public method or property of
 a public class must be referenced as an ``Attribute``, so a local variable
 or function of the same name does not count for it.  Strings, comments and
-the tests do not count.  The names in ``UNCALLED`` are the only exceptions,
-each with the reason it stays.
+the tests do not count, and there is no exception: code that only the
+tests run lives in the tests.
 
 A parameter with a default, of a public function, method or ``__init__``,
 must be passed, by keyword or by position, by some call in ``src/`` or
 ``benchmarks/`` of that name (of the class, for ``__init__``); methods again
 count only as attributes.  A value that no caller sets is a module constant.
-The parameters of the names in ``UNCALLED`` and those in ``PARAMS`` are the
-only exceptions.
+The parameters in ``PARAMS``, each with the reason it stays, are the only
+exceptions.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-UNCALLED = {
-    "pddl.validate": "criterion 09 checks every plan with it",
-    "pddl.print_domain": "criterion 09's print/parse fixpoint",
-    "pddl.print_problem": "criterion 09's print/parse fixpoint",
-    "dwa.save_pgm": "writes the map fixtures of the DWA and CLI tests",
-    "rtt.change_trigger":
-        "background change detection, a paper feature the README names",
-    "grasping.grasp_monitor":
-        "gripper feedback, a paper feature the README names",
-}
 
 PARAMS = {
     "rtt.estimate_motion.center_hint": "acceptance criterion 04 passes it",
@@ -191,17 +180,11 @@ def _calls() -> dict[tuple[str, bool], list[tuple[int, set[str]]]]:
     return found
 
 
-def _exempt(qual_param: str) -> bool:
-    owner = qual_param.rsplit(".", 1)[0].removesuffix(".__init__")
-    return qual_param in PARAMS or owner in UNCALLED
-
-
 def test_every_public_name_has_a_caller_or_a_reason():
     modules, attributes = _module_references(), _referenced()
     uncalled = sorted(qual for qual, (name, method) in _public_names().items()
                       if (name not in attributes if method
-                          else qual not in modules)
-                      and qual not in UNCALLED)
+                          else qual not in modules))
     assert not uncalled, f"no caller in src/ or benchmarks/: {uncalled}"
 
 
@@ -211,7 +194,7 @@ def test_every_default_is_overridden_by_a_caller_or_a_reason():
     for qual, (name, method, index, param) in sorted(_defaulted().items()):
         seen = calls.get((name, True), []) + (
             [] if method else calls.get((name, False), []))
-        if not _exempt(qual) and not any(
+        if qual not in PARAMS and not any(
                 param in keywords or (index is not None and n > index)
                 for n, keywords in seen):
             never.append(qual)
@@ -219,7 +202,5 @@ def test_every_default_is_overridden_by_a_caller_or_a_reason():
 
 
 def test_every_allowlisted_name_exists():
-    gone = sorted(UNCALLED.keys() - _public_names().keys())
-    assert not gone, f"allowlisted but no longer defined: {gone}"
     gone = sorted(PARAMS.keys() - _defaulted().keys())
     assert not gone, f"allowlisted but no longer a defaulted parameter: {gone}"

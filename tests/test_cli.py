@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_dwa import write_pgm
+
 DATA = Path("src/workbot/data").resolve()
 
 
@@ -106,12 +108,12 @@ def test_rtt_sort_metrics(tmp_path):
 def test_dwa_reaches_goal_on_open_map(tmp_path):
     import numpy as np
 
-    from workbot.dwa import OccupancyGrid, save_pgm
+    from workbot.dwa import OccupancyGrid
 
     grid = OccupancyGrid(cells=np.zeros((70, 70), dtype=np.uint8),
                          resolution=0.1, origin=np.zeros(2))
     pgm = tmp_path / "open.pgm"
-    save_pgm(grid, pgm)
+    write_pgm(grid, pgm)
     out = tmp_path / "poses.csv"
     proc = run_cli("dwa", "--map", str(pgm),
                    "--start", "1.0,1.0,0.0", "--goal", "5.0,5.0",

@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from scipy.spatial import cKDTree
 from workbot.dwa import (FREE, OCCUPIED, UNKNOWN, DWAConfig, GridParseError,
                          NoAdmissibleVelocity, OccupancyGrid, RobotState,
                          VelocityCommand, _clearances, _one_command, dwa_step,
-                         dynamic_window, load_pgm, run_episode, save_pgm,
-                         step_state)
+                         dynamic_window, load_pgm, run_episode, step_state)
 from workbot.jsonio import decode
 from workbot.sim import gen_obstacle_grid
 
@@ -497,6 +497,21 @@ def test_episode_timestamps_advance_by_dt():
 # grid I/O and config
 
 
+def write_pgm(grid, path):
+    """Write ``grid`` as an ASCII P2 map, 0 for occupied cells, 128 for
+    unknown and 255 for free ones, top row first, with the JSON sidecar of
+    the same name that holds its resolution and origin."""
+    sample = {OCCUPIED: "0", UNKNOWN: "128", FREE: "255"}
+    rows = [" ".join(sample[int(c)] for c in row) for row in grid.cells]
+    height, width = grid.cells.shape
+    path = Path(path)
+    path.write_text("\n".join(["P2", f"{width} {height}", "255", *rows])
+                    + "\n", encoding="ascii")
+    path.with_suffix(".json").write_text(json.dumps(
+        {"resolution": float(grid.resolution),
+         "origin": [float(v) for v in grid.origin]}))
+
+
 def test_pgm_round_trip(tmp_path):
     cells = np.zeros((4, 5), dtype=np.uint8)
     cells[1, 2] = OCCUPIED
@@ -504,7 +519,7 @@ def test_pgm_round_trip(tmp_path):
     grid = OccupancyGrid(cells=cells, resolution=0.25,
                          origin=np.array([-1.0, 2.0]))
     path = tmp_path / "map.pgm"
-    save_pgm(grid, path)
+    write_pgm(grid, path)
     loaded = load_pgm(path)
     np.testing.assert_array_equal(loaded.cells, grid.cells)
     assert loaded.resolution == grid.resolution

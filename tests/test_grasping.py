@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from workbot import grasping, kinematics
 from workbot.geometry import Pose
-from workbot.grasping import (GAP_MAX, HEIGHT_THRESHOLD, GraspCandidate,
-                              GripperFeedback, NoReachableCandidate,
-                              decide_approach, grasp_monitor, sample_pregrasp,
-                              select_reachable)
+from workbot.grasping import (HEIGHT_THRESHOLD, GraspCandidate,
+                              NoReachableCandidate, decide_approach,
+                              sample_pregrasp, select_reachable)
 from workbot.kinematics import IkResult, NoConvergence, load_chain
 
 IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
@@ -215,48 +214,6 @@ def test_select_reachable_with_real_solver():
                                  q0=np.zeros(5))
     assert res.pos_err <= 1e-3
     assert cand.yaw == 0.0
-
-
-# ---------------------------------------------------------------------------
-# grasp monitor
-
-
-def test_monitor_good_grip_is_grasped():
-    fb = GripperFeedback(positions=(1.0, 1.0), forces=(0.6, 0.6))
-    assert grasp_monitor(fb) == "grasped"
-
-
-def test_monitor_weak_force_is_empty():
-    fb = GripperFeedback(positions=(1.0, 1.0), forces=(0.05, 0.05))
-    assert grasp_monitor(fb) == "empty"
-
-
-def test_monitor_fingers_fully_closed_is_empty():
-    # travel 2.0 rad per finger -> gap = 0.10 - 0.025*4 = 0, below gap_min
-    fb = GripperFeedback(positions=(2.0, 2.0), forces=(0.6, 0.6))
-    assert grasp_monitor(fb) == "empty"
-
-
-def test_monitor_gap_too_wide_is_empty(monkeypatch):
-    assert GAP_MAX == 0.09
-    # gap = 0.10 - 0.025*0.2 = 0.095 > GAP_MAX
-    wide = GripperFeedback(positions=(0.1, 0.1), forces=(0.6, 0.6))
-    assert grasp_monitor(wide) == "empty"
-    fb = GripperFeedback(positions=(1.0, 1.0), forces=(0.6, 0.6))
-    assert grasp_monitor(fb) == "grasped"
-    # gap = 0.10 - 0.025*2 = 0.05 > GAP_MAX, read when the call is made
-    monkeypatch.setattr(grasping, "GAP_MAX", 0.04)
-    assert grasp_monitor(fb) == "empty"
-
-
-def test_monitor_force_threshold_inclusive():
-    fb = GripperFeedback(positions=(1.0, 1.0), forces=(0.3, 0.3))
-    assert grasp_monitor(fb) == "grasped"
-
-
-def test_feedback_rejects_out_of_range_force():
-    with pytest.raises(ValueError, match="forces"):
-        GripperFeedback(positions=(0.0, 0.0), forces=(1.2, 0.0))
 
 
 def test_candidate_fields_round_trip():

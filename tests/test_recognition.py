@@ -108,9 +108,6 @@ def test_collinear_cluster_degenerate():
         pca_pose(cloud, cl)
 
 
-U = float(np.finfo(float).eps) / 2.0
-
-
 def random_rotation(rng):
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diag(r))
@@ -122,6 +119,7 @@ def random_rotation(rng):
 # and pca_pose must agree on
 CLUSTER_KINDS = {
     "rod": (lambda rng: (1.0, *[rng.uniform(0.02, 0.2)] * 2), (0,)),
+    "thin_rod": (lambda rng: (1.0, 0.01, 0.01), (0,)),
     "disc": (lambda rng: (1.0, 1.0, rng.uniform(0.02, 0.2)), (2,)),
     "general": (lambda rng: (1.0, rng.uniform(0.3, 0.7),
                              rng.uniform(0.02, 0.15)), (0, 1, 2)),
@@ -140,13 +138,10 @@ def test_pose_matches_eigh_on_seeded_clusters(kind):
         pose, extents = pca_pose(*cluster_of(pts))
         centered = pts - pts.mean(axis=0)
         evals, evecs = np.linalg.eigh(centered.T @ centered / n)
-        # the cubic's coefficients cancel where two eigenvalues nearly
-        # coincide, as a rod's two small ones do: an eigenvalue is then off
-        # by up to a few u trace^2 / gap, gap the closest two's difference
-        gap = float(np.diff(evals).min())
-        slack = 8.0 * U * float(evals.sum()) ** 2 / gap
-        want = np.sqrt(evals[::-1])
-        assert np.all(np.abs(extents - want) <= 1e-12 + slack / (2.0 * want))
+        # the extents are Rayleigh quotients, exact to rounding even where
+        # two eigenvalues nearly coincide, as a thin rod's two small ones do
+        np.testing.assert_allclose(extents, np.sqrt(evals[::-1]), rtol=0.0,
+                                   atol=1e-14)
         rot = pose.rotation()
         np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
@@ -157,17 +152,20 @@ def test_pose_matches_eigh_on_seeded_clusters(kind):
 
 @pytest.mark.parametrize("pts", [
     np.array(list(itertools.product((-0.05, 0.05), repeat=3))) + 0.3,
-    np.vstack([np.eye(3), -np.eye(3)]) * 0.1], ids=["cube", "octahedron"])
+    np.array(list(itertools.product((-0.05, 0.0, 0.05), repeat=3))) + 0.3,
+    np.vstack([np.eye(3), -np.eye(3)]) * 0.1],
+    ids=["cube", "cubic_lattice", "octahedron"])
 def test_isotropic_cluster_gets_a_right_handed_frame(pts):
-    # every frame is a principal one; the extents are all the same, to the
-    # rough accuracy that Newton's method reaches at a triple root
+    # every frame is a principal one, and every axis's Rayleigh quotient is
+    # the one eigenvalue, though Newton's method reaches a triple root only
+    # roughly
     pose, extents = pca_pose(*cluster_of(pts))
     rot = pose.rotation()
     np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
     assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
     want = math.sqrt(float(np.mean(np.sum((pts - pts.mean(axis=0)) ** 2,
                                           axis=1))) / 3.0)
-    np.testing.assert_allclose(extents, want, rtol=1e-2)
+    np.testing.assert_allclose(extents, want, rtol=1e-15)
 
 
 # SHA-256 over the position, quaternion and extents that pca_pose gives for
@@ -176,7 +174,7 @@ def test_isotropic_cluster_gets_a_right_handed_frame(pts):
 # kernel and SIMD target (tests/test_cpu_dispatch.py); a change that moves
 # them must say so and record the digest again.
 PCA_POSE_DIGEST = (
-    "b084e504acf7e279411992b8963ecb73ea9e5e2a1d2070ecc367504d03d4b65b")
+    "3dbcd5fc6a0159d0806e1d21cd887302e175bb06e919eb1068fd9d1846609759")
 
 
 def pca_pose_digest() -> str:

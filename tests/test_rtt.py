@@ -1,4 +1,4 @@
-"""2D/3D tracking, assignment, circular-motion estimation and triggers."""
+"""2D/3D tracking, assignment and circular-motion estimation."""
 
 import hashlib
 import itertools
@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from workbot import rtt as rttmod
 from workbot.rtt import (IOU_MIN, CollinearPoints, Detection2D,
-                         DimensionMismatch, NonMonotonicTimestamp,
-                         RoiOutOfBounds, RoiRect, SortStep,
-                         SortTracker, TableStationary, Track3D, TrackReport,
-                         ZeroTimeSpan, associate_nn_3d, change_trigger,
-                         estimate_motion, fit_circle, gated_assignment,
-                         hungarian, iou, predict_arrival)
+                         NonMonotonicTimestamp, SortStep, SortTracker,
+                         TableStationary, Track3D, TrackReport, ZeroTimeSpan,
+                         associate_nn_3d, estimate_motion, fit_circle,
+                         gated_assignment, hungarian, iou, predict_arrival)
 from workbot.sim import RttObject, RttScenario, gen_rtt_stream
 
 
@@ -765,37 +763,3 @@ def test_arrival_satisfies_congruence_and_lead(omega, target, lead, phase0):
     err = (angle - target) % (2 * math.pi)
     assert min(err, 2 * math.pi - err) < 1e-9
 
-
-# --- change_trigger ----------------------------------------------------------
-
-def test_trigger_identical_grids_false():
-    grid = np.zeros((10, 10))
-    roi = RoiRect(0, 0, 10, 10)
-    assert change_trigger(grid, grid, roi, delta=0.1, frac=0.1) is False
-
-
-def test_trigger_all_cells_changed_true():
-    ref = np.zeros((10, 10))
-    cur = np.full((10, 10), 0.4)
-    roi = RoiRect(2, 2, 5, 5)
-    assert change_trigger(ref, cur, roi, delta=0.2, frac=0.5) is True
-
-
-def test_trigger_exact_fraction_is_false():
-    ref = np.zeros((4, 4))
-    cur = ref.copy()
-    cur[0, :2] = 1.0            # 2 of 4 roi cells over a 1x4 roi band
-    roi = RoiRect(0, 0, 1, 4)
-    assert change_trigger(ref, cur, roi, delta=0.5, frac=0.5) is False
-
-
-def test_trigger_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        change_trigger(np.zeros((4, 4)), np.zeros((5, 4)),
-                       RoiRect(0, 0, 2, 2), 0.1, 0.1)
-
-
-def test_trigger_roi_out_of_bounds():
-    with pytest.raises(RoiOutOfBounds):
-        change_trigger(np.zeros((4, 4)), np.zeros((4, 4)),
-                       RoiRect(2, 2, 4, 4), 0.1, 0.1)
