@@ -28,8 +28,8 @@ DEGENERATE_EIG = 1e-16
 
 _BOUNDARY_EPS = 1e-12
 
-# RANSAC candidates built per batch: the default 500 iterations fit in one
-# block, and a larger max_iters does not grow the batch arrays
+# RANSAC candidates built per batch: PerceptionConfig's 500 iterations fit
+# in one block, and a larger max_iters does not grow the batch arrays
 _PLANE_BLOCK = 512
 # RANSAC candidates whose inliers one pair of BLAS products counts
 _COUNT_BLOCK = 8
@@ -53,12 +53,6 @@ class CloudError(WorkbotError):
     pass
 
 
-class NonPositiveLeaf(CloudError):
-    pass
-
-
-class InvertedRange(CloudError):
-    pass
 
 
 class TooFewPoints(CloudError):
@@ -76,9 +70,6 @@ class NoAdmissiblePlane(CloudError):
 class DegenerateInliers(CloudError):
     pass
 
-
-class InvertedHeightRange(CloudError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -281,7 +272,8 @@ class PerceptionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each stage's own rule, checked at load; leaf 0 skips downsampling
+        # the one check of each stage's rule: the stages trust the values
+        # they are given; leaf 0 skips downsampling
         if not (self.leaf >= 0.0 and math.isfinite(self.leaf)):
             raise ValueError(f"leaf must be finite and not negative, "
                              f"got {self.leaf}")
@@ -325,8 +317,6 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     Voxel membership uses floor(p / leaf) per axis; normals do not survive
     averaging and are dropped.  Output points are ordered by voxel index.
     """
-    if not (leaf > 0.0 and math.isfinite(leaf)):
-        raise NonPositiveLeaf(f"voxel leaf must be positive, got {leaf}")
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)))
     idx = np.floor(cloud.points / leaf).astype(np.int64)
@@ -342,18 +332,13 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 
 def passthrough(cloud: PointCloud, axis: str, lo: float, hi: float) -> PointCloud:
     """Keep points whose chosen coordinate lies in the closed interval [lo, hi]."""
-    a = _AXES.get(str(axis).lower())
-    if a is None:
-        raise ValueError(f"axis must be one of x, y, z; got {axis!r}")
-    if lo > hi:
-        raise InvertedRange(f"passthrough range inverted: [{lo}, {hi}]")
-    coord = cloud.points[:, a]
+    coord = cloud.points[:, _AXES[str(axis).lower()]]
     keep = (coord >= lo) & (coord <= hi)
     normals = cloud.normals[keep] if cloud.normals is not None else None
     return PointCloud(cloud.points[keep], normals=normals)
 
 
-def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
+def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
     """Per-point normals from the k-nearest-neighbour covariance.
 
     The normal is the eigenvector of the smallest covariance eigenvalue,
@@ -362,8 +347,6 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     same bits under every BLAS kernel and SIMD target.
     """
     n = len(cloud)
-    if k < 3:
-        raise TooFewPoints(f"normal estimation needs k >= 3, got {k}")
     if n < k:
         raise TooFewPoints(f"cloud has {n} points but k = {k}")
     # sliding-midpoint splits answer the same queries faster on clustered scans
@@ -508,12 +491,8 @@ def _normal_to_longest_row(mat: np.ndarray) -> np.ndarray:
     return w / np.sqrt(_rowdot(w, w))[:, None]
 
 
-def segment_plane(cloud: PointCloud,
-                  dist_thresh: float = 0.005,
-                  ref_axis=(0.0, 0.0, 1.0),
-                  angle_tol: float = math.radians(10.0),
-                  max_iters: int = 500,
-                  rng_seed: int = 0) -> Plane:
+def segment_plane(cloud: PointCloud, dist_thresh: float, ref_axis,
+                  angle_tol: float, max_iters: int, rng_seed: int) -> Plane:
     """RANSAC plane fit constrained to lie within angle_tol of ref_axis.
 
     Candidates come from 3-point samples; a point is an inlier when its
@@ -663,27 +642,19 @@ def convex_hull(plane: Plane, cloud: PointCloud) -> Polygon2:
 def extract_prism(cloud: PointCloud, polygon: Polygon2,
                   h_min: float, h_max: float) -> np.ndarray:
     """Indices of points inside the prism above the polygon, heights in [h_min, h_max]."""
-    if not (0.0 <= h_min < h_max):
-        raise InvertedHeightRange(f"need 0 <= h_min < h_max, got [{h_min}, {h_max}]")
     h = polygon.basis.heights(cloud.points)
     uv = polygon.basis.project(cloud.points)
     keep = (h >= h_min) & (h <= h_max) & polygon.contains(uv)
     return np.nonzero(keep)[0].astype(np.intp)
 
 
-def euclidean_cluster(cloud: PointCloud, subset,
-                      tol: float = 0.02,
-                      min_size: int = 25,
-                      max_size: int = 20000) -> list[Cluster]:
+def euclidean_cluster(cloud: PointCloud, subset, tol: float, min_size: int,
+                      max_size: int) -> list[Cluster]:
     """Connected components of the subset under the distance threshold tol.
 
     Components outside [min_size, max_size] are dropped; clusters are sorted
     by centroid (x, then y, then z) and their index lists ascend.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"cluster tolerance must be positive, got {tol}")
-    if not (1 <= min_size <= max_size):
-        raise ValueError(f"need 1 <= min_size <= max_size, got [{min_size}, {max_size}]")
     subset = np.asarray(subset, dtype=np.intp)
     if subset.size == 0:
         return []

@@ -331,7 +331,7 @@ def _clearances(x: np.ndarray, y: np.ndarray, grid: OccupancyGrid,
 
 
 def dwa_step(state: RobotState, goal, grid: OccupancyGrid,
-             cfg: DWAConfig | None = None) -> VelocityCommand:
+             cfg: DWAConfig) -> VelocityCommand:
     """Pick the admissible sampled command with the lowest cost.
 
     Commands are the vx x vy x omega grid of evenly spaced samples in the
@@ -339,7 +339,6 @@ def dwa_step(state: RobotState, goal, grid: OccupancyGrid,
     + w_obs / (clearance + eps) + w_vel * (v_max - speed).  Rollouts that
     leave the map or touch an obstacle are discarded; ties resolve by sample
     order (vx slowest, omega fastest)."""
-    cfg = cfg or DWAConfig()
     goal = np.asarray(goal, dtype=float).reshape(2)
     win = dynamic_window(state, cfg)
     vxs = np.linspace(win.vx[0], win.vx[1], cfg.vx_samples)
@@ -393,9 +392,8 @@ class EpisodeResult:
 
 
 def run_episode(state: RobotState, goal, grid: OccupancyGrid,
-                cfg: DWAConfig | None = None,
-                max_steps: int = 200,
-                stop_dist: float = 0.15) -> EpisodeResult:
+                cfg: DWAConfig, max_steps: int,
+                stop_dist: float) -> EpisodeResult:
     """Closed-loop drive toward the goal; stops on arrival ("reached"), on
     the step budget ("budget") or when no admissible command remains
     ("no_admissible").  The start must lie on the map, and the goal within
@@ -405,7 +403,6 @@ def run_episode(state: RobotState, goal, grid: OccupancyGrid,
     if not 0.0 <= stop_dist < math.inf:
         raise ValueError(f"stop_dist must be finite and at least 0, "
                          f"got {stop_dist}")
-    cfg = cfg or DWAConfig()
     goal = np.asarray(goal, dtype=float).reshape(2)
     if not np.all(np.abs(goal) <= MAX_COORD):
         raise ValueError(f"goal must lie within {MAX_COORD:g} of 0 on each "

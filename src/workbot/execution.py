@@ -67,16 +67,14 @@ class ActionBinding:
 
 
 def component_step(binding: ActionBinding, event: str,
-                   kb: frozenset[Atom],
-                   ground_action: GroundAction | None = None,
-                   run: int = 0) -> tuple[str, frozenset[Atom]]:
+                   kb: frozenset[Atom], ground_action: GroundAction,
+                   run: int) -> tuple[str, frozenset[Atom]]:
     """One command/status exchange with a component, as its run-th run
     (0-based).
 
     e_stop answers e_stopped and leaves the kb alone.  e_trigger and
     e_start both run the behavior to completion: success applies the ground
-    action's planner effects (when given), failure applies the binding's
-    failure effects.
+    action's planner effects, failure applies the binding's failure effects.
     """
     if event not in EVENTS:
         raise ValueError(f"unknown event: {event}")
@@ -87,11 +85,11 @@ def component_step(binding: ActionBinding, event: str,
 
 
 def _apply_status(binding: ActionBinding, status: str, kb: frozenset[Atom],
-                  ground_action: GroundAction | None) -> frozenset[Atom]:
-    """Knowledge base after a run: planner effects on success (when a ground
-    action is given), the binding's failure effects on failure."""
+                  ground_action: GroundAction) -> frozenset[Atom]:
+    """Knowledge base after a run: the ground action's planner effects on
+    success, the binding's failure effects on failure."""
     if status == E_SUCCESS:
-        return kb if ground_action is None else ground_action.apply(kb)
+        return ground_action.apply(kb)
     return (kb - binding.failure_delete) | binding.failure_add
 
 
@@ -134,9 +132,8 @@ def _schema_name(ground_name: str) -> str:
 
 def execute(domain: DomainDef, problem: ProblemDef,
             bindings: dict[str, ActionBinding],
-            fault_script: dict[int, str] | None = None,
-            max_replans: int = 3,
-            mode: str = "greedy") -> ExecutionTrace:
+            fault_script: dict[int, str] | None, max_replans: int,
+            mode: str) -> ExecutionTrace:
     """Plan, run each step through its component, replan on failure.
 
     Each plan searches the task grounded and compiled once; only a failure

@@ -72,9 +72,9 @@ def _nominal_rotation(axis: np.ndarray, approach: Approach) -> np.ndarray:
 
 
 def sample_pregrasp(object_pose: Pose, approach: Approach,
-                    offset: float = 0.05, n: int = 9,
+                    offset: float = 0.05, *, n: int,
                     yaw_spread: float = math.pi / 2,
-                    base_position=(0.0, 0.0, 0.0)) -> list[GraspCandidate]:
+                    base_position) -> list[GraspCandidate]:
     """Pre-grasp poses displaced by ``offset`` against the approach direction.
 
     Yaw values sweep [-yaw_spread/2, +yaw_spread/2] uniformly and come back

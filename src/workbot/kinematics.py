@@ -36,8 +36,8 @@ class KinematicsError(WorkbotError):
 
 
 class NoConvergence(KinematicsError):
-    def __init__(self, msg: str, best_q=None, pos_err: float = math.inf,
-                 ang_err: float = math.inf, iterations: int = 0):
+    def __init__(self, msg: str, best_q, pos_err: float, ang_err: float,
+                 iterations: int):
         super().__init__(msg)
         self.best_q = best_q
         self.pos_err = pos_err

@@ -170,7 +170,6 @@ class ActionSchema:
     delete: tuple[Literal, ...]
     cost_constant: float
     cost_terms: tuple[tuple[str, tuple[str, ...]], ...]
-    has_cost_effect: bool
 
 
 @dataclass(frozen=True)
@@ -511,14 +510,12 @@ def _action(node, rest: list, path: str, types: dict[str, str | None],
     deletes: list[Literal] = []
     cost_constant = 0.0
     cost_terms: list[tuple[str, tuple[str, ...]]] = []
-    has_cost = False
     for eff in conjuncts(":effect"):
         if _head(eff, path) == "increase":
             _require(declared, ":action-costs", eff, path, "increase effect")
             constant, terms = _increase(eff, path, functions, scope)
             cost_constant += constant
             cost_terms += terms
-            has_cost = True
             continue
         lit = _literal(eff, path, predicates, scope)
         (adds if lit.positive else deletes).append(Literal(lit.name, lit.args))
@@ -527,8 +524,7 @@ def _action(node, rest: list, path: str, types: dict[str, str | None],
                         precondition=tuple(precondition),
                         add=tuple(adds), delete=tuple(deletes),
                         cost_constant=cost_constant,
-                        cost_terms=tuple(cost_terms),
-                        has_cost_effect=has_cost)
+                        cost_terms=tuple(cost_terms))
 
 
 def _increase(node, path: str, functions: dict[str, tuple[str, ...]],
@@ -587,8 +583,10 @@ def parse_problem(text: str, domain: DomainDef,
                         _fail(fact, path, "(= (fn args) value) expected")
                     term = _term(parts[1], path, functions, "function", scope)
                     value = _number(parts[2], path)
-                    _declare(fn_values, _fmt_literal(Literal(*term)),
-                             (term, value), fact, path, "function value")
+                    # keyed as written, which a duplicate's message quotes
+                    written = "(" + " ".join((term[0],) + term[1]) + ")"
+                    _declare(fn_values, written, (term, value), fact, path,
+                             "function value")
                     continue
                 lit = _literal(fact, path, predicates, scope)
                 if not lit.positive:
@@ -692,7 +690,7 @@ def ground(domain: DomainDef, problem: ProblemDef) -> list[GroundAction]:
                     raise UndefinedFunctionValue(
                         f"({key[0]} {' '.join(key[1])}) has no value in init")
                 cost += fn_values[key]
-            if not schema.has_cost_effect and unit:
+            if unit:
                 cost = 1.0
             if cost < 0:
                 binding = dict(zip((var for var, _ in schema.params), combo))
@@ -764,8 +762,7 @@ def plan(domain: DomainDef, problem: ProblemDef,
                   problem.init, mode)
 
 
-def search(task: CompiledTask, init: frozenset[Atom],
-           mode: str = "optimal") -> Plan:
+def search(task: CompiledTask, init: frozenset[Atom], mode: str) -> Plan:
     """Forward search over ``task`` from ``init`` to its goal.
 
     "optimal" runs uniform-cost search and returns a minimal-cost plan;
@@ -851,11 +848,6 @@ def _fmt_number(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
-
-
-def _fmt_literal(lit: Literal) -> str:
-    inner = " ".join((lit.name,) + lit.args)
-    return f"({inner})" if lit.positive else f"(not ({inner}))"
 
 
 def format_plan(plan_obj: Plan) -> str:

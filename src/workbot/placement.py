@@ -71,8 +71,7 @@ class PlacementPose:
         object.__setattr__(self, "uv", uv)
 
 
-def segment_workstation(cloud: PointCloud,
-                        cfg: PerceptionConfig | None = None
+def segment_workstation(cloud: PointCloud, cfg: PerceptionConfig
                         ) -> tuple[PointCloud, Plane, Polygon2, list[Cluster]]:
     """The tabletop segmentation shared by perception and placement.
 
@@ -81,7 +80,6 @@ def segment_workstation(cloud: PointCloud,
     the working cloud the clusters index into, with the plane, its hull
     polygon and the clusters above it.
     """
-    cfg = cfg or PerceptionConfig()
     work = cloud
     if cfg.passthrough is not None:
         axis, lo, hi = cfg.passthrough
@@ -103,7 +101,7 @@ def segment_workstation(cloud: PointCloud,
 
 
 def workstation_model(cloud: PointCloud,
-                      cfg: PerceptionConfig | None = None
+                      cfg: PerceptionConfig = PerceptionConfig()
                       ) -> tuple[Plane, Polygon2, list[Obstacle2]]:
     """Support plane, hull polygon and disc obstacles of a workstation.
 
@@ -129,9 +127,8 @@ def _pose_on_plane(polygon: Polygon2, uv: np.ndarray) -> Pose:
 
 def sample_placements(polygon: Polygon2, obstacles: list[Obstacle2],
                       d_min: float = DEFAULT_D_MIN,
-                      footprint: float = DEFAULT_FOOTPRINT,
-                      n: int = 20,
-                      rng_seed: int = 0) -> list[PlacementPose]:
+                      footprint: float = DEFAULT_FOOTPRINT, *,
+                      n: int, rng_seed: int = 0) -> list[PlacementPose]:
     """Seeded rejection sampling of free poses on the support polygon.
 
     A draw is accepted when it keeps ``footprint`` distance to every hull

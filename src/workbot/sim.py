@@ -79,8 +79,7 @@ class WorkstationTruth:
 
 
 def box_surface_points(rng: np.random.Generator, center_xy, z0: float,
-                       size, yaw: float = 0.0,
-                       density: float = DEFAULT_DENSITY) -> np.ndarray:
+                       size, yaw: float, density: float) -> np.ndarray:
     """Uniform samples on the five visible faces of an upright box."""
     w, d, h = (float(v) for v in size)
     faces = [
@@ -113,7 +112,7 @@ def box_surface_points(rng: np.random.Generator, center_xy, z0: float,
 
 def cylinder_surface_points(rng: np.random.Generator, center_xy, z0: float,
                             radius: float, height: float,
-                            density: float = DEFAULT_DENSITY) -> np.ndarray:
+                            density: float) -> np.ndarray:
     """Uniform samples on the cap and lateral surface of an upright cylinder."""
     n_top = max(1, int(round(math.pi * radius ** 2 * density)))
     n_lat = max(1, int(round(2.0 * math.pi * radius * height * density)))
@@ -412,7 +411,7 @@ def evaluate_nn3d(frames3: list[RttFrame3],
 
 def gen_obstacle_grid(rows: int, cols: int, resolution: float,
                       density: float, seed: int,
-                      keep_free: tuple[tuple[float, float], ...] = ()
+                      keep_free: tuple[tuple[float, float], ...]
                       ) -> np.ndarray:
     """Bernoulli-occupied cell array with optional carved-free discs.
 

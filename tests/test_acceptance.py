@@ -20,8 +20,8 @@ from scipy.spatial import cKDTree
 from workbot.cloud import (Cluster, PerceptionConfig, Point3, PointCloud,
                            convex_hull, estimate_normals, euclidean_cluster,
                            extract_prism, segment_plane, voxel_downsample)
-from workbot.dwa import DWAConfig, OccupancyGrid, RobotState, run_episode
-from workbot.execution import (E_FAILURE, E_SUCCESS, ActionBinding, execute)
+from workbot.dwa import DWAConfig, OccupancyGrid, RobotState
+from workbot.execution import E_FAILURE, E_SUCCESS, ActionBinding
 from workbot.kinematics import NoConvergence, ik_dls, load_chain
 from workbot.pddl import ground, parse_domain, parse_problem, plan
 from workbot.placement import NoFreeSpace, Obstacle2, sample_placements
@@ -30,9 +30,12 @@ from workbot.rtt import Track3D, estimate_motion, hungarian, predict_arrival
 from workbot.sim import (box_surface_points, gen_obstacle_grid, gen_rtt_stream,
                          gen_workstation, load_scenario)
 
+from test_dwa import episode
+from test_execution import run_exec
 from test_kinematics import (central_jacobian, forward_jacobian, oracle_fk,
                              oracle_pose, oracle_pose_error)
 from test_pddl import dijkstra_cost, print_domain, print_problem, replay
+from test_placement import PLACE
 
 DATA = Path("src/workbot/data")
 
@@ -59,7 +62,9 @@ def test_criterion_01_perception_pipeline():
         work = voxel_downsample(cloud, cfg.leaf)
         work = estimate_normals(work, cfg.normals_k)
         plane = segment_plane(work, dist_thresh=cfg.plane_dist_thresh,
+                              ref_axis=cfg.plane_ref_axis,
                               angle_tol=cfg.plane_angle_tol,
+                              max_iters=cfg.plane_max_iters,
                               rng_seed=cfg.seed)
         tilt = math.degrees(math.acos(min(1.0, float(plane.normal[2]))))
         if tilt <= 2.0 and abs(plane.offset + sc.table_height) <= 5e-3:
@@ -246,7 +251,8 @@ def test_criterion_06_placement_inequalities():
     # fully covered table: sampler refuses, dense grid agrees nothing fits
     blocked = [Obstacle2(center=np.array([0.0, 0.0]), radius=0.65)]
     with pytest.raises(NoFreeSpace):
-        sample_placements(polygon, blocked, d_min=d_min, footprint=footprint)
+        sample_placements(polygon, blocked, d_min=d_min, footprint=footprint,
+                          n=PLACE.n)
     lo = polygon.vertices.min(axis=0)
     hi = polygon.vertices.max(axis=0)
     us = np.arange(lo[0], hi[0] + 5e-4, 1e-3)
@@ -322,8 +328,8 @@ def test_criterion_08_dwa_safety_and_goal():
         cells = gen_obstacle_grid(60, 60, 0.1, 0.10, seed,
                                   keep_free=((1.0, 1.0), (5.0, 5.0)))
         grid = OccupancyGrid(cells=cells, resolution=0.1, origin=(0.0, 0.0))
-        result = run_episode(RobotState(x=1.0, y=1.0, theta=0.785),
-                             (5.0, 5.0), grid, cfg, max_steps=80)
+        result = episode(RobotState(x=1.0, y=1.0, theta=0.785),
+                         (5.0, 5.0), grid, cfg, max_steps=80)
         rows, cols = np.nonzero(cells)            # Occupied and Unknown
         blocked = np.column_stack([(cols + 0.5) * 0.1, (rows + 0.5) * 0.1])
         x, y, theta = 1.0, 1.0, 0.785
@@ -340,8 +346,8 @@ def test_criterion_08_dwa_safety_and_goal():
             safe = False
     empty = OccupancyGrid(cells=np.zeros((120, 120), dtype=np.uint8),
                           resolution=0.1, origin=(0.0, 0.0))
-    run = run_episode(RobotState(x=1.0, y=6.0, theta=0.0), (6.0, 6.0),
-                      empty, cfg, max_steps=150)
+    run = episode(RobotState(x=1.0, y=6.0, theta=0.0), (6.0, 6.0),
+                  empty, cfg, max_steps=150)
     final = math.hypot(run.poses[-1][1] - 6.0, run.poses[-1][2] - 6.0)
     report(8, "dwa clearance and 5 m goal",
            safe and run.reached and run.steps <= 150 and final < 0.2)
@@ -394,13 +400,13 @@ def test_criterion_10_executor_replanning():
     bindings = _bindings(domain)
     bindings["grasp"] = ActionBinding(action="grasp",
                                       script=(E_FAILURE, E_SUCCESS))
-    once = execute(domain, problem, bindings)
+    once = run_exec(domain, problem, bindings)
     goal_met = all(atom in once.final_kb for atom in problem.goal)
     ok = (once.outcome == "Success" and once.replans == 1 and goal_met)
 
     bindings = _bindings(domain)
     bindings["grasp"] = ActionBinding(action="grasp", script=(E_FAILURE,))
-    always = execute(domain, problem, bindings, max_replans=3)
+    always = run_exec(domain, problem, bindings, max_replans=3)
     ok &= (always.outcome == "ReplanBudgetExhausted"
            and always.plans_attempted == 4)
 
@@ -410,7 +416,7 @@ def test_criterion_10_executor_replanning():
     bindings = _bindings(domain3)
     bindings["grasp"] = ActionBinding(action="grasp",
                                       script=(E_FAILURE, E_SUCCESS))
-    trace = execute(domain3, problem3, bindings)
+    trace = run_exec(domain3, problem3, bindings)
     union = problem3.init.union(*[r.kb_after for r in trace.records])
     by_name = {a.name: a
                for a in ground(domain3, replace(problem3, init=union))}

@@ -1,4 +1,5 @@
-"""Every public library name has a caller, and every default is overridden.
+"""Every public library name has a caller, and every default is both
+overridden and used.
 
 A public top-level function or class ``m.f`` of ``src/workbot`` must be
 referenced somewhere in ``src/`` or ``benchmarks/`` through its module: by
@@ -16,7 +17,13 @@ must be passed, by keyword or by position, by some call in ``src/`` or
 ``benchmarks/`` of that name (of the class, for ``__init__``); methods again
 count only as attributes.  A value that no caller sets is a module constant.
 The parameters in ``PARAMS``, each with the reason it stays, are the only
-exceptions.
+exceptions.  The mirror rule has none: some such call must also leave the
+parameter unset, or the default is a second copy of a value that every
+caller already holds, and the parameter is required.
+
+``Recorder.clock(kind, fn, *args, expected=..., **kw)``, ``Recorder.call(
+kind, fn, *args)`` and ``jsonio.construct(fn, where, **kw)`` forward their
+arguments, so each also counts as a call of ``fn`` with them.
 """
 
 import ast
@@ -160,24 +167,61 @@ def _defaulted() -> dict[str, tuple[str, bool, int | None, str]]:
     return out
 
 
-def _calls() -> dict[tuple[str, bool], list[tuple[int, set[str]]]]:
+# forwarder (name, called as an Attribute) -> (position of the callee among
+# its arguments, whether it forwards the positional arguments after it,
+# keywords it keeps for itself or None if it forwards none)
+FORWARDERS = {
+    ("clock", True): (1, True, {"expected"}),       # Recorder.clock
+    ("call", True): (1, True, None),                # Recorder.call
+    ("construct", False): (0, False, set()),        # jsonio.construct
+}
+
+
+def _callee(func) -> tuple[str, bool] | None:
+    if isinstance(func, ast.Name):
+        return func.id, False
+    if isinstance(func, ast.Attribute):
+        return func.attr, True
+    return None
+
+
+def _calls() -> dict[tuple[str, bool], list[tuple[int, set, bool]]]:
     """(callee name, called as an Attribute) -> (number of leading
-    positional arguments, keyword names) of each call in src/ and
-    benchmarks/; ``*args`` and ``**kwargs`` pass nothing by name."""
-    found: dict[tuple[str, bool], list[tuple[int, set[str]]]] = {}
+    positional arguments, keyword names, whether ``*args`` or ``**kwargs``
+    may pass more) of each call in src/ and benchmarks/, a forwarded call
+    included."""
+    found: dict[tuple[str, bool], list[tuple[int, set, bool]]] = {}
+
+    def add(key, args, keywords):
+        starred = [isinstance(a, ast.Starred) for a in args] + [True]
+        n = starred.index(True)
+        names = {k.arg for k in keywords}
+        found.setdefault(key, []).append(
+            (n, names - {None}, n < len(args) or None in names))
+
     for node in _code():
         if not isinstance(node, ast.Call):
             continue
-        if isinstance(node.func, ast.Name):
-            key = (node.func.id, False)
-        elif isinstance(node.func, ast.Attribute):
-            key = (node.func.attr, True)
-        else:
+        key = _callee(node.func)
+        if key is None:
             continue
-        starred = [isinstance(a, ast.Starred) for a in node.args] + [True]
-        found.setdefault(key, []).append(
-            (starred.index(True), {k.arg for k in node.keywords}))
+        add(key, node.args, node.keywords)
+        if key not in FORWARDERS:
+            continue
+        at, positional, kept = FORWARDERS[key]
+        if at >= len(node.args) or isinstance(node.args[at], ast.Starred):
+            continue
+        inner = _callee(node.args[at])
+        if inner is not None:
+            add(inner, node.args[at + 1:] if positional else [],
+                [] if kept is None else
+                [k for k in node.keywords if k.arg not in kept])
     return found
+
+
+def _callers(calls, name: str, method: bool):
+    return calls.get((name, True), []) + (
+        [] if method else calls.get((name, False), []))
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -192,13 +236,23 @@ def test_every_default_is_overridden_by_a_caller_or_a_reason():
     calls = _calls()
     never = []
     for qual, (name, method, index, param) in sorted(_defaulted().items()):
-        seen = calls.get((name, True), []) + (
-            [] if method else calls.get((name, False), []))
         if qual not in PARAMS and not any(
                 param in keywords or (index is not None and n > index)
-                for n, keywords in seen):
+                for n, keywords, _ in _callers(calls, name, method)):
             never.append(qual)
     assert not never, f"no call in src/ or benchmarks/ passes: {never}"
+
+
+def test_every_default_is_used_by_a_caller():
+    calls = _calls()
+    always = []
+    for qual, (name, method, index, param) in sorted(_defaulted().items()):
+        if not any(not spread and param not in keywords
+                   and (index is None or n <= index)
+                   for n, keywords, spread in _callers(calls, name, method)):
+            always.append(qual)
+    assert not always, (f"every call in src/ and benchmarks/ passes these, "
+                        f"so they need no default: {always}")
 
 
 def test_every_allowlisted_name_exists():

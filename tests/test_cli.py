@@ -980,3 +980,28 @@ def cli_digests(tmp_path):
 
 def test_cli_artifacts_match_the_recorded_digests(tmp_path):
     assert cli_digests(tmp_path) == json.loads(CLI_DIGESTS.read_text())
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[list[str]]:
+    """The `workbot ...` lines of the fenced block under README's `## CLI`,
+    with each `\\` continuation joined, as argument lists."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [line.split() for line in block.splitlines()
+            if line.startswith("workbot ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: argv[1])
+def test_readme_cli_examples_run(argv, tmp_path, capsys, monkeypatch):
+    from workbot.cli import main
+    # the examples name the bundled data from the repository root, and
+    # each writes its artifact into tmp_path instead of the working folder
+    monkeypatch.chdir(README.parent)
+    at = argv.index("--out") + 1
+    args = argv[1:at] + [str(tmp_path / argv[at])] + argv[at + 1:]
+    assert main(args) == 0, capsys.readouterr().err
+    summary = capsys.readouterr().out.splitlines()
+    assert len(summary) == 1 and isinstance(json.loads(summary[0]), dict)

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from workbot.cloud import (
-    _PLANE_BLOCK, DegenerateInliers, DegenerateNeighborhood,
-    InvertedHeightRange, InvertedRange, NoAdmissiblePlane, NonPositiveLeaf,
+    _PLANE_BLOCK, DegenerateInliers, DegenerateNeighborhood, NoAdmissiblePlane,
     PerceptionConfig, Plane, PlaneBasis, PointCloud, Polygon2, TooFewPoints,
     _InlierCounter, _eigenvectors, _extreme_eigenvalues,
     _neighbourhood_normals, convex_hull, estimate_normals, euclidean_cluster, extract_prism,
@@ -20,6 +19,16 @@ from workbot.cloud import (
 from workbot.geometry import unit
 from workbot.jsonio import decode
 from workbot.sim import gen_workstation, load_scenario
+
+# the settings the program runs the stages with
+CFG = PerceptionConfig()
+
+
+def plane_settings(**kw):
+    """segment_plane's settings in CFG, with ``kw`` replacing some."""
+    return {"dist_thresh": CFG.plane_dist_thresh,
+            "ref_axis": CFG.plane_ref_axis, "angle_tol": CFG.plane_angle_tol,
+            "max_iters": CFG.plane_max_iters, "rng_seed": CFG.seed} | kw
 
 
 def grid_cloud(n=5, spacing=0.01, z=0.0):
@@ -51,11 +60,6 @@ def test_voxel_centroid_is_member_mean():
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
-def test_voxel_rejects_nonpositive_leaf():
-    with pytest.raises(NonPositiveLeaf):
-        voxel_downsample(grid_cloud(), 0.0)
-
-
 def test_voxel_empty_cloud_passes_through():
     assert len(voxel_downsample(PointCloud(np.empty((0, 3))), 0.01)) == 0
 
@@ -84,16 +88,6 @@ def test_passthrough_interval_is_closed():
     assert len(out) == 2
 
 
-def test_passthrough_rejects_inverted_range():
-    with pytest.raises(InvertedRange):
-        passthrough(grid_cloud(), "x", 1.0, 0.0)
-
-
-def test_passthrough_rejects_unknown_axis():
-    with pytest.raises(ValueError):
-        passthrough(grid_cloud(), "w", 0.0, 1.0)
-
-
 @given(st.floats(-1, 0), st.floats(0, 1), st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_passthrough_idempotent(lo, hi, seed):
@@ -115,9 +109,8 @@ def test_normals_on_offset_plane_face_sensor():
 
 def test_normals_need_enough_points():
     with pytest.raises(TooFewPoints):
-        estimate_normals(PointCloud(np.zeros((5, 3)) + np.eye(5, 3)), k=10)
-    with pytest.raises(TooFewPoints):
-        estimate_normals(grid_cloud(), k=2)
+        estimate_normals(PointCloud(np.zeros((5, 3)) + np.eye(5, 3)),
+                         k=CFG.normals_k)
 
 
 def test_normals_degenerate_neighborhood_raises():
@@ -243,8 +236,9 @@ def test_normals_do_not_depend_on_the_scale(power):
     # scaling by a power of two is exact, and so is every step after it
     rng = np.random.default_rng(9)
     pts = rng.uniform(-0.3, 0.3, (300, 3)) + [0.0, 0.0, 0.7]
-    want = estimate_normals(PointCloud(pts)).normals
-    got = estimate_normals(PointCloud(pts * 2.0 ** power)).normals
+    want = estimate_normals(PointCloud(pts), CFG.normals_k).normals
+    got = estimate_normals(PointCloud(pts * 2.0 ** power),
+                           CFG.normals_k).normals
     assert got.tobytes() == want.tobytes()
 
 
@@ -266,7 +260,7 @@ def make_table_scene(seed=0, tilt=0.0):
 
 def test_segment_plane_recovers_table():
     cloud = estimate_normals(make_table_scene(), k=10)
-    plane = segment_plane(cloud, rng_seed=0)
+    plane = segment_plane(cloud, **plane_settings(rng_seed=0))
     np.testing.assert_allclose(plane.normal, [0, 0, 1], atol=1e-6)
     assert abs(plane.offset + 0.7) < 1e-6
     assert plane.inliers.size >= 390
@@ -275,25 +269,26 @@ def test_segment_plane_recovers_table():
 
 def test_segment_plane_normal_is_canonical_upward():
     cloud = estimate_normals(make_table_scene(seed=3), k=10)
-    plane = segment_plane(cloud, rng_seed=5)
+    plane = segment_plane(cloud, **plane_settings(rng_seed=5))
     assert plane.normal[2] > 0.0
 
 
 def test_segment_plane_rejects_steep_reference():
     cloud = estimate_normals(make_table_scene(tilt=math.radians(35)), k=10)
     with pytest.raises(NoAdmissiblePlane):
-        segment_plane(cloud, angle_tol=math.radians(10), rng_seed=0)
+        segment_plane(cloud, **plane_settings(angle_tol=math.radians(10),
+                                             rng_seed=0))
 
 
 def test_segment_plane_requires_normals():
     with pytest.raises(ValueError):
-        segment_plane(make_table_scene())
+        segment_plane(make_table_scene(), **plane_settings())
 
 
 def test_segment_plane_deterministic_given_seed():
     cloud = estimate_normals(make_table_scene(seed=2), k=10)
-    a = segment_plane(cloud, rng_seed=11)
-    b = segment_plane(cloud, rng_seed=11)
+    a = segment_plane(cloud, **plane_settings(rng_seed=11))
+    b = segment_plane(cloud, **plane_settings(rng_seed=11))
     np.testing.assert_array_equal(a.inliers, b.inliers)
     assert a.offset == b.offset
 
@@ -305,9 +300,8 @@ def dot3(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def reference_segment_plane(cloud, dist_thresh=0.005, ref_axis=(0.0, 0.0, 1.0),
-                            angle_tol=math.radians(10.0), max_iters=500,
-                            rng_seed=0):
+def reference_segment_plane(cloud, dist_thresh, ref_axis, angle_tol, max_iters,
+                            rng_seed):
     """RANSAC one candidate per iteration: the oracle for segment_plane."""
     pts = cloud.points
     n = len(cloud)
@@ -357,15 +351,16 @@ def working_scan(index):
     if index:
         sc = replace(sc, seed=200 + index, density=10000.0 * (1 + index % 4))
     cloud, _ = gen_workstation(sc)
-    return estimate_normals(voxel_downsample(cloud, 0.005))
+    return estimate_normals(voxel_downsample(cloud, CFG.leaf), CFG.normals_k)
 
 
 @pytest.mark.parametrize("index", range(9))
 def test_segment_plane_matches_the_per_iteration_reference(index):
     cloud = working_scan(index)
     for rng_seed in (0, 1, 7):
-        want = plane_bytes(reference_segment_plane(cloud, rng_seed=rng_seed))
-        assert plane_bytes(segment_plane(cloud, rng_seed=rng_seed)) == want
+        kw = plane_settings(rng_seed=rng_seed)
+        want = plane_bytes(reference_segment_plane(cloud, **kw))
+        assert plane_bytes(segment_plane(cloud, **kw)) == want
 
 
 @pytest.mark.parametrize("kw", [
@@ -375,6 +370,7 @@ def test_segment_plane_matches_the_per_iteration_reference(index):
 ], ids=["three-blocks", "one-past-a-block", "few-draws-thin-band"])
 def test_segment_plane_matches_the_reference_across_blocks(kw):
     cloud = working_scan(1)
+    kw = plane_settings(**kw)
     want = plane_bytes(reference_segment_plane(cloud, **kw))
     assert plane_bytes(segment_plane(cloud, **kw)) == want
 
@@ -391,7 +387,7 @@ def test_segment_plane_keeps_the_first_drawn_of_tied_candidates():
     # with a band far wider than the noise, every admissible candidate holds
     # all 60 points, so only the draw order picks the winner
     cloud = noisy_table()
-    kw = {"dist_thresh": 0.05, "max_iters": 1300}
+    kw = plane_settings(dist_thresh=0.05, max_iters=1300)
     want = reference_segment_plane(cloud, **kw)
     assert want.inliers.size == 60
     assert plane_bytes(segment_plane(cloud, **kw)) == plane_bytes(want)
@@ -403,7 +399,8 @@ def test_segment_plane_memory_does_not_grow_with_max_iters():
     def peak_bytes(max_iters):
         tracemalloc.start()
         try:
-            segment_plane(cloud, dist_thresh=0.05, max_iters=max_iters)
+            segment_plane(cloud, **plane_settings(dist_thresh=0.05,
+                                                  max_iters=max_iters))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,7 +443,8 @@ def test_segment_plane_failures_match_the_reference():
     line = np.column_stack([np.linspace(0.0, 1.0, 30), np.zeros(30),
                             np.full(30, 0.7)])
     collinear = PointCloud(line, normals=np.tile([0.0, 0.0, 1.0], (30, 1)))
-    for cloud, kw in ((collinear, {}), (working_scan(0), {"max_iters": 0})):
+    for cloud, kw in ((collinear, plane_settings()),
+                      (working_scan(0), plane_settings(max_iters=0))):
         with pytest.raises(NoAdmissiblePlane) as want:
             reference_segment_plane(cloud, **kw)
         with pytest.raises(NoAdmissiblePlane) as got:
@@ -467,7 +465,8 @@ def test_hull_of_square_with_interior_points():
     uv = np.vstack([corners, interior])
     pts = np.column_stack([uv, np.zeros(len(uv))])
     cloud = PointCloud(pts)
-    plane = segment_plane(estimate_normals(cloud, k=8), rng_seed=0)
+    plane = segment_plane(estimate_normals(cloud, k=8),
+                          **plane_settings(rng_seed=0))
     poly = convex_hull(plane, cloud)
     assert len(poly.vertices) == 4
     assert hull_contains_all(poly, poly.basis.project(pts))
@@ -508,7 +507,8 @@ def test_hull_vertices_are_ccw_extreme_points():
     uv = rng.normal(size=(80, 2)) * 0.2
     pts = np.column_stack([uv, np.zeros(80)])
     cloud = PointCloud(pts)
-    plane = segment_plane(estimate_normals(cloud, k=8), rng_seed=0)
+    plane = segment_plane(estimate_normals(cloud, k=8),
+                          **plane_settings(rng_seed=0))
     poly = convex_hull(plane, cloud)
     verts = poly.vertices
     # CCW: positive signed area; every input point inside
@@ -555,7 +555,8 @@ def table_with_object(seed=0):
                            rng.uniform(-0.05, 0.05, 80),
                            rng.uniform(0.02, 0.1, 80)])
     cloud = PointCloud(np.vstack([table, obj]))
-    plane = segment_plane(estimate_normals(cloud, k=10), rng_seed=0)
+    plane = segment_plane(estimate_normals(cloud, k=10),
+                          **plane_settings(rng_seed=0))
     return cloud, plane
 
 
@@ -576,13 +577,6 @@ def test_prism_band_is_closed():
     aug = PointCloud(np.vstack([cloud.points, probe]))
     idx = extract_prism(aug, poly, 0.05, 0.15)
     assert len(aug) - 2 in idx and len(aug) - 1 in idx
-
-
-def test_prism_rejects_inverted_band():
-    cloud, plane = table_with_object()
-    poly = convex_hull(plane, cloud)
-    with pytest.raises(InvertedHeightRange):
-        extract_prism(cloud, poly, 0.3, 0.1)
 
 
 # --- euclidean_cluster -------------------------------------------------------
@@ -613,7 +607,8 @@ def test_cluster_matches_bruteforce_components():
              for c in ([0, 0, 0], [0.2, 0, 0], [0, 0.25, 0.05])]
     pts = np.vstack(blobs)
     cloud = PointCloud(pts)
-    got = euclidean_cluster(cloud, np.arange(len(pts)), tol=0.02, min_size=5)
+    got = euclidean_cluster(cloud, np.arange(len(pts)), tol=0.02, min_size=5,
+                            max_size=CFG.cluster_max_size)
     want = brute_force_components(pts, 0.02)
     want = [w for w in want if len(w) >= 5]
     got_sets = {frozenset(c.indices.tolist()) for c in got}
@@ -626,7 +621,8 @@ def test_cluster_size_gates_drop_components():
     big = rng.normal(0, 0.004, (60, 3))
     small = rng.normal([0.5, 0, 0], 0.004, (4, 3))
     cloud = PointCloud(np.vstack([big, small]))
-    got = euclidean_cluster(cloud, np.arange(64), tol=0.02, min_size=10)
+    got = euclidean_cluster(cloud, np.arange(64), tol=0.02, min_size=10,
+                            max_size=CFG.cluster_max_size)
     assert len(got) == 1 and len(got[0].indices) == 60
 
 
@@ -635,12 +631,15 @@ def test_cluster_order_is_deterministic_by_centroid():
     a = rng.normal([0.3, 0, 0], 0.003, (30, 3))
     b = rng.normal([-0.3, 0, 0], 0.003, (30, 3))
     cloud = PointCloud(np.vstack([a, b]))
-    got = euclidean_cluster(cloud, np.arange(60), tol=0.02, min_size=5)
+    got = euclidean_cluster(cloud, np.arange(60), tol=0.02, min_size=5,
+                            max_size=CFG.cluster_max_size)
     assert [c.centroid.x < 0 for c in got] == [True, False]
 
 
 def test_cluster_empty_subset():
-    assert euclidean_cluster(grid_cloud(), np.array([], dtype=int)) == []
+    assert euclidean_cluster(grid_cloud(), np.array([], dtype=int),
+                             CFG.cluster_tol, CFG.cluster_min_size,
+                             CFG.cluster_max_size) == []
 
 
 # --- PLY output --------------------------------------------------------------

@@ -13,12 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from workbot.cli import _build_parser
 from workbot.dwa import (FREE, OCCUPIED, UNKNOWN, DWAConfig, GridParseError,
                          NoAdmissibleVelocity, OccupancyGrid, RobotState,
                          VelocityCommand, _clearances, _one_command, dwa_step,
                          dynamic_window, load_pgm, run_episode, step_state)
 from workbot.jsonio import decode
 from workbot.sim import gen_obstacle_grid
+
+
+# the options `workbot dwa` drives an episode with unless told otherwise
+DWA = _build_parser().parse_args(["dwa", "--map", "-", "--start", "0,0,0",
+                                  "--goal", "0,0", "--out", "-"])
+
+
+def episode(state, goal, grid, cfg=DWAConfig(), max_steps=DWA.max_steps,
+            stop_dist=DWA.stop_dist):
+    """run_episode with the settings of `workbot dwa` that a test leaves
+    out."""
+    return run_episode(state, goal, grid, cfg, max_steps, stop_dist)
 
 
 def empty_grid(n=30, resolution=0.1):
@@ -355,8 +368,8 @@ def test_dwa_step_prefers_progress_on_empty_map():
 
 def test_episode_reaches_goal_on_empty_map():
     grid = empty_grid(n=60, resolution=0.1)
-    result = run_episode(RobotState(1.0, 1.0, 0.8), np.array([4.0, 4.0]),
-                         grid, max_steps=150)
+    result = episode(RobotState(1.0, 1.0, 0.8), np.array([4.0, 4.0]),
+                     grid, max_steps=150)
     assert result.reached
     assert result.stop == "reached"
     assert result.steps <= 150
@@ -367,8 +380,7 @@ def test_episode_reaches_goal_on_empty_map():
 
 def test_episode_already_at_goal_takes_no_step():
     grid = empty_grid()
-    result = run_episode(RobotState(1.0, 1.0, 0.0), np.array([1.05, 1.0]),
-                         grid)
+    result = episode(RobotState(1.0, 1.0, 0.0), np.array([1.05, 1.0]), grid)
     assert result.reached
     assert result.steps == 0
     assert result.commands == ()
@@ -376,8 +388,8 @@ def test_episode_already_at_goal_takes_no_step():
 
 def test_episode_stops_on_the_step_budget():
     grid = empty_grid(n=60)
-    result = run_episode(RobotState(1.0, 1.0, 0.0), np.array([5.0, 5.0]),
-                         grid, max_steps=10)
+    result = episode(RobotState(1.0, 1.0, 0.0), np.array([5.0, 5.0]),
+                     grid, max_steps=10)
     assert result.stop == "budget"
     assert not result.reached
     assert result.steps == 10
@@ -407,14 +419,14 @@ def test_episode_stops_on_the_step_budget():
 def test_episode_rejects_a_bad_budget_or_stop_distance(limits, message):
     args = {"state": RobotState(1.0, 1.0, 0.0), "goal": (5.0, 5.0), **limits}
     with pytest.raises(ValueError) as exc:
-        run_episode(grid=empty_grid(), **args)
+        episode(grid=empty_grid(), **args)
     assert str(exc.value) == message
 
 
 def test_episode_with_no_step_budget_takes_no_step():
     grid = empty_grid()
-    near, far = (run_episode(RobotState(1.0, 1.0, 0.0), np.array(goal), grid,
-                             max_steps=0) for goal in ((1.05, 1.0), (5.0, 5.0)))
+    near, far = (episode(RobotState(1.0, 1.0, 0.0), np.array(goal), grid,
+                         max_steps=0) for goal in ((1.05, 1.0), (5.0, 5.0)))
     assert (near.stop, near.steps) == ("reached", 0)
     assert (far.stop, far.steps) == ("budget", 0)
 
@@ -423,8 +435,7 @@ def test_episode_stops_when_no_command_is_admissible():
     cells = np.full((20, 20), OCCUPIED, dtype=np.uint8)
     cells[9:11, 9:11] = FREE
     grid = OccupancyGrid(cells=cells, resolution=0.05, origin=np.zeros(2))
-    result = run_episode(RobotState(0.5, 0.5, 0.0), np.array([0.9, 0.9]),
-                         grid)
+    result = episode(RobotState(0.5, 0.5, 0.0), np.array([0.9, 0.9]), grid)
     assert result.stop == "no_admissible"
     assert not result.reached
     assert result.steps == 0
@@ -464,8 +475,8 @@ def pinned_episodes(cfg):
         cells = gen_obstacle_grid(60, 60, 0.1, density, seed,
                                   keep_free=((1.0, 1.0), (5.0, 5.0)))
         grid = OccupancyGrid(cells=cells, resolution=0.1, origin=(0.0, 0.0))
-        result = run_episode(RobotState(x=1.0, y=1.0, theta=0.3), (5.0, 5.0),
-                             grid, cfg, max_steps=40)
+        result = episode(RobotState(x=1.0, y=1.0, theta=0.3), (5.0, 5.0),
+                         grid, cfg, max_steps=40)
         steps.append(result.steps)
         for cmd in result.commands:
             digest.update(struct.pack("<3d", cmd.vx, cmd.vy, cmd.omega))
@@ -487,8 +498,8 @@ def test_seeded_episodes_pin_other_sample_shapes(shape):
 def test_episode_timestamps_advance_by_dt():
     grid = empty_grid(n=60)
     cfg = DWAConfig()
-    result = run_episode(RobotState(1.0, 1.0, 0.0), np.array([3.0, 1.0]),
-                         grid, cfg, max_steps=30)
+    result = episode(RobotState(1.0, 1.0, 0.0), np.array([3.0, 1.0]),
+                     grid, cfg, max_steps=30)
     ts = [p[0] for p in result.poses]
     np.testing.assert_allclose(np.diff(ts), cfg.dt, atol=1e-12)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from workbot import execution
+from workbot.cli import _build_parser
 from workbot.execution import (E_FAILURE, E_START, E_STOP, E_STOPPED,
                                E_SUCCESS, E_TRIGGER, ActionBinding,
                                ExecutionTrace, TraceRecord, UnknownAction,
@@ -18,6 +19,16 @@ from workbot.pddl import (GroundAction, PddlError, Unsolvable, compile_task,
                           ground, parse_domain, parse_problem, plan)
 
 DATA = Path("src/workbot/data")
+# the options `workbot exec` runs with unless told otherwise
+EXEC = _build_parser().parse_args(["exec", "--domain", "-", "--problem", "-",
+                                   "--bindings", "-", "--out", "-"])
+
+
+def run_exec(domain, problem, bindings, fault_script=None,
+             max_replans=EXEC.max_replans, mode=EXEC.mode):
+    """execute with the settings of `workbot exec` that a test leaves out:
+    no fault script, its replan budget and its search mode."""
+    return execute(domain, problem, bindings, fault_script, max_replans, mode)
 
 
 def transport_problem(name="transport_1.pddl"):
@@ -49,7 +60,7 @@ def toy_action():
 def test_stop_answers_stopped_and_preserves_kb():
     binding = ActionBinding(action="flip")
     kb = frozenset({("up", "a")})
-    status, after = component_step(binding, E_STOP, kb)
+    status, after = component_step(binding, E_STOP, kb, toy_action(), run=0)
     assert status == E_STOPPED
     assert after == kb
 
@@ -57,17 +68,9 @@ def test_stop_answers_stopped_and_preserves_kb():
 def test_success_applies_planner_effects():
     binding = ActionBinding(action="flip")
     kb = frozenset({("up", "a"), ("other",)})
-    status, after = component_step(binding, E_TRIGGER, kb, toy_action())
+    status, after = component_step(binding, E_TRIGGER, kb, toy_action(), run=0)
     assert status == E_SUCCESS
     assert after == frozenset({("down", "a"), ("other",)})
-
-
-def test_success_without_ground_action_keeps_kb():
-    binding = ActionBinding(action="flip")
-    kb = frozenset({("up", "a")})
-    status, after = component_step(binding, E_START, kb)
-    assert status == E_SUCCESS
-    assert after == kb
 
 
 def test_failure_applies_binding_effects_not_planner_effects():
@@ -75,15 +78,15 @@ def test_failure_applies_binding_effects_not_planner_effects():
                             failure_add=frozenset({("jammed", "a")}),
                             failure_delete=frozenset({("up", "a")}))
     kb = frozenset({("up", "a")})
-    status, after = component_step(binding, E_TRIGGER, kb, toy_action())
+    status, after = component_step(binding, E_TRIGGER, kb, toy_action(), run=0)
     assert status == E_FAILURE
     assert after == frozenset({("jammed", "a")})
 
 
 def test_script_last_entry_repeats():
     binding = ActionBinding(action="flip", script=(E_SUCCESS, E_FAILURE))
-    statuses = [component_step(binding, E_TRIGGER, frozenset(), run=run)[0]
-                for run in range(4)]
+    statuses = [component_step(binding, E_TRIGGER, frozenset(), toy_action(),
+                               run=run)[0] for run in range(4)]
     assert statuses == [E_SUCCESS, E_FAILURE, E_FAILURE, E_FAILURE]
 
 
@@ -92,15 +95,16 @@ def test_component_step_is_a_function_of_its_arguments():
                             failure_add=frozenset({("jammed", "a")}))
     before = replace(binding)
     kb = frozenset({("up", "a")})
-    first = component_step(binding, E_TRIGGER, kb, toy_action())
-    second = component_step(binding, E_TRIGGER, kb, toy_action())
+    first = component_step(binding, E_TRIGGER, kb, toy_action(), run=0)
+    second = component_step(binding, E_TRIGGER, kb, toy_action(), run=0)
     assert first == second == (E_FAILURE, kb | {("jammed", "a")})
     assert binding == before
 
 
 def test_unknown_event_rejected():
     with pytest.raises(ValueError, match="unknown event"):
-        component_step(ActionBinding(action="flip"), "e_jump", frozenset())
+        component_step(ActionBinding(action="flip"), "e_jump", frozenset(),
+                       toy_action(), run=0)
 
 
 def test_binding_script_validation():
@@ -116,7 +120,7 @@ def test_binding_script_validation():
 
 def test_all_success_run():
     domain, problem = transport_problem()
-    trace = execute(domain, problem, all_success_bindings(domain))
+    trace = run_exec(domain, problem, all_success_bindings(domain))
     assert trace.outcome == "Success"
     assert trace.replans == 0
     assert trace.plans_attempted == 1
@@ -129,7 +133,7 @@ def test_fail_once_replans_once_and_succeeds():
     bindings = all_success_bindings(domain)
     bindings["grasp"] = ActionBinding(action="grasp",
                                       script=(E_FAILURE, E_SUCCESS))
-    trace = execute(domain, problem, bindings)
+    trace = run_exec(domain, problem, bindings)
     assert trace.outcome == "Success"
     assert trace.replans == 1
     assert trace.plans_attempted == 2
@@ -143,7 +147,7 @@ def test_fail_always_exhausts_budget_after_four_plans():
     domain, problem = transport_problem()
     bindings = all_success_bindings(domain)
     bindings["grasp"] = ActionBinding(action="grasp", script=(E_FAILURE,))
-    trace = execute(domain, problem, bindings, max_replans=3)
+    trace = run_exec(domain, problem, bindings, max_replans=3)
     assert trace.outcome == "ReplanBudgetExhausted"
     assert trace.plans_attempted == 4
     assert trace.replans == 4
@@ -157,7 +161,7 @@ def test_failure_effects_can_make_replanning_unsolvable():
     bindings["grasp"] = ActionBinding(
         action="grasp", script=(E_FAILURE, E_SUCCESS),
         failure_delete=frozenset({("item-at", "bolt", "shelf")}))
-    trace = execute(domain, problem, bindings)
+    trace = run_exec(domain, problem, bindings)
     assert trace.outcome == "Unsolvable"
     assert trace.replans == 1
     assert trace.plans_attempted == 2
@@ -167,7 +171,7 @@ def test_unsolvable_from_the_start():
     domain, problem = transport_problem()
     hopeless = replace(problem, init=problem.init
                        - frozenset({("item-at", "bolt", "shelf")}))
-    trace = execute(domain, hopeless, all_success_bindings(domain))
+    trace = run_exec(domain, hopeless, all_success_bindings(domain))
     assert trace.outcome == "Unsolvable"
     assert trace.records == ()
     assert trace.plans_attempted == 1
@@ -176,8 +180,8 @@ def test_unsolvable_from_the_start():
 def test_fault_script_forces_step_without_consuming_cursor():
     domain, problem = transport_problem()
     bindings = all_success_bindings(domain)
-    trace = execute(domain, problem, bindings,
-                    fault_script=load_fault_script({"0": E_FAILURE}))
+    trace = run_exec(domain, problem, bindings,
+                     fault_script=load_fault_script({"0": E_FAILURE}))
     assert trace.outcome == "Success"
     assert trace.replans == 1
     assert trace.records[0].status == E_FAILURE
@@ -187,8 +191,8 @@ def test_fault_script_forces_step_without_consuming_cursor():
     first_schema = trace.records[0].action.strip("()").split()[0]
     bindings[first_schema] = ActionBinding(action=first_schema,
                                            script=(E_FAILURE, E_SUCCESS))
-    trace = execute(domain, problem, bindings,
-                    fault_script=load_fault_script({"0": E_FAILURE}))
+    trace = run_exec(domain, problem, bindings,
+                     fault_script=load_fault_script({"0": E_FAILURE}))
     runs = [r.status for r in trace.records[1:]
             if r.action.startswith(f"({first_schema}")]
     assert runs[:2] == [E_FAILURE, E_SUCCESS]
@@ -201,7 +205,7 @@ def test_execute_runs_every_unforced_step_through_component_step(monkeypatch):
     bindings["grasp"] = replace(bindings["grasp"],
                                 script=(E_FAILURE, E_SUCCESS))
     faults = {1: E_FAILURE, 4: E_SUCCESS}
-    want = execute(domain, problem, bindings, fault_script=faults)
+    want = run_exec(domain, problem, bindings, fault_script=faults)
     calls = []
 
     def spy(binding, event, kb, ground_action=None, run=0):
@@ -209,7 +213,7 @@ def test_execute_runs_every_unforced_step_through_component_step(monkeypatch):
         return component_step(binding, event, kb, ground_action, run)
 
     monkeypatch.setattr(execution, "component_step", spy)
-    got = execute(domain, problem, bindings, fault_script=faults)
+    got = run_exec(domain, problem, bindings, fault_script=faults)
     assert got.records == want.records and got.outcome == want.outcome
     unforced = [r for r in want.records if r.step not in faults]
     assert [c[2] for c in calls] == [r.action for r in unforced]
@@ -227,8 +231,8 @@ def test_execute_leaves_the_callers_bindings_untouched():
     bindings["grasp"] = ActionBinding(action="grasp",
                                       script=(E_FAILURE, E_SUCCESS))
     before = {name: replace(b) for name, b in bindings.items()}
-    first = execute(domain, problem, bindings)
-    second = execute(domain, problem, bindings)
+    first = run_exec(domain, problem, bindings)
+    second = run_exec(domain, problem, bindings)
     assert first.records == second.records
     assert first.to_jsonl() == second.to_jsonl()
     # the bindings are unchanged, and each run starts the script fresh: the
@@ -241,8 +245,8 @@ def test_execute_leaves_the_callers_bindings_untouched():
 def test_fault_script_rejects_bad_status():
     domain, problem = transport_problem()
     with pytest.raises(ValueError, match="fault script"):
-        execute(domain, problem, all_success_bindings(domain),
-                fault_script={0: "e_stopped"})
+        run_exec(domain, problem, all_success_bindings(domain),
+                 fault_script={0: "e_stopped"})
 
 
 def test_fault_script_statuses_are_checked_before_planning():
@@ -250,8 +254,8 @@ def test_fault_script_statuses_are_checked_before_planning():
     with pytest.raises(ValueError, match="^fault script step 99: status "
                                          "must be e_success/e_failure, "
                                          "got 'bogus'$"):
-        execute(domain, problem, all_success_bindings(domain),
-                fault_script={0: E_FAILURE, 99: "bogus"})
+        run_exec(domain, problem, all_success_bindings(domain),
+                 fault_script={0: E_FAILURE, 99: "bogus"})
 
 
 def test_load_fault_script_names_a_bad_step_key():
@@ -265,7 +269,7 @@ def test_missing_binding_raises():
     bindings = all_success_bindings(domain)
     del bindings["place"]
     with pytest.raises(UnknownAction, match="place"):
-        execute(domain, problem, bindings)
+        run_exec(domain, problem, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,7 @@ def test_kb_frame_property_holds_along_the_trace():
     bindings = all_success_bindings(domain)
     bindings["grasp"] = ActionBinding(action="grasp",
                                       script=(E_FAILURE, E_SUCCESS))
-    trace = execute(domain, problem, bindings)
+    trace = run_exec(domain, problem, bindings)
     actions = effects_map(domain, problem, trace)
     kb = problem.init
     for rec in trace.records:
@@ -304,7 +308,7 @@ def test_trace_steps_are_global_and_contiguous():
     bindings = all_success_bindings(domain)
     bindings["grasp"] = ActionBinding(action="grasp",
                                       script=(E_FAILURE, E_SUCCESS))
-    trace = execute(domain, problem, bindings)
+    trace = run_exec(domain, problem, bindings)
     assert [r.step for r in trace.records] == list(range(len(trace.records)))
 
 
@@ -313,8 +317,8 @@ def test_to_jsonl_shape_and_determinism():
     bindings = all_success_bindings(domain)
     bindings["grasp"] = ActionBinding(action="grasp",
                                       script=(E_FAILURE, E_SUCCESS))
-    text = execute(domain, problem, bindings).to_jsonl()
-    again = execute(domain, problem, bindings).to_jsonl()
+    text = run_exec(domain, problem, bindings).to_jsonl()
+    again = run_exec(domain, problem, bindings).to_jsonl()
     assert text == again
     lines = [json.loads(line) for line in text.strip().split("\n")]
     *records, summary = lines
@@ -349,7 +353,7 @@ def test_load_fault_script_coerces_keys():
 
 
 def reference_execute(domain, problem, bindings, fault_script=None,
-                      max_replans=3, mode="greedy"):
+                      max_replans=EXEC.max_replans, mode=EXEC.mode):
     """The executor as a loop that plans each attempt from scratch with
     ``plan(domain, replace(problem, init=kb))``, so that it grounds the
     problem again from every knowledge base."""
@@ -395,7 +399,7 @@ def run_both(domain, problem, bindings, **kwargs):
     """(execute, reference) results: each a trace's JSONL, records and
     final kb, or the type and message of the error it raised."""
     results = []
-    for run in (execute, reference_execute):
+    for run in (run_exec, reference_execute):
         try:
             trace = run(domain, problem, bindings, **kwargs)
         except PddlError as exc:
@@ -471,7 +475,7 @@ def test_a_failure_that_adds_a_static_atom_grounds_again(mode):
                                     [("a", "b"), ("b", "c")], dists, "c")
     got, want = run_both(domain, problem, detour_binding(), mode=mode)
     assert got == want
-    trace = execute(domain, problem, detour_binding(), mode=mode)
+    trace = run_exec(domain, problem, detour_binding(), mode=mode)
     assert trace.outcome == "Success"
     assert [r.action for r in trace.records] == ["(drive a b)",
                                                  "(drive a c)"]
@@ -536,7 +540,7 @@ def counting_ground(monkeypatch):
 def test_execute_grounds_once_when_no_failure_adds_atoms(monkeypatch):
     domain, problem = transport_problem("transport_3.pddl")
     calls = counting_ground(monkeypatch)
-    trace = execute(domain, problem, bundled_bindings())
+    trace = run_exec(domain, problem, bundled_bindings())
     assert (trace.outcome, trace.plans_attempted) == ("Success", 2)
     assert calls == {"ground": [problem.init], "compile_task": [problem.goal]}
 
@@ -547,7 +551,7 @@ def test_execute_grounds_again_after_a_failure_that_adds_atoms(monkeypatch):
     bindings["grasp"] = replace(bindings["grasp"], failure_add=frozenset(
         {("perceived", "bolt")}))
     calls = counting_ground(monkeypatch)
-    trace = execute(domain, problem, bindings)
+    trace = run_exec(domain, problem, bindings)
     assert (trace.outcome, trace.plans_attempted) == ("Success", 2)
     assert len(calls["ground"]) == 2 and calls["ground"][0] == problem.init
     assert ("perceived", "bolt") in calls["ground"][1]
@@ -559,7 +563,7 @@ def test_execute_rejects_a_negative_replan_budget(monkeypatch, max_replans):
     domain, problem = transport_problem("transport_3.pddl")
     calls = counting_ground(monkeypatch)
     with pytest.raises(ValueError) as err:
-        execute(domain, problem, bundled_bindings(), max_replans=max_replans)
+        run_exec(domain, problem, bundled_bindings(), max_replans=max_replans)
     assert str(err.value) == (f"max_replans must be at least 0, "
                               f"got {max_replans}")
     assert calls == {"ground": [], "compile_task": []}
@@ -567,6 +571,6 @@ def test_execute_rejects_a_negative_replan_budget(monkeypatch, max_replans):
 
 def test_execute_accepts_a_zero_replan_budget():
     domain, problem = transport_problem("transport_3.pddl")
-    trace = execute(domain, problem, bundled_bindings(), max_replans=0)
+    trace = run_exec(domain, problem, bundled_bindings(), max_replans=0)
     assert (trace.outcome, trace.replans, trace.plans_attempted) == (
         "ReplanBudgetExhausted", 1, 1)

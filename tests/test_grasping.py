@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from workbot import grasping, kinematics
+from workbot.cli import _GraspObject
 from workbot.geometry import Pose
 from workbot.grasping import (HEIGHT_THRESHOLD, GraspCandidate,
                               NoReachableCandidate, decide_approach,
@@ -15,6 +16,9 @@ from workbot.grasping import (HEIGHT_THRESHOLD, GraspCandidate,
 from workbot.kinematics import IkResult, NoConvergence, load_chain
 
 IDENTITY_QUAT = np.array([0.0, 0.0, 0.0, 1.0])
+# the sampling settings of a `grasp --object` file that names only the object
+GRASP = _GraspObject(height=0.0, position=(0.0, 0.0, 0.0))
+BASE = GRASP.base_position
 
 
 def pose_at(x, y, z):
@@ -61,7 +65,7 @@ def test_decide_approach_monotone_in_height(h1, h2):
 
 def test_single_top_sample_sits_above_object():
     obj = pose_at(0.3, 0.1, 0.12)
-    (cand,) = sample_pregrasp(obj, "top", offset=0.05, n=1)
+    (cand,) = sample_pregrasp(obj, "top", offset=0.05, n=1, base_position=BASE)
     np.testing.assert_allclose(cand.pregrasp_pose.position,
                                [0.3, 0.1, 0.17], atol=1e-12)
     # tool z is the approach direction: straight down
@@ -72,14 +76,15 @@ def test_single_top_sample_sits_above_object():
 
 def test_yaw_sweep_order_nominal_first():
     obj = pose_at(0.3, 0.0, 0.05)
-    cands = sample_pregrasp(obj, "top", n=3, yaw_spread=math.pi / 2)
+    cands = sample_pregrasp(obj, "top", n=3, yaw_spread=math.pi / 2,
+                            base_position=BASE)
     assert [c.yaw for c in cands] == pytest.approx(
         [0.0, -math.pi / 4, math.pi / 4])
 
 
 def test_yaw_sweep_covers_spread_uniformly():
     cands = sample_pregrasp(pose_at(0.3, 0.0, 0.05), "top", n=9,
-                            yaw_spread=math.pi / 2)
+                            yaw_spread=math.pi / 2, base_position=BASE)
     yaws = sorted(c.yaw for c in cands)
     expected = np.linspace(-math.pi / 4, math.pi / 4, 9)
     assert yaws == pytest.approx(list(expected))
@@ -90,7 +95,8 @@ def test_yaw_sweep_covers_spread_uniformly():
 
 def test_frontal_axis_points_from_base_to_object():
     obj = pose_at(0.4, 0.0, 0.1)
-    (cand,) = sample_pregrasp(obj, "frontal", offset=0.05, n=1)
+    (cand,) = sample_pregrasp(obj, "frontal", offset=0.05, n=1,
+                              base_position=BASE)
     np.testing.assert_allclose(cand.pregrasp_pose.position,
                                [0.35, 0.0, 0.1], atol=1e-12)
     np.testing.assert_allclose(cand.pregrasp_pose.rotation()[:, 2],
@@ -107,12 +113,14 @@ def test_frontal_axis_ignores_height_difference():
 
 def test_frontal_undefined_directly_above_base():
     with pytest.raises(ValueError, match="directly above"):
-        sample_pregrasp(pose_at(0.0, 0.0, 0.5), "frontal", n=1)
+        sample_pregrasp(pose_at(0.0, 0.0, 0.5), "frontal", n=1,
+                        base_position=BASE)
 
 
 def test_sample_rotations_are_orthonormal():
     for approach in ("top", "frontal"):
-        for cand in sample_pregrasp(pose_at(0.3, 0.2, 0.1), approach, n=5):
+        for cand in sample_pregrasp(pose_at(0.3, 0.2, 0.1), approach, n=5,
+                                    base_position=BASE):
             r = cand.pregrasp_pose.rotation()
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-12)
             assert np.linalg.det(r) == pytest.approx(1.0)
@@ -120,7 +128,7 @@ def test_sample_rotations_are_orthonormal():
 
 def test_sample_yaw_rotates_about_approach_axis():
     cands = sample_pregrasp(pose_at(0.3, 0.0, 0.05), "top", n=3,
-                            yaw_spread=math.pi / 2)
+                            yaw_spread=math.pi / 2, base_position=BASE)
     by_yaw = {round(c.yaw, 9): c for c in cands}
     nominal = by_yaw[0.0].pregrasp_pose.rotation()
     quarter = by_yaw[round(math.pi / 4, 9)].pregrasp_pose.rotation()
@@ -134,16 +142,20 @@ def test_sample_rejects_bad_arguments():
     for n in (0, 361):
         with pytest.raises(ValueError,
                            match=rf"n must be in \[1, 360\], got {n}"):
-            sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=n)
+            sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=n,
+                            base_position=BASE)
     with pytest.raises(ValueError, match="non-negative"):
-        sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", offset=-0.01)
+        sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", offset=-0.01, n=GRASP.n,
+                        base_position=BASE)
     for spread in (-0.1, 2.0 * math.pi + 1e-9, 1e308, math.nan):
         with pytest.raises(ValueError,
                            match=r"yaw_spread must lie in \[0, 2 pi\]"):
-            sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", yaw_spread=spread)
+            sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", yaw_spread=spread,
+                            n=GRASP.n, base_position=BASE)
     # a full turn is the widest fan
     assert len(sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=4,
-                               yaw_spread=2.0 * math.pi)) == 4
+                               yaw_spread=2.0 * math.pi,
+                               base_position=BASE)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +167,15 @@ def fake_result(q):
                     pos_err=0.0, ang_err=0.0)
 
 
+def unreachable():
+    return NoConvergence("unreachable", best_q=np.zeros(5), pos_err=math.inf,
+                         ang_err=math.inf, iterations=0)
+
+
 def test_select_reachable_first_fit_stops_early(monkeypatch):
     chain = load_chain("src/workbot/data/chain_5dof.json")
-    cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=5)
+    cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=5,
+                            base_position=BASE)
     tried = []
 
     def solver(chain, target, q0):
@@ -172,13 +190,14 @@ def test_select_reachable_first_fit_stops_early(monkeypatch):
 
 def test_select_reachable_skips_failures(monkeypatch):
     chain = load_chain("src/workbot/data/chain_5dof.json")
-    cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=5)
+    cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=5,
+                            base_position=BASE)
     calls = []
 
     def solver(chain, target, q0):
         calls.append(target)
         if len(calls) < 3:
-            raise NoConvergence("unreachable")
+            raise unreachable()
         return fake_result(np.ones(5) * 0.1)
 
     monkeypatch.setattr(kinematics, "ik_dls", solver)
@@ -190,10 +209,11 @@ def test_select_reachable_skips_failures(monkeypatch):
 
 def test_select_reachable_exhausted_raises(monkeypatch):
     chain = load_chain("src/workbot/data/chain_5dof.json")
-    cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=4)
+    cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=4,
+                            base_position=BASE)
 
     def solver(chain, target, q0):
-        raise NoConvergence("unreachable")
+        raise unreachable()
 
     monkeypatch.setattr(kinematics, "ik_dls", solver)
     with pytest.raises(NoReachableCandidate, match="4"):
@@ -209,7 +229,8 @@ def test_select_reachable_rejects_empty_list():
 def test_select_reachable_with_real_solver():
     chain = load_chain("src/workbot/data/chain_5dof.json")
     base = Pose(np.array([0.0, 0.0, 0.55]), IDENTITY_QUAT)
-    cands = sample_pregrasp(pose_at(0.2, 0.0, 0.60), "top", n=9)
+    cands = sample_pregrasp(pose_at(0.2, 0.0, 0.60), "top", n=9,
+                            base_position=BASE)
     cand, res = select_reachable(chain.with_base(base), cands,
                                  q0=np.zeros(5))
     assert res.pos_err <= 1e-3
@@ -218,7 +239,7 @@ def test_select_reachable_with_real_solver():
 
 def test_candidate_fields_round_trip():
     cands = sample_pregrasp(pose_at(0.3, 0.0, 0.1), "top", n=3,
-                            yaw_spread=1.0, offset=0.07)
+                            yaw_spread=1.0, offset=0.07, base_position=BASE)
     assert all(isinstance(c, GraspCandidate) for c in cands)
     assert all(c.offset == 0.07 and c.approach == "top" for c in cands)
     scores = [c.score for c in cands]

@@ -350,16 +350,42 @@ def test_ik_unreachable_raises_with_diagnostics(monkeypatch):
 
 
 def test_ik_result_is_best_not_last_on_failure(monkeypatch):
+    # the first seeded target, in a +-0.6 m box with the identity
+    # orientation, and budget m whose iterate m from q0 = 0 is no better
+    # than the best before it: iterate m runs at budget m, yet the failure
+    # must report what the failure at budget m - 1 does, and a solver that
+    # kept its last iterate would not
     chain = bundled_chain()
-    target = Pose(np.array([0.45, 0.0, 0.1]), np.array([0.0, 0.0, 0.0, 1.0]))
-    monkeypatch.setattr(kinematics, "IK_MAX_ITERS", 2)
-    try:
-        ik_dls(chain, target, q0=np.zeros(5))
-    except NoConvergence as err:
-        start = oracle_pose_error(target.matrix(),
-                                  oracle_fk(chain, np.zeros(5)))
-        assert err.pos_err <= np.linalg.norm(start[:3]) + 1e-12
-    # convergence in two iterations is equally acceptable here
+    identity = np.array([0.0, 0.0, 0.0, 1.0])
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        target = Pose(rng.uniform(-0.6, 0.6, 3), identity)
+        failures = []
+        for budget in range(12):
+            monkeypatch.setattr(kinematics, "IK_MAX_ITERS", budget)
+            try:
+                ik_dls(chain, target, q0=np.zeros(5))
+            except NoConvergence as err:
+                failures.append(err)
+            else:
+                break
+        same = [(before, after)
+                for before, after in zip(failures, failures[1:])
+                if (after.pos_err, after.ang_err) == (before.pos_err,
+                                                       before.ang_err)]
+        if same:
+            break
+    else:
+        pytest.fail("no seeded target has an iterate worse than the best")
+    before, after = same[0]
+    assert after.best_q.tobytes() == before.best_q.tobytes()
+    # the errors reported are those of best_q, by the oracle
+    err = oracle_pose_error(target.matrix(), oracle_fk(chain, after.best_q))
+    assert after.pos_err == pytest.approx(np.linalg.norm(err[:3]), abs=1e-12)
+    assert after.ang_err == pytest.approx(np.linalg.norm(err[3:]), abs=1e-12)
+    # and the best never gets worse as the budget grows
+    sums = [f.pos_err + f.ang_err for f in failures]
+    assert sums == sorted(sums, reverse=True)
 
 
 # iteration counts (None: NoConvergence) of ik_dls from q0 = 0 on targets

@@ -469,7 +469,7 @@ def naive_ground(domain, problem):
             cost = schema.cost_constant + sum(
                 fn_values[(fname, tuple(bind.get(a, a) for a in args))]
                 for fname, args in schema.cost_terms)
-            if unit and not schema.has_cost_effect:
+            if unit:
                 cost = 1.0
             name = "(" + " ".join((schema.name,) + combo) + ")"
             out[name] = (pos, neg, atoms(schema.add), atoms(schema.delete),
@@ -950,12 +950,12 @@ def print_domain(domain):
         effects = [atom_text(l.name, l.args) for l in schema.add]
         effects += [f"(not {atom_text(l.name, l.args)})"
                     for l in schema.delete]
-        if schema.has_cost_effect:
-            if schema.cost_constant or not schema.cost_terms:
-                effects.append("(increase (total-cost) "
-                               f"{pddl_number(schema.cost_constant)})")
-            effects += [f"(increase (total-cost) {atom_text(fname, args)})"
-                        for fname, args in schema.cost_terms]
+        # a zero-cost increase and none parse to the same schema
+        if schema.cost_constant:
+            effects.append("(increase (total-cost) "
+                           f"{pddl_number(schema.cost_constant)})")
+        effects += [f"(increase (total-cost) {atom_text(fname, args)})"
+                    for fname, args in schema.cost_terms]
         if effects:
             lines.append("    :effect " + conjunction(effects))
         lines.append("  )")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from workbot import placement
+from workbot.cli import _build_parser
 from workbot.cloud import PlaneBasis, Polygon2, _rowdot
 from workbot.geometry import Pose
 from workbot.kinematics import IkResult, NoConvergence, load_chain
@@ -19,6 +20,8 @@ from workbot.placement import (_DRAW_BLOCK, NoFreeSpace, NoReachablePlacement,
 from workbot.sim import gen_workstation, load_scenario
 
 TABLE_W, TABLE_H = 0.8, 0.6
+# the options `workbot place` runs with unless told otherwise
+PLACE = _build_parser().parse_args(["place", "--scenario", "-", "--out", "-"])
 
 
 def table_polygon(w=TABLE_W, h=TABLE_H, z=0.7) -> Polygon2:
@@ -218,7 +221,7 @@ def test_covered_table_raises_no_free_space():
     polygon = table_polygon()
     blocker = [Obstacle2(center=np.array([0.0, 0.0]), radius=0.65)]
     with pytest.raises(NoFreeSpace, match="in 10000 attempts"):
-        sample_placements(polygon, blocker)
+        sample_placements(polygon, blocker, n=PLACE.n)
     # the 1 mm dense grid agrees there is nothing to find
     assert len(feasible_grid(polygon, blocker, 0.03, 0.05)) == 0
 
@@ -245,12 +248,12 @@ def test_larger_separation_tightens_the_feasible_set():
 def test_sample_rejects_bad_arguments():
     polygon = table_polygon()
     with pytest.raises(ValueError, match="non-negative"):
-        sample_placements(polygon, [], d_min=-0.01)
+        sample_placements(polygon, [], d_min=-0.01, n=PLACE.n)
     with pytest.raises(ValueError, match="positive"):
         sample_placements(polygon, [], n=0)
     # a NaN margin would compare false against every distance
     with pytest.raises(ValueError, match="non-negative"):
-        sample_placements(polygon, [], footprint=float("nan"))
+        sample_placements(polygon, [], footprint=float("nan"), n=PLACE.n)
 
 
 def placement_bytes(placements):
@@ -316,7 +319,7 @@ def test_sampler_matches_reference_when_draws_run_out(monkeypatch):
 def test_sampler_matches_reference_on_no_free_space(monkeypatch):
     blocker = [Obstacle2(center=np.array([0.0, 0.0]), radius=0.65)]
     monkeypatch.setattr(placement, "MAX_ATTEMPTS", _DRAW_BLOCK + 1)
-    assert assert_matches_reference(table_polygon(), blocker) == 0
+    assert assert_matches_reference(table_polygon(), blocker, n=PLACE.n) == 0
 
 
 @pytest.mark.parametrize("shape", [(500, 2), (200, 7, 2), (300, 3)])
@@ -362,6 +365,11 @@ def test_obstacle_and_pose_validation():
 # rank_placements
 
 
+def unreachable(msg: str) -> NoConvergence:
+    return NoConvergence(msg, best_q=np.zeros(5), pos_err=math.inf,
+                         ang_err=math.inf, iterations=0)
+
+
 def fake_solver_by_u(monkeypatch) -> list:
     """Batched IK stub whose iteration count grows with |u|; u > 0.25 is
     unreachable.  Returns the list of target lists it was called with."""
@@ -372,7 +380,7 @@ def fake_solver_by_u(monkeypatch) -> list:
         out = []
         for target in targets:
             u = float(target.position[0])
-            out.append(NoConvergence("stub: too far") if u > 0.25 else
+            out.append(unreachable("stub: too far") if u > 0.25 else
                        IkResult(q=np.zeros(5), iterations=int(abs(u) * 100),
                                 pos_err=0.0, ang_err=0.0))
         return out
@@ -410,7 +418,7 @@ def test_rank_orders_by_reach_then_clearance(monkeypatch):
 
 def test_rank_all_unreachable_raises(monkeypatch):
     def solve_many(chain, targets, q0, **kw):
-        return [NoConvergence("stub: nothing works") for _ in targets]
+        return [unreachable("stub: nothing works") for _ in targets]
 
     monkeypatch.setattr("workbot.kinematics.ik_dls_many", solve_many)
     polygon = table_polygon()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from workbot.cloud import Cluster, Point3, PointCloud
+from workbot.cloud import Cluster, PerceptionConfig, Point3, PointCloud
 from workbot.placement import segment_workstation
 from workbot.recognition import (DegenerateCluster, Inventory,
                                  NoAdmissibleLabel, ObjectScores, fuse,
@@ -183,7 +183,7 @@ def pca_pose_digest() -> str:
     digest = hashlib.sha256()
     for seed in range(4):
         cloud, _ = gen_workstation(replace(sc, seed=seed))
-        work, _, _, clusters = segment_workstation(cloud)
+        work, _, _, clusters = segment_workstation(cloud, PerceptionConfig())
         for cl in clusters:
             pose, extents = pca_pose(work, cl)
             for arr in (pose.position, pose.quat_xyzw, extents):

@@ -89,7 +89,7 @@ def test_truth_plane_is_the_table():
 def test_box_sampler_geometry():
     rng = np.random.default_rng(0)
     pts = box_surface_points(rng, (0.1, -0.2), 0.5, (0.08, 0.04, 0.06),
-                             yaw=0.3)
+                             yaw=0.3, density=WorkstationScenario().density)
     local = pts - np.array([0.1, -0.2, 0.5])
     c, s = math.cos(-0.3), math.sin(-0.3)
     bx = c * local[:, 0] - s * local[:, 1]
@@ -102,7 +102,8 @@ def test_box_sampler_geometry():
 
 def test_cylinder_sampler_geometry():
     rng = np.random.default_rng(0)
-    pts = cylinder_surface_points(rng, (0.0, 0.0), 0.0, 0.05, 0.1)
+    pts = cylinder_surface_points(rng, (0.0, 0.0), 0.0, 0.05, 0.1,
+                                  density=WorkstationScenario().density)
     r = np.linalg.norm(pts[:, :2], axis=1)
     assert r.max() <= 0.05 + 1e-12
     top = pts[np.isclose(pts[:, 2], 0.1)]
@@ -285,8 +286,8 @@ def test_evaluate_sort_steps_by_the_stream_frame_interval(monkeypatch):
 
 
 def test_obstacle_grid_density_and_determinism():
-    cells = gen_obstacle_grid(60, 60, 0.1, 0.10, seed=3)
-    again = gen_obstacle_grid(60, 60, 0.1, 0.10, seed=3)
+    cells = gen_obstacle_grid(60, 60, 0.1, 0.10, seed=3, keep_free=())
+    again = gen_obstacle_grid(60, 60, 0.1, 0.10, seed=3, keep_free=())
     np.testing.assert_array_equal(cells, again)
     assert set(np.unique(cells)) <= {0, 1}
     occupied = float(np.count_nonzero(cells)) / cells.size
